@@ -1,4 +1,4 @@
-"""Selection-phase performance: exhaustive scalar loop vs lazy + vectorized.
+"""Selection-phase performance: the seed's scalar loop vs the kernel's two selectors.
 
 PR 1 made cache *construction* workload-scale, which moved the advisor's
 dominant cost into the greedy selection loop: the seed implementation
@@ -9,28 +9,29 @@ the timed region) on the fig-7-style star workload at growing candidate
 counts, comparing
 
 * the seed path -- ``GreedySelector(incremental=False)`` over the scalar
-  per-slot walk (``engine="scalar"``), against
-* the optimized path -- ``LazyGreedySelector`` (CELF) over the compiled
-  engine (numpy-vectorized when installed, pure-Python layout otherwise)
-  with delta evaluation, and
-* the fused path -- ``LazyGreedySelector`` over the ``"arena"`` engine
-  (PR 7), which answers each round's whole stale frontier as one batched
-  rank-1 masked-min over the workload-wide arena tensors,
+  oracle's per-slot walk (``engine="scalar"``), kept as the frozen
+  reference every ratio is normalized by, against
+* ``lazy`` on the kernel -- ``LazyGreedySelector`` (CELF) over the workload
+  arena (numpy when installed, pure Python otherwise): one batched frontier
+  call for the first round, one-candidate re-scores afterwards, and
+* ``exhaustive`` on the kernel -- ``GreedySelector`` over the same arena:
+  the whole remaining frontier re-scored in one batched rank-1 masked-min
+  per round,
 
-and asserts all three produce byte-identical index selections, with the
-per-query engine at least 5x faster than the seed once the candidate set
-reaches 60 entries and the arena additionally beating the per-query engine
-at the 120-candidate fig-7 scale (1.5x full mode, 1.1x quick mode; the
-arena floor vs the seed is 5x full / 2x quick).
+and asserts all three produce the same index selections, with lazy at least
+5x faster than the seed once the candidate set reaches 60 entries and the
+exhaustive scan on the kernel at least 5x faster at the 120-candidate fig-7
+scale (2.5x / 2x in quick mode).  Compiling the arena is inside both timed
+regions.
 
 The selections are compared as sets: the star schema's dimensions are
 symmetric, so distinct candidates can carry *mathematically identical*
-benefits, and the numpy engine's reassociated sums may land such an exact
+benefits, and the numpy backend's reassociated sums may land such an exact
 tie one ulp apart from the scalar walk, permuting the order of the tied
-picks.  Within any single engine the lazy and exhaustive loops produce
-bit-identical SelectionStep sequences (asserted by the tier-1 tests); here
-the seed and optimized paths must pick the same indexes, the same number of
-steps and the same final workload cost.
+picks.  On this read-only workload diminishing returns hold, so the lazy and
+exhaustive loops agree (they legitimately differ on the mixed read/write
+workload, see :mod:`repro.advisor.lazy_greedy`); here all paths must pick
+the same indexes, the same number of steps and the same final workload cost.
 
 Run with:  pytest benchmarks/bench_greedy_selection.py --benchmark-only -s
 """
@@ -67,15 +68,13 @@ def _required_speedup() -> float:
     return 5.0 if bench_query_count() >= 8 else 2.5
 
 
-def _required_arena_speedups() -> tuple:
-    """(vs seed scalar, vs per-query engine) floors at the largest count.
+def _required_exhaustive_speedup() -> float:
+    """Floor for the exhaustive scan on the kernel vs the seed, largest count.
 
-    The arena's edge over the per-query engines comes from answering the
-    whole frontier per round in one batched rank-1 update instead of one
-    engine call per (query, candidate) pair; it needs the fig-7 scale (120
-    candidates, ten queries) to dominate, so quick mode asserts soft floors.
+    Batching a whole frontier per round needs the fig-7 scale (120
+    candidates, ten queries) to dominate, so quick mode asserts a soft floor.
     """
-    return (5.0, 1.5) if bench_query_count() >= 8 else (2.0, 1.1)
+    return 5.0 if bench_query_count() >= 8 else 2.0
 
 
 def _run_selection_comparison(star_workload):
@@ -84,8 +83,8 @@ def _run_selection_comparison(star_workload):
     candidates = CandidateGenerator(catalog).for_workload(queries)
     counts = sorted({min(count, len(candidates)) for count in CANDIDATE_COUNTS})
 
-    # One cache build (excluded from all timings) serves both engines: the
-    # model is flipped between the scalar walk and the compiled backend.
+    # One cache build (excluded from all timings) serves every path: the
+    # model is flipped between the scalar oracle and the kernel.
     model = CacheBackedWorkloadCostModel(
         Optimizer(catalog), queries, candidates[: max(counts)], mode="pinum", engine="scalar"
     )
@@ -100,41 +99,31 @@ def _run_selection_comparison(star_workload):
         seed_steps = seed_selector.select(subset)
         seed_seconds = time.perf_counter() - started
 
-        model.select_engine("auto")
-        per_query_engine = model.engine_backend
-        lazy_selector = LazyGreedySelector(catalog, model, BUDGET)
+        # The kernel: arena compilation plus selection, both timed.
         started = time.perf_counter()
+        model.select_engine("auto")
+        lazy_selector = LazyGreedySelector(catalog, model, BUDGET)
         lazy_steps = lazy_selector.select(subset)
         lazy_seconds = time.perf_counter() - started
+        backend = model.engine_backend
 
-        # The fused arena: compile (once per count; the fingerprint spans
-        # the whole workload's caches) plus selection, both timed -- the
-        # per-query engines also pay their compilation inside select().
         started = time.perf_counter()
-        model.select_engine("arena")
-        arena_selector = LazyGreedySelector(catalog, model, BUDGET)
-        arena_steps = arena_selector.select(subset)
-        arena_seconds = time.perf_counter() - started
+        model.select_engine("auto")  # a cold model compiles a fresh arena
+        exhaustive_selector = GreedySelector(catalog, model, BUDGET)
+        exhaustive_steps = exhaustive_selector.select(subset)
+        exhaustive_seconds = time.perf_counter() - started
 
         seed_keys = {step.chosen.key for step in seed_steps}
-        lazy_keys = {step.chosen.key for step in lazy_steps}
-        arena_keys = {step.chosen.key for step in arena_steps}
-        assert seed_keys == lazy_keys and len(seed_steps) == len(lazy_steps), (
-            f"lazy+vectorized selection diverged from the seed path at {count} candidates"
-        )
-        assert arena_keys == seed_keys and len(arena_steps) == len(seed_steps), (
-            f"arena selection diverged from the seed path at {count} candidates"
-        )
-        if seed_steps:
-            seed_final = seed_steps[-1].workload_cost_after
-            lazy_final = lazy_steps[-1].workload_cost_after
-            arena_final = arena_steps[-1].workload_cost_after
-            assert abs(seed_final - lazy_final) <= 1e-9 * max(1.0, abs(seed_final)), (
-                f"final workload cost diverged at {count} candidates"
-            )
-            assert abs(seed_final - arena_final) <= 1e-9 * max(1.0, abs(seed_final)), (
-                f"arena final workload cost diverged at {count} candidates"
-            )
+        for label, steps in (("lazy", lazy_steps), ("exhaustive", exhaustive_steps)):
+            assert {step.chosen.key for step in steps} == seed_keys and len(steps) == len(
+                seed_steps
+            ), f"{label} selection on the kernel diverged from the seed path at {count} candidates"
+            if seed_steps:
+                seed_final = seed_steps[-1].workload_cost_after
+                final = steps[-1].workload_cost_after
+                assert abs(seed_final - final) <= 1e-9 * max(1.0, abs(seed_final)), (
+                    f"{label} final workload cost diverged at {count} candidates"
+                )
 
         rows.append(
             {
@@ -142,36 +131,34 @@ def _run_selection_comparison(star_workload):
                 "picked": len(seed_steps),
                 "seed_seconds": seed_seconds,
                 "lazy_seconds": lazy_seconds,
-                "arena_seconds": arena_seconds,
+                "exhaustive_seconds": exhaustive_seconds,
                 "speedup": seed_seconds / max(lazy_seconds, 1e-9),
-                "arena_speedup": seed_seconds / max(arena_seconds, 1e-9),
-                "arena_vs_lazy": lazy_seconds / max(arena_seconds, 1e-9),
+                "exhaustive_speedup": seed_seconds / max(exhaustive_seconds, 1e-9),
                 "seed_evaluations": seed_selector.statistics.candidate_evaluations,
                 "lazy_evaluations": lazy_selector.statistics.candidate_evaluations,
-                "arena_evaluations": arena_selector.statistics.candidate_evaluations,
-                "engine": per_query_engine,
+                "exhaustive_evaluations": exhaustive_selector.statistics.candidate_evaluations,
+                "engine": backend,
             }
         )
 
     table = ExperimentTable(
-        "Selection phase: exhaustive scalar (seed) vs lazy greedy + "
-        f"{per_query_engine} engine vs fused arena (budget 5 GB, {len(queries)} queries)",
-        ["candidates", "picked", "seed (ms)", "lazy (ms)", "arena (ms)",
-         "lazy speedup", "arena speedup", "arena vs lazy"],
+        "Selection phase: exhaustive scalar (seed) vs lazy and exhaustive on the "
+        f"{backend} arena (budget 5 GB, {len(queries)} queries)",
+        ["candidates", "picked", "seed (ms)", "lazy (ms)", "exhaustive (ms)",
+         "lazy speedup", "exhaustive speedup"],
     )
     for row in rows:
         table.add_row(
             row["candidates"], row["picked"],
             row["seed_seconds"] * 1000.0, row["lazy_seconds"] * 1000.0,
-            row["arena_seconds"] * 1000.0,
-            f"{row['speedup']:.1f}x", f"{row['arena_speedup']:.1f}x",
-            f"{row['arena_vs_lazy']:.2f}x",
+            row["exhaustive_seconds"] * 1000.0,
+            f"{row['speedup']:.1f}x", f"{row['exhaustive_speedup']:.1f}x",
         )
     return table, rows
 
 
 def test_selection_phase_speedup(benchmark, star_workload):
-    """Lazy + vectorized selection matches the seed picks at >= 5x the speed."""
+    """Both selectors on the kernel match the seed picks at >= 5x the speed."""
     table, rows = benchmark.pedantic(
         _run_selection_comparison, args=(star_workload,), rounds=1, iterations=1
     )
@@ -189,16 +176,11 @@ def test_selection_phase_speedup(benchmark, star_workload):
             f"selection speedup {row['speedup']:.1f}x at {row['candidates']} candidates "
             f"is below the required {required}x"
         )
-    # The arena floors apply at the largest (fig-7 default, 120) count only:
-    # below that the per-round batching has too little frontier to amortize.
+    # The exhaustive floor applies at the largest (fig-7 default, 120) count
+    # only: below that a round has too little frontier to amortize a batch.
     largest = rows[-1]
-    vs_seed, vs_lazy = _required_arena_speedups()
-    assert largest["arena_speedup"] >= vs_seed, (
-        f"arena speedup {largest['arena_speedup']:.1f}x vs the seed at "
-        f"{largest['candidates']} candidates is below the required {vs_seed}x"
-    )
-    assert largest["arena_vs_lazy"] >= vs_lazy, (
-        f"arena speedup {largest['arena_vs_lazy']:.2f}x vs the per-query "
-        f"{largest['engine']} engine at {largest['candidates']} candidates "
-        f"is below the required {vs_lazy}x"
+    required = _required_exhaustive_speedup()
+    assert largest["exhaustive_speedup"] >= required, (
+        f"exhaustive-on-kernel speedup {largest['exhaustive_speedup']:.1f}x vs the "
+        f"seed at {largest['candidates']} candidates is below the required {required}x"
     )

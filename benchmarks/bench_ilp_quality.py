@@ -66,30 +66,6 @@ def _run_quality_comparison(star_workload):
             lazy_steps[-1].workload_cost_after if lazy_steps else baseline
         )
 
-        # The ``--engine arena`` axis: the same warm start computed over the
-        # fused arena (compile included in the timing).  The solver below is
-        # engine-independent -- it prices the BIP from the caches -- so only
-        # the warm start's wall time moves.  Picks are compared as sets: the
-        # star dimensions are symmetric, and the arena's regrouped sums can
-        # land an exact tie one ulp apart from the per-query engines,
-        # permuting tied picks (the same allowance bench_greedy_selection
-        # documents).
-        started = time.perf_counter()
-        model.select_engine("arena")
-        arena_steps = LazyGreedySelector(catalog, model, BUDGET).select(candidates)
-        arena_seconds = time.perf_counter() - started
-        model.select_engine("auto")
-        assert {step.chosen.key for step in arena_steps} == {
-            step.chosen.key for step in lazy_steps
-        } and len(arena_steps) == len(lazy_steps), (
-            f"arena warm start diverged from the per-query engines at {count} candidates"
-        )
-        if lazy_steps:
-            arena_cost = arena_steps[-1].workload_cost_after
-            assert abs(arena_cost - lazy_cost) <= 1e-9 * max(1.0, abs(lazy_cost)), (
-                f"arena warm-start cost diverged at {count} candidates"
-            )
-
         formulation = build_formulation(model, catalog, candidates, BUDGET)
         warm = formulation.selection_of([step.chosen for step in lazy_steps])
 
@@ -142,7 +118,6 @@ def _run_quality_comparison(star_workload):
                 "nodes": solution.nodes_explored,
                 "incumbent_source": solution.incumbent_source,
                 "lazy_seconds": lazy_seconds,
-                "arena_seconds": arena_seconds,
                 "ilp_seconds": ilp_seconds,
                 "bip_variables": formulation.statistics.variables,
                 "bip_constraints": formulation.statistics.constraints,
@@ -160,15 +135,14 @@ def test_ilp_quality_vs_greedy(benchmark, star_workload):
     table = ExperimentTable(
         f"Selection quality: lazy greedy vs ILP (budget 5 GB, {query_count} queries)",
         ["candidates", "lazy benefit", "ilp benefit", "ilp vs lazy", "proven gap",
-         "nodes", "lazy (s)", "arena warm (s)", "ilp (s)"],
+         "nodes", "lazy (s)", "ilp (s)"],
     )
     for row in quality_rows:
         table.add_row(
             row["candidates"], row["lazy_benefit"], row["ilp_benefit"],
             f"+{row['improvement_pct']:.1f}%",
             f"{row['gap'] * 100.0:.2f}%", row["nodes"],
-            f"{row['lazy_seconds']:.2f}", f"{row['arena_seconds']:.2f}",
-            f"{row['ilp_seconds']:.2f}",
+            f"{row['lazy_seconds']:.2f}", f"{row['ilp_seconds']:.2f}",
         )
     table.print()
 

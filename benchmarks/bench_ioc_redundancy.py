@@ -14,11 +14,12 @@ Run with:  pytest benchmarks/bench_ioc_redundancy.py --benchmark-only -s
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentTable, Timer
+from repro.bench.harness import ExperimentTable
 from repro.inum import InumBuilderOptions, InumCacheBuilder
 from repro.optimizer import Optimizer
 from repro.optimizer.interesting_orders import combination_count
 from repro.pinum import PinumBuilderOptions, PinumCacheBuilder
+from repro.util.timing import timed
 from repro.workloads.tpch_like import tpch_q5_like_query
 
 
@@ -33,14 +34,14 @@ def _run_redundancy_experiment(tpch_catalog) -> ExperimentTable:
         inum_optimizer,
         InumBuilderOptions(include_nestloop_plans=False, covering_probe_indexes=True),
     )
-    with Timer() as inum_timer:
+    with timed() as inum_timer:
         inum_cache = inum_builder.build_plan_cache(query)
 
     pinum_optimizer = Optimizer(tpch_catalog)
     pinum_builder = PinumCacheBuilder(
         pinum_optimizer, PinumBuilderOptions(nestloop_calls=0, collect_access_costs=False)
     )
-    with Timer() as pinum_timer:
+    with timed() as pinum_timer:
         pinum_cache = pinum_builder.build_plan_cache(query)
 
     table = ExperimentTable(

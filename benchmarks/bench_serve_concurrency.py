@@ -8,7 +8,7 @@ the thread pool.  This harness measures exactly that against a real
 ``repro serve --tcp`` subprocess:
 
 * **warm** -- one client recommends once, publishing the catalog's plan
-  caches and compiled engines into the shared tier,
+  caches and the compiled arena into the shared tier,
 * **serial baseline** -- one client plays the full request mix alone
   (sequential round-trips; the throughput a stdio pipe would give),
 * **concurrent** -- ``N`` clients, each with a private ``session_id``,

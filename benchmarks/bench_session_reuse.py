@@ -1,7 +1,7 @@
 """Session reuse: warm incremental re-tuning vs a cold one-shot recommend.
 
 The session API's pitch is that a long-lived :class:`TuningSession` keeps
-plan caches, the what-if call cache and compiled engines warm, so re-tuning
+plan caches, the what-if call cache and compiled arenas warm, so re-tuning
 after a workload change only pays for the delta.  This benchmark measures
 exactly that on the star-schema workload:
 

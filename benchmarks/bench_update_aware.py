@@ -20,7 +20,7 @@ Asserted:
 
 The statement set is *fixed* across the sweep -- only the weights move --
 so every re-tune after the first answers from the session's warm plan
-caches and compiled engines; the sweep measures selection economics, not
+caches and compiled arenas; the sweep measures selection economics, not
 cache construction.
 
 Run with:  pytest benchmarks/bench_update_aware.py --benchmark-only -s

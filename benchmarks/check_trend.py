@@ -3,10 +3,11 @@
 Reads the ``selection_phase`` rows that ``bench_greedy_selection.py`` writes
 into ``BENCH_ci.json`` (pytest-benchmark ``extra_info``) and compares them
 against the committed ``benchmarks/baselines.json``.  Wall-clock seconds are
-meaningless across runner generations, so each optimized path is normalized
-by the *seed* scalar path measured in the same run: the seed loop is frozen
-code, so ``lazy_seconds / seed_seconds`` moves only when the optimized path
-itself regresses, and the runner's speed cancels out.  A ratio more than
+meaningless across runner generations, so each selector on the evaluation
+kernel (``lazy``, ``exhaustive``) is normalized by the *seed* scalar path
+measured in the same run: the seed loop is frozen code, so ``lazy_seconds /
+seed_seconds`` moves only when the kernel path itself regresses, and the
+runner's speed cancels out.  A ratio more than
 ``tolerance`` (default 1.25, i.e. a >25 % selection wall-time regression)
 above its committed baseline fails the job.
 
@@ -48,7 +49,7 @@ DEFAULT_BASELINES = Path(__file__).resolve().parent / "baselines.json"
 #: The normalized metrics gated per candidate-count row.
 RATIOS = {
     "lazy_over_seed": "lazy_seconds",
-    "arena_over_seed": "arena_seconds",
+    "exhaustive_over_seed": "exhaustive_seconds",
 }
 
 
@@ -177,7 +178,7 @@ def check(
             limit = float(baseline_row[name]) * tolerance
             verdict = "ok" if value <= limit or not gated else "REGRESSED"
             print(
-                f"  {count:>4} candidates  {name:<16} {value:.4f} "
+                f"  {count:>4} candidates  {name:<20} {value:.4f} "
                 f"(baseline {baseline_row[name]:.4f}, limit {limit:.4f}) "
                 f"{verdict}{'' if gated else ' [not gated]'}"
             )

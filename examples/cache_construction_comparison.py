@@ -13,13 +13,14 @@ Run with:  python examples/cache_construction_comparison.py [--query 4]
 import argparse
 
 from repro.advisor import CandidateGenerator
-from repro.bench.harness import ExperimentTable, Timer, relative_error
+from repro.bench.harness import ExperimentTable, relative_error
 from repro.inum import AtomicConfiguration, InumCacheBuilder, InumCostModel
 from repro.optimizer import Optimizer
 from repro.optimizer.interesting_orders import combination_count
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.pinum import PinumCacheBuilder, PinumCostModel
 from repro.util.rng import DeterministicRNG
+from repro.util.timing import timed
 from repro.workloads import StarSchemaWorkload
 
 
@@ -40,9 +41,9 @@ def main() -> None:
           f"{combination_count(query)} interesting-order combinations, "
           f"{len(candidates)} candidate indexes\n")
 
-    with Timer() as pinum_timer:
+    with timed() as pinum_timer:
         pinum_cache = PinumCacheBuilder(optimizer).build_cache(query, candidates)
-    with Timer() as inum_timer:
+    with timed() as inum_timer:
         inum_cache = InumCacheBuilder(optimizer).build_cache(query, candidates)
 
     table = ExperimentTable(
@@ -50,9 +51,9 @@ def main() -> None:
         ["builder", "optimizer calls", "wall-clock (ms)", "cached plans", "unique plans"],
     )
     table.add_row("INUM", inum_cache.build_stats.optimizer_calls_total,
-                  inum_timer.milliseconds, inum_cache.entry_count, inum_cache.unique_plan_count())
+                  inum_timer.seconds * 1000.0, inum_cache.entry_count, inum_cache.unique_plan_count())
     table.add_row("PINUM", pinum_cache.build_stats.optimizer_calls_total,
-                  pinum_timer.milliseconds, pinum_cache.entry_count, pinum_cache.unique_plan_count())
+                  pinum_timer.seconds * 1000.0, pinum_cache.entry_count, pinum_cache.unique_plan_count())
     table.print()
     print(f"speedup: {inum_timer.seconds / max(pinum_timer.seconds, 1e-9):.1f}x wall-clock, "
           f"{inum_cache.build_stats.optimizer_calls_total / pinum_cache.build_stats.optimizer_calls_total:.1f}x fewer calls\n")

@@ -3,7 +3,7 @@
 
 The one-shot ``IndexAdvisor`` rebuilds its world per call; a
 :class:`~repro.api.session.TuningSession` keeps the expensive state -- plan
-caches, the memoizing what-if layer, compiled evaluation engines -- warm for
+caches, the memoizing what-if layer, compiled workload arenas -- warm for
 its whole lifetime, so repeated and *incremental* tuning requests only pay
 for what actually changed:
 
@@ -131,7 +131,7 @@ async def tcp_demo() -> None:
             tier = stats["tier"]
             print(f"server: {stats['sessions']} sessions, tier holds "
                   f"{tier['caches_published']} caches / "
-                  f"{tier['engines_published']} engines "
+                  f"{tier['arenas_published']} arenas "
                   f"({tier['cache_hits']} shared hits)")
     finally:
         await server.stop()

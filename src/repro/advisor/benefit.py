@@ -10,15 +10,15 @@ cost if this index set exists?*  Three interchangeable answers are provided:
 * :class:`CacheBackedWorkloadCostModel` with ``mode="pinum"`` -- the paper's
   configuration: same arithmetic, caches built 5-10x faster.
 
-Two layers make the selection phase itself workload-scale:
-
-* the cache-backed model evaluates through a compiled
-  :mod:`~repro.inum.compiled` engine (vectorized with numpy when installed,
-  a pure-Python layout evaluation otherwise), and
-* :class:`IncrementalWorkloadEvaluator` maintains per-query current costs
-  and, via the model's table -> queries relevance map, re-evaluates only the
-  queries whose tables a candidate index touches instead of summing the
-  whole workload from scratch.
+The cache-backed model evaluates through one kernel, the fused
+:class:`~repro.inum.arena.WorkloadArena` (numpy when installed, pure Python
+otherwise); ``engine="scalar"`` swaps in the per-slot
+:class:`~repro.inum.cost_estimation.InumCostModel` walk, the reference
+oracle tests and benchmark checks compare the kernel against.
+:class:`IncrementalWorkloadEvaluator` is what the selectors score
+candidates through: one batched arena call per frontier, or -- for models
+without an arena (the scalar oracle, the raw optimizer) -- a delta
+re-evaluation of only the queries whose tables a candidate touches.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
 from repro.inum.arena import WorkloadArena, arena_fingerprint, compile_arena
 from repro.inum.cache import InumCache
-from repro.inum.compiled import CompiledCostEngine, compile_cache, numpy_available
+from repro.inum.compiled import numpy_available
 from repro.inum.cost_estimation import InumCostModel
 from repro.inum.serialization import CacheStore
 from repro.inum.workload_builder import WorkloadBuilderOptions, WorkloadCacheBuilder
@@ -44,17 +44,6 @@ from repro.pinum.cost_model import PinumCostModel
 from repro.query.ast import Query
 from repro.util.errors import AdvisorError
 from repro.util.fingerprint import configuration_signature, query_fingerprint
-
-#: Evaluation engines accepted by :class:`CacheBackedWorkloadCostModel`:
-#: ``"auto"`` compiles caches and lets :mod:`repro.inum.compiled` pick numpy
-#: or the pure-Python layout, ``"numpy"``/``"python"`` force a compiled
-#: backend, ``"scalar"`` keeps the original per-slot Python walk, and
-#: ``"arena"`` fuses every compiled layout into one
-#: :class:`~repro.inum.arena.WorkloadArena` so whole-workload and
-#: whole-frontier evaluations are single batched array operations.  The
-#: authoritative list lives in :data:`repro.api.registry.ENGINES`; this tuple
-#: mirrors the built-ins for documentation and back-compat.
-ENGINES = ("auto", "numpy", "python", "scalar", "arena")
 
 
 def validate_statement_weight(name: str, value: object, label: str = "statement weight") -> float:
@@ -85,14 +74,17 @@ def _numpy_problem() -> Optional[str]:
     )
 
 
-#: Engine specs registered (lazily) in :data:`repro.api.registry.ENGINES`.
-AUTO_ENGINE = EngineSpec("auto", compiled=True)
-NUMPY_ENGINE = EngineSpec("numpy", compiled=True, availability=_numpy_problem)
-PYTHON_ENGINE = EngineSpec("python", compiled=True)
-SCALAR_ENGINE = EngineSpec("scalar", compiled=False)
-#: The fused engine needs no availability gate: :func:`compile_arena` picks
-#: the numpy buffers when installed and the pure-Python layout otherwise.
-ARENA_ENGINE = EngineSpec("arena", compiled=False, fused=True)
+#: Engine specs registered (lazily) in :data:`repro.api.registry.ENGINES`, the
+#: evaluation engines :class:`CacheBackedWorkloadCostModel` accepts.
+#: ``"auto"`` and ``"arena"`` evaluate through the
+#: :class:`~repro.inum.arena.WorkloadArena` on the best available backend,
+#: ``"numpy"``/``"python"`` pin the backend, and ``"scalar"`` is the
+#: reference oracle (the original per-slot Python walk).
+AUTO_ENGINE = EngineSpec("auto")
+ARENA_ENGINE = EngineSpec("arena")
+NUMPY_ENGINE = EngineSpec("numpy", backend="numpy", availability=_numpy_problem)
+PYTHON_ENGINE = EngineSpec("python", backend="python")
+SCALAR_ENGINE = EngineSpec("scalar", backend=None)
 
 
 class WorkloadCostModel(abc.ABC):
@@ -150,10 +142,7 @@ class WorkloadCostModel(abc.ABC):
 
     def workload_cost(self, indexes: Sequence[Index]) -> float:
         """Total weighted cost of the workload under ``indexes``."""
-        return sum(
-            self.weights[query.name] * self.query_cost(query, indexes)
-            for query in self.queries
-        )
+        return self.weighted_total(self.per_query_costs(indexes))
 
     def per_query_costs(self, indexes: Sequence[Index]) -> Dict[str, float]:
         """Per-execution costs under ``indexes`` keyed by statement name."""
@@ -178,63 +167,44 @@ class WorkloadCostModel(abc.ABC):
 
 
 class IncrementalWorkloadEvaluator:
-    """Delta evaluation of workload costs for the greedy search.
+    """Scores candidates against a growing winner set for the selectors.
 
-    The exhaustive loop recomputes every query's cost for every candidate in
-    every iteration, although a candidate index on table ``T`` can only move
-    the queries that read ``T``.  This evaluator keeps the current per-query
-    costs and answers "what if this candidate joined the winners?" by
-    re-evaluating just the relevant queries; totals are still summed over all
-    queries in workload order, so they are bit-identical to a full
+    It keeps the current per-query costs and answers "what if this candidate
+    joined the winners?" through :meth:`frontier`.  A cache-backed model
+    answers a whole frontier in one batched
+    :class:`~repro.inum.arena.WorkloadArena` call.  A model without an arena
+    (the scalar oracle, ``cost_model="optimizer"``) is asked per candidate,
+    and then only for the queries that read the candidate's table -- an
+    index on ``T`` cannot move any other query; totals are still summed over
+    all queries in workload order, so they are bit-identical to a full
     :meth:`~WorkloadCostModel.workload_cost` call.
-
-    Under the fused ``"arena"`` engine the evaluator delegates to the
-    model's :class:`~repro.inum.arena.WorkloadArena` instead: per-query
-    costs come back as one vector, and :meth:`frontier` scores a whole
-    candidate frontier (winners plus each candidate) in one batched call --
-    the selectors use it to replace their per-candidate loops.
     """
 
     def __init__(self, model: WorkloadCostModel, indexes: Sequence[Index] = ()) -> None:
         self._model = model
         self._weights = model.weights
         self._arena: Optional[WorkloadArena] = getattr(model, "arena", None)
-        if self._arena is not None:
-            model.query_evaluations += len(model.queries)
-            self._costs = dict(
-                zip(self._arena.query_names, self._arena.per_query_vector(list(indexes)))
-            )
-        else:
-            self._costs = {
-                query.name: model.query_cost(query, list(indexes))
-                for query in model.queries
-            }
-        self._pending: Dict[tuple, Dict[str, float]] = {}
-        self._pending_rows: Dict[tuple, Sequence[float]] = {}
+        self._costs = model.per_query_costs(list(indexes))
+        # Per candidate key scored since the last commit: the arena's full
+        # per-query row, or the delta path's fresh costs of affected queries.
+        self._pending: Dict[tuple, object] = {}
 
-    @property
-    def supports_frontier(self) -> bool:
-        """Whether :meth:`frontier` answers in one batched arena call."""
-        return self._arena is not None
-
-    def frontier(
-        self, winners: Sequence[Index], candidates: Sequence[Index]
-    ) -> Optional[List[float]]:
+    def frontier(self, winners: Sequence[Index], candidates: Sequence[Index]) -> List[float]:
         """Weighted workload costs of ``winners + [c]`` for every candidate.
 
-        One batched arena evaluation (``None`` without an arena); the
-        per-query rows are remembered so committing any of the candidates
-        is free.
+        The per-query costs behind each total are remembered, so committing
+        any candidate scored since the last :meth:`commit` is free.
         """
+        if not candidates:
+            return []
         arena = self._arena
         if arena is None:
-            return None
+            return [self._delta_cost(winners, candidate) for candidate in candidates]
         weights = [self._weights[name] for name in arena.query_names]
         totals, rows = arena.frontier_detail(winners, candidates, weights)
         self._model.query_evaluations += len(arena.query_names) * len(candidates)
-        self._pending_rows = {
-            candidate.key: row for candidate, row in zip(candidates, rows)
-        }
+        for candidate, row in zip(candidates, rows):
+            self._pending[candidate.key] = row
         return totals
 
     @property
@@ -247,20 +217,14 @@ class IncrementalWorkloadEvaluator:
         return dict(self._costs)
 
     def cost_with(self, winners: Sequence[Index], candidate: Index) -> float:
-        """Weighted workload cost of ``winners + [candidate]``.
+        """Weighted workload cost of ``winners + [candidate]``."""
+        return self.frontier(winners, [candidate])[0]
 
-        Only queries touching ``candidate.table`` are re-evaluated (for a
-        mixed workload that includes the DML statements charged the
-        candidate's maintenance); the new per-query costs are remembered so
-        a following :meth:`commit` of the same candidate is free.
-        """
-        if self._arena is not None:
-            totals = self.frontier(winners, [candidate])
-            assert totals is not None
-            return totals[0]
+    def _delta_cost(self, winners: Sequence[Index], candidate: Index) -> float:
+        # For a mixed workload the affected queries include the DML
+        # statements charged the candidate's maintenance; a candidate on a
+        # table nobody reads re-evaluates nothing.
         affected = self._model.queries_touching(candidate.table)
-        if not affected:
-            return self.total
         extended = list(winners) + [candidate]
         fresh = {query.name: self._model.query_cost(query, extended) for query in affected}
         self._pending[candidate.key] = fresh
@@ -271,21 +235,11 @@ class IncrementalWorkloadEvaluator:
 
     def commit(self, winners: Sequence[Index], candidate: Index) -> None:
         """Make ``candidate`` (last element of ``winners``) permanent."""
-        if self._arena is not None:
-            row = self._pending_rows.get(candidate.key)
-            if row is None:
-                self._model.query_evaluations += len(self._arena.query_names)
-                row = self._arena.per_query_vector(list(winners))
-            self._costs = dict(
-                zip(self._arena.query_names, (float(cost) for cost in row))
-            )
-            self._pending_rows = {}
-            self._pending.clear()
-            return
         fresh = self._pending.get(candidate.key)
         if fresh is None:
-            affected = self._model.queries_touching(candidate.table)
-            fresh = {query.name: self._model.query_cost(query, list(winners)) for query in affected}
+            fresh = self._model.per_query_costs(list(winners))
+        elif self._arena is not None:
+            fresh = dict(zip(self._arena.query_names, (float(cost) for cost in fresh)))
         self._costs.update(fresh)
         self._pending.clear()
 
@@ -341,9 +295,10 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
     :class:`~repro.inum.workload_builder.WorkloadCacheBuilder`, so workload-
     scale machinery applies: ``jobs`` fans the builds across a process pool,
     ``store`` reuses caches persisted by earlier runs, and identical-SQL
-    queries are built once.  Every subsequent evaluation is pure arithmetic,
-    performed by the ``engine`` of choice (see :data:`ENGINES`; the default
-    ``"auto"`` vectorizes with numpy when available).
+    queries are built once.  Every subsequent evaluation is pure arithmetic
+    over one :class:`~repro.inum.arena.WorkloadArena` spanning the workload
+    (``engine`` picks its backend, see :data:`AUTO_ENGINE` and its siblings),
+    or the scalar oracle's per-slot walk under ``engine="scalar"``.
     """
 
     def __init__(
@@ -391,7 +346,6 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
         engine: str = "auto",
         preparation_optimizer_calls: int = 0,
         preparation_seconds: float = 0.0,
-        engine_cache: Optional[Dict[Tuple[str, str], CompiledCostEngine]] = None,
         cache_ids: Optional[Dict[str, str]] = None,
         weights: Optional[Mapping[str, float]] = None,
         arena_cache: Optional[Dict[str, WorkloadArena]] = None,
@@ -400,10 +354,9 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
 
         No builder runs: the caches were constructed (or loaded) elsewhere,
         e.g. by a :class:`~repro.api.session.TuningSession`'s incremental
-        pool.  ``engine_cache``/``cache_ids`` let the caller share compiled
-        engines across model instances, keyed by a stable cache identity, so
-        a warm re-tune skips recompilation too; ``arena_cache`` does the
-        same for the fused workload arena.
+        pool.  ``arena_cache``/``cache_ids`` let the caller share compiled
+        arenas across model instances, keyed by the stable identities of the
+        caches they span, so a warm re-tune skips recompilation too.
         """
         model = cls.__new__(cls)
         WorkloadCostModel.__init__(model, queries, weights=weights)
@@ -414,7 +367,6 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
             engine,
             preparation_optimizer_calls,
             preparation_seconds,
-            engine_cache=engine_cache,
             cache_ids=cache_ids,
             arena_cache=arena_cache,
         )
@@ -427,7 +379,6 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
         engine: str,
         preparation_calls: int,
         preparation_seconds: float,
-        engine_cache: Optional[Dict[Tuple[str, str], CompiledCostEngine]] = None,
         cache_ids: Optional[Dict[str, str]] = None,
         arena_cache: Optional[Dict[str, WorkloadArena]] = None,
     ) -> None:
@@ -435,11 +386,8 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
             raise AdvisorError(f"unknown cache mode {mode!r} (expected 'pinum' or 'inum')")
         self.mode = mode
         self._caches = caches
+        #: Scalar oracles, built on first use (see :meth:`model_for`).
         self._models: Dict[str, InumCostModel] = {}
-        for name, cache in caches.items():
-            self._models[name] = PinumCostModel(cache) if mode == "pinum" else InumCostModel(cache)
-        self._engines: Dict[str, CompiledCostEngine] = {}
-        self._engine_cache = engine_cache
         self._cache_ids = cache_ids or {}
         self._arena: Optional[WorkloadArena] = None
         self._arena_cache = arena_cache
@@ -448,40 +396,22 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
         self._seconds = preparation_seconds
 
     def select_engine(self, engine: str) -> None:
-        """Switch the evaluation engine (compiling caches when needed).
+        """Switch the evaluation engine.
 
         Engine names resolve through :data:`repro.api.registry.ENGINES`, so
-        plugins appear here automatically.  Compilation is cheap (one pass
-        over each cache) and results land in the shared engine cache when
-        one was attached, so benchmarks and sessions can flip one model
-        between the scalar walk and the compiled backends without rebuilding
-        caches or recompiling warm ones.  The fused ``"arena"`` engine
-        compiles (or adopts from ``arena_cache``) one workload-wide arena
-        instead of per-query engines.
+        plugins appear here automatically.  Every engine but the scalar
+        oracle compiles (or adopts from ``arena_cache``) one workload-wide
+        arena on its backend; compilation is one pass over the caches, so
+        benchmarks and sessions can flip one model between the oracle and
+        the kernel without rebuilding caches.
         """
         spec: EngineSpec = ENGINE_REGISTRY.get(engine)
         spec.ensure_available()
-        if getattr(spec, "fused", False):
-            self._engines = {}
-            self._arena = self._compile_arena()
-            return
-        self._arena = None
-        if not spec.compiled:
-            self._engines = {}
-            return
-        engines: Dict[str, CompiledCostEngine] = {}
-        for name, cache in self._caches.items():
-            key = (self._cache_ids.get(name, name), spec.name)
-            compiled = self._engine_cache.get(key) if self._engine_cache is not None else None
-            if compiled is None:
-                compiled = compile_cache(cache, backend=spec.name)
-                if self._engine_cache is not None:
-                    self._engine_cache[key] = compiled
-            engines[name] = compiled
-        self._engines = engines
+        self._arena = None if spec.backend is None else self._compile_arena(spec.backend)
 
-    def _compile_arena(self) -> WorkloadArena:
-        backend = "numpy" if numpy_available() else "python"
+    def _compile_arena(self, backend: str) -> WorkloadArena:
+        if backend == "auto":
+            backend = "numpy" if numpy_available() else "python"
         arena_id = arena_fingerprint(
             [query.name for query in self.queries], self._cache_ids, backend
         )
@@ -497,44 +427,24 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
 
     @property
     def arena(self) -> Optional[WorkloadArena]:
-        """The fused workload arena (``None`` unless ``engine="arena"``)."""
+        """The workload arena (``None`` under the scalar oracle)."""
         return self._arena
 
     @property
     def engine_backend(self) -> str:
-        """The active evaluation backend: "numpy", "python", "scalar" or "arena"."""
-        if self._arena is not None:
-            return "arena"
-        if not self._engines:
-            return "scalar"
-        return next(iter(self._engines.values())).backend
-
-    def workload_cost(self, indexes: Sequence[Index]) -> float:
-        """Total weighted cost of the workload under ``indexes``."""
-        if self._arena is not None:
-            self.query_evaluations += len(self.queries)
-            return self._arena.evaluate(
-                indexes, [self.weights[query.name] for query in self.queries]
-            )
-        return super().workload_cost(indexes)
+        """What evaluates: the arena's backend ("numpy"/"python") or "scalar"."""
+        return "scalar" if self._arena is None else self._arena.backend
 
     def per_query_costs(self, indexes: Sequence[Index]) -> Dict[str, float]:
         """Per-execution costs under ``indexes`` keyed by statement name."""
-        if self._arena is not None:
-            self.query_evaluations += len(self.queries)
-            return self._arena.evaluate_detail(indexes)
-        return super().per_query_costs(indexes)
+        if self._arena is None:
+            return super().per_query_costs(indexes)
+        self.query_evaluations += len(self.queries)
+        return self._arena.evaluate_detail(indexes)
 
     def memo_counters(self) -> Tuple[int, int]:
-        """Aggregate ``(hits, misses)`` of the active engines' index-set memos."""
-        hits = misses = 0
-        if self._arena is not None:
-            hits, misses = self._arena.memo_counters()
-        for compiled in self._engines.values():
-            engine_hits, engine_misses = compiled.memo_counters()
-            hits += engine_hits
-            misses += engine_misses
-        return hits, misses
+        """``(hits, misses)`` of the arena's index-set memo (0s for the oracle)."""
+        return (0, 0) if self._arena is None else self._arena.memo_counters()
 
     @property
     def caches(self) -> Dict[str, InumCache]:
@@ -548,25 +458,19 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
     def _query_cost(self, query: Query, indexes: Sequence[Index]) -> float:
         if self._arena is not None:
             return self._arena.query_cost(query.name, indexes)
-        evaluator: Union[CompiledCostEngine, InumCostModel, None]
-        evaluator = self._engines.get(query.name) or self._models.get(query.name)
-        if evaluator is None:
-            raise AdvisorError(f"no cache was built for query {query.name!r}")
         relevant = [index for index in indexes if index.table in query.tables]
-        if isinstance(evaluator, CompiledCostEngine):
-            return evaluator.estimate(relevant)
-        return evaluator.estimate_with_indexes(relevant)
+        return self.model_for(query).estimate_with_indexes(relevant)
 
     def model_for(self, query: Query) -> InumCostModel:
-        """The per-query scalar cost model (exposed for experiments)."""
+        """The per-query scalar oracle (``engine="scalar"``, experiments)."""
         model = self._models.get(query.name)
         if model is None:
-            raise AdvisorError(f"no cache was built for query {query.name!r}")
+            cache = self._caches.get(query.name)
+            if cache is None:
+                raise AdvisorError(f"no cache was built for query {query.name!r}")
+            model = PinumCostModel(cache) if self.mode == "pinum" else InumCostModel(cache)
+            self._models[query.name] = model
         return model
-
-    def engine_for(self, query: Query) -> Optional[CompiledCostEngine]:
-        """The per-query compiled engine (``None`` under the scalar engine)."""
-        return self._engines.get(query.name)
 
     @property
     def preparation_optimizer_calls(self) -> int:
@@ -586,8 +490,8 @@ class CostModelRequest:
 
     Factories registered in :data:`repro.api.registry.COST_MODELS` receive
     one of these.  Cache-backed factories (``uses_plan_caches = True``) get
-    ``caches`` pre-warmed by the session (with ``engine_cache``/``cache_ids``
-    for compiled-engine reuse); cold paths build from ``optimizer`` and
+    ``caches`` pre-warmed by the session (with ``arena_cache``/``cache_ids``
+    for compiled-arena reuse); cold paths build from ``optimizer`` and
     ``candidates`` themselves, optionally through ``store``/``call_cache``.
     """
 
@@ -603,12 +507,11 @@ class CostModelRequest:
     caches: Optional[Dict[str, InumCache]] = None
     preparation_optimizer_calls: int = 0
     preparation_seconds: float = 0.0
-    engine_cache: Optional[Dict[Tuple[str, str], CompiledCostEngine]] = None
     cache_ids: Dict[str, str] = field(default_factory=dict)
     cost_memo: Optional[Dict[tuple, float]] = None
     #: Per-statement execution-frequency weights (missing names default 1.0).
     weights: Optional[Mapping[str, float]] = None
-    #: Shared pool of fused workload arenas, keyed by arena fingerprint.
+    #: Shared pool of compiled workload arenas, keyed by arena fingerprint.
     arena_cache: Optional[Dict[str, WorkloadArena]] = None
 
 
@@ -621,7 +524,6 @@ def _build_cache_backed(request: CostModelRequest, mode: str) -> WorkloadCostMod
             engine=request.engine,
             preparation_optimizer_calls=request.preparation_optimizer_calls,
             preparation_seconds=request.preparation_seconds,
-            engine_cache=request.engine_cache,
             cache_ids=request.cache_ids,
             weights=request.weights,
             arena_cache=request.arena_cache,

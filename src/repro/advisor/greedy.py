@@ -7,8 +7,9 @@ indexes of earlier iterations.  It adds the index with most benefit to the
 winning set, and iterates till adding an index would violate the space
 constraint."
 
-This module keeps the paper's exhaustive loop; :mod:`repro.advisor.lazy_greedy`
-provides the CELF-style accelerated search that produces the same picks.
+This module keeps the paper's exhaustive loop, the reference;
+:mod:`repro.advisor.lazy_greedy` provides the CELF-style accelerated search
+(the same picks wherever diminishing returns hold).
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class SelectionStatistics:
     #: "lazy-greedy" when the ILP warm start was already optimal/best found,
     #: "solver" when branch and bound improved on it.
     incumbent_source: str = "n/a"
-    #: Index-set memo lookups answered from / past the cost model's memos
-    #: during this run (0 for models without compiled-engine memos).
+    #: Index-set memo lookups answered from / past the cost model's memo
+    #: during this run (0 for models without an arena).
     memo_hits: int = 0
     memo_misses: int = 0
 
@@ -98,11 +99,12 @@ def memo_counters(cost_model) -> tuple:
 class GreedySelector:
     """Greedy selection of indexes under a space budget.
 
-    ``incremental=True`` (the default) answers each candidate's benefit
-    through an :class:`~repro.advisor.benefit.IncrementalWorkloadEvaluator`,
-    re-evaluating only the queries the candidate's table touches;
-    ``incremental=False`` keeps the original full ``workload_cost`` call per
-    candidate (the benchmarks' baseline).  Both produce identical picks.
+    Every round scores the whole remaining frontier and takes the best.
+    ``incremental=True`` (the default) scores it through an
+    :class:`~repro.advisor.benefit.IncrementalWorkloadEvaluator` (one batched
+    kernel call per round); ``incremental=False`` keeps the original full
+    ``workload_cost`` call per candidate (the benchmarks' baseline).  Both
+    produce identical picks.
     """
 
     def __init__(
@@ -144,7 +146,6 @@ class GreedySelector:
         evaluator = (
             IncrementalWorkloadEvaluator(self._cost_model) if self._incremental else None
         )
-        batched = evaluator is not None and evaluator.supports_frontier
         current_cost = (
             evaluator.total if evaluator is not None else self._cost_model.workload_cost(winners)
         )
@@ -163,27 +164,17 @@ class GreedySelector:
                 fitting.append(candidate)
             remaining = fitting
 
+            if evaluator is not None:
+                costs = evaluator.frontier(winners, remaining)
+            else:
+                costs = [self._cost_model.workload_cost(winners + [c]) for c in remaining]
+            stats.candidate_evaluations += len(remaining)
             best_index: Optional[Index] = None
             best_cost = current_cost
-            if batched and remaining:
-                # One arena call scores the whole frontier; the scan below
-                # keeps the strict `<` pick order of the per-candidate loop.
-                costs = evaluator.frontier(winners, remaining)
-                stats.candidate_evaluations += len(remaining)
-                for candidate, cost in zip(remaining, costs):
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_index = candidate
-            else:
-                for candidate in remaining:
-                    if evaluator is not None:
-                        cost = evaluator.cost_with(winners, candidate)
-                    else:
-                        cost = self._cost_model.workload_cost(winners + [candidate])
-                    stats.candidate_evaluations += 1
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_index = candidate
+            for candidate, cost in zip(remaining, costs):
+                if cost < best_cost:
+                    best_cost = cost
+                    best_index = candidate
 
             if best_index is None:
                 break

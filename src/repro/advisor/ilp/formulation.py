@@ -28,7 +28,7 @@ update-aware machinery (:class:`~repro.optimizer.maintenance
 
 For **integral** ``x`` the inner (y, z) sub-problem is trivially integral --
 choose the cheapest feasible plan, serve each class with the cheapest active
-method -- which is the same evaluation the compiled engines perform.  The
+method -- which is the same evaluation the arena performs.  The
 formulation therefore stores the program as dense per-statement matrices
 (the (entries x slot classes x access methods) layout exported by
 :func:`repro.inum.compiled.export_layout`) and answers :meth:`cost` with
@@ -275,9 +275,9 @@ class StatementProgram:
     ) -> List[float]:
         """Per-entry plan costs for given per-class minima (+inf = infeasible).
 
-        Deliberately the same sparse summation the pure-Python compiled
-        engine performs, so the formulation's arithmetic matches the
-        engines' within their documented 1e-9 agreement.
+        Deliberately the same sparse summation the arena's pure-Python
+        backend performs, so the formulation's arithmetic matches the
+        kernel's within its documented 1e-9 agreement.
         """
         costs = []
         for entry in range(len(self.entry_internal)):

@@ -1,33 +1,39 @@
-"""CELF-style lazy greedy selection (same picks, far fewer evaluations).
+"""CELF-style lazy greedy selection (far fewer evaluations, usually the same picks).
 
 The exhaustive loop re-evaluates *every* remaining candidate in *every*
-iteration, although a candidate's benefit only shrinks as winners accumulate
-(adding an index can only lower the cost the next index is compared against
--- the diminishing-returns property greedy index selection relies on).  The
-lazy variant (Leskovec et al.'s CELF applied to index selection) exploits
-that: it keeps candidates in a max-heap of *stale* benefit upper bounds and
-only re-evaluates the top of the heap until the freshly evaluated candidate
-stays on top, at which point no stale bound below it can beat it.
+iteration, although a candidate's benefit usually only shrinks as winners
+accumulate (adding an index can only lower the cost the next index is
+compared against -- the diminishing-returns property greedy index selection
+relies on).  The lazy variant (Leskovec et al.'s CELF applied to index
+selection) exploits that: it keeps candidates in a max-heap of *stale*
+benefit upper bounds and only re-evaluates the top of the heap until the
+freshly evaluated candidate stays on top, at which point no stale bound
+below it can beat it.  The first round scores the whole frontier in one
+batched kernel call; afterwards stale bounds are re-scored one at a time.
+The loop is the same whatever the evaluation engine.
 
 Tie-breaking mirrors the exhaustive scan: the heap orders equal benefits by
 original candidate position, so among exact ties the earliest candidate wins
 -- which is what ``cost < best_cost`` (strict) picks in the exhaustive loop.
 Candidates that no longer fit the remaining space budget are dropped
 permanently when popped, and the loop stops on the same
-``min_relative_benefit`` condition, so the produced
-:class:`~repro.advisor.greedy.SelectionStep` sequence is identical to
-:class:`~repro.advisor.greedy.GreedySelector`'s (asserted by the tests and
-the selection benchmark).
+``min_relative_benefit`` condition, so wherever diminishing returns hold the
+produced :class:`~repro.advisor.greedy.SelectionStep` sequence is identical
+to :class:`~repro.advisor.greedy.GreedySelector`'s (asserted on the fig-7
+golden workload and by the selection benchmark).
 
 The identity guarantee is exactly as strong as the diminishing-returns
 assumption.  The INUM cost model is not provably submodular: a cached plan
 whose slots need orders on *two* tables stays infeasible until covering
 indexes exist on both, so picking the first index can *grow* the second's
-benefit -- a growth a stale upper bound never advertises, which could make
-the lazy loop settle for a different (never budget-violating, possibly
-slightly worse) set than the exhaustive scan.  No such interaction appears
-in the reproduction's workloads (the per-engine identity assertions in the
-tier-1 tests and the benchmark would catch one); ``--selector exhaustive``
+benefit -- a growth a stale upper bound never advertises, which makes the
+lazy loop settle for a different (never budget-violating, possibly slightly
+worse) set than the exhaustive scan.  The reproduction's mixed read/write
+star workload (10 reads + 8 DML, seed 7, ``candidate_policy="per_query"``)
+is such a case: from a 4 GB budget up lazy returns 16 indexes at cost
+20 413 671.08 where the exhaustive scan finds 17 at 20 409 671.08 (0.02 %
+cheaper), and the two differ at 7 of the 8 budgets of a 1-8 GB sweep
+(pinned in ``tests/test_golden_recommend.py``).  ``--selector exhaustive``
 remains the reference loop when in doubt.
 """
 
@@ -49,7 +55,8 @@ class LazyGreedySelector:
     """Lazy (CELF) greedy selection of indexes under a space budget.
 
     Drop-in replacement for :class:`~repro.advisor.greedy.GreedySelector`:
-    same constructor, same ``select`` contract, identical picks.
+    same constructor, same ``select`` contract, identical picks wherever
+    diminishing returns hold (see the module docstring).
     """
 
     def __init__(
@@ -75,18 +82,6 @@ class LazyGreedySelector:
         ) as span, timed() as timer:
             return self._select(candidates, span, timer)
 
-    def _finish(self, stats, timer, evaluations_before, memo_before, span) -> None:
-        """Close out one run: totals into the stats, the span, the registry."""
-        stats.seconds = timer.elapsed()
-        stats.query_evaluations = self._cost_model.query_evaluations - evaluations_before
-        memo_after = memo_counters(self._cost_model)
-        stats.memo_hits = memo_after[0] - memo_before[0]
-        stats.memo_misses = memo_after[1] - memo_before[1]
-        span.set(
-            rounds=stats.iterations, evaluations=stats.candidate_evaluations
-        )
-        stats.publish("lazy")
-
     def _select(self, candidates: Sequence[Index], span, timer) -> List[SelectionStep]:
         stats = SelectionStatistics()
         self.statistics = stats
@@ -94,14 +89,6 @@ class LazyGreedySelector:
         memo_before = memo_counters(self._cost_model)
 
         evaluator = IncrementalWorkloadEvaluator(self._cost_model)
-        if evaluator.supports_frontier:
-            # Fused-arena models answer a whole frontier in one batched call,
-            # so re-scoring every stale candidate per round is cheaper than
-            # maintaining the heap of one-at-a-time bounds.
-            span.set(batched=True)
-            steps = self._select_batched(candidates, evaluator, stats)
-            self._finish(stats, timer, evaluations_before, memo_before, span)
-            return steps
         current_cost = evaluator.total
         baseline_cost = current_cost
         winners: List[Index] = []
@@ -115,7 +102,7 @@ class LazyGreedySelector:
         # so only the first occurrence enters the heap -- the exhaustive loop
         # removes all duplicates of a pick at once, with the same effect.
         iteration = 1
-        heap: List[Tuple[float, int, int, float, Index]] = []
+        first_round: List[Tuple[int, Index]] = []
         seen_keys = set()
         for position, candidate in enumerate(candidates):
             if candidate.key in seen_keys:
@@ -124,9 +111,15 @@ class LazyGreedySelector:
             if self._catalog.index_size_bytes(candidate) > self._budget:
                 stats.pruned_for_space += 1
                 continue
-            cost = evaluator.cost_with(winners, candidate)
-            stats.candidate_evaluations += 1
-            heapq.heappush(heap, (cost - current_cost, position, iteration, cost, candidate))
+            first_round.append((position, candidate))
+        # Every bound starts exact: the first round is one whole-frontier call.
+        costs = evaluator.frontier(winners, [candidate for _, candidate in first_round])
+        stats.candidate_evaluations += len(first_round)
+        heap: List[Tuple[float, int, int, float, Index]] = [
+            (cost - current_cost, position, iteration, cost, candidate)
+            for (position, candidate), cost in zip(first_round, costs)
+        ]
+        heapq.heapify(heap)
 
         while heap:
             stats.iterations += 1
@@ -167,78 +160,13 @@ class LazyGreedySelector:
             current_cost = chosen_cost
             iteration += 1
 
-        self._finish(stats, timer, evaluations_before, memo_before, span)
-        return steps
-
-    def _select_batched(
-        self,
-        candidates: Sequence[Index],
-        evaluator: IncrementalWorkloadEvaluator,
-        stats: SelectionStatistics,
-    ) -> List[SelectionStep]:
-        """Whole-frontier re-scoring per round over the fused arena.
-
-        Every remaining candidate is re-scored by one
-        :meth:`~repro.advisor.benefit.IncrementalWorkloadEvaluator.frontier`
-        call per round -- no stale bounds, so the picks match the exhaustive
-        scan by construction (same strict `<` over the same totals in the
-        same original candidate order).  Duplicate keys are dropped upfront
-        like the heap path; budget pruning is permanent like both loops.
-        """
-        current_cost = evaluator.total
-        baseline_cost = current_cost
-        winners: List[Index] = []
-        steps: List[SelectionStep] = []
-        used_bytes = 0
-
-        remaining: List[Index] = []
-        seen_keys = set()
-        for candidate in candidates:
-            if candidate.key in seen_keys:
-                continue
-            seen_keys.add(candidate.key)
-            remaining.append(candidate)
-
-        while remaining:
-            stats.iterations += 1
-            fitting = []
-            for candidate in remaining:
-                if used_bytes + self._catalog.index_size_bytes(candidate) > self._budget:
-                    stats.pruned_for_space += 1
-                    continue
-                fitting.append(candidate)
-            remaining = fitting
-            if not remaining:
-                break
-
-            costs = evaluator.frontier(winners, remaining)
-            stats.candidate_evaluations += len(remaining)
-            chosen = None
-            chosen_cost = current_cost
-            for candidate, cost in zip(remaining, costs):
-                if cost < chosen_cost:
-                    chosen_cost = cost
-                    chosen = candidate
-
-            if chosen is None:
-                break
-            benefit = current_cost - chosen_cost
-            if baseline_cost > 0 and benefit / baseline_cost < self._min_relative_benefit:
-                break
-
-            winners.append(chosen)
-            remaining = [c for c in remaining if c.key != chosen.key]
-            used_bytes += self._catalog.index_size_bytes(chosen)
-            evaluator.commit(winners, chosen)
-            steps.append(
-                SelectionStep(
-                    chosen=chosen,
-                    workload_cost_before=current_cost,
-                    workload_cost_after=chosen_cost,
-                    cumulative_size_bytes=used_bytes,
-                )
-            )
-            current_cost = chosen_cost
+        stats.seconds = timer.elapsed()
+        stats.query_evaluations = self._cost_model.query_evaluations - evaluations_before
+        memo_after = memo_counters(self._cost_model)
+        stats.memo_hits = memo_after[0] - memo_before[0]
+        stats.memo_misses = memo_after[1] - memo_before[1]
+        span.set(rounds=stats.iterations, evaluations=stats.candidate_evaluations)
+        stats.publish("lazy")
         return steps
 
 

@@ -1,7 +1,7 @@
 """The service-oriented public API: sessions, typed messages, registries.
 
 * :mod:`repro.api.session` -- :class:`TuningSession`, the long-lived tuning
-  service (warm catalogs, caches and compiled engines; incremental
+  service (warm catalogs, caches and compiled arenas; incremental
   re-tuning).
 * :mod:`repro.api.requests` -- the typed request/response dataclasses the
   session speaks.

@@ -19,8 +19,8 @@ registries:
   when the signature allows it -- the ``"ilp"`` selector reads its
   ``ilp_gap``/``ilp_time_limit`` that way.
 * :data:`ENGINES` -- cache evaluation engines.  An entry is an
-  :class:`EngineSpec` describing whether caches are compiled for it and how
-  to check its availability.
+  :class:`EngineSpec` naming the arena backend it evaluates on (or the
+  scalar oracle) and how to check its availability.
 * :data:`CACHE_BUILDERS` -- per-query plan-cache builders.  An entry is a
   class constructed as ``builder(optimizer, options=None, call_cache=None)``
   with a ``build_cache(query, candidate_indexes)`` method.
@@ -146,21 +146,19 @@ class Registry:
 class EngineSpec:
     """Description of one cache evaluation engine.
 
-    ``compiled`` engines run through :func:`repro.inum.compiled.compile_cache`
-    with ``backend=name``; the non-compiled ``"scalar"`` engine keeps the
-    original per-slot Python walk.  ``fused`` engines skip per-query
-    compilation entirely and evaluate through one
-    :class:`~repro.inum.arena.WorkloadArena` spanning the whole workload.
+    There is one evaluation kernel, :mod:`repro.inum.arena`; an engine names
+    the ``backend`` it runs on -- ``"auto"`` (numpy when installed, else pure
+    Python), ``"numpy"`` or ``"python"``.  ``backend=None`` is the scalar
+    reference oracle (:class:`~repro.inum.cost_estimation.InumCostModel`),
+    which tests and benchmark checks compare the kernel against.
     ``availability`` (when set) returns an error message if the engine cannot
     run in this process (e.g. the numpy backend without numpy installed) and
     ``None`` when it can.
     """
 
     name: str
-    compiled: bool = True
+    backend: Optional[str] = "auto"
     availability: Optional[Callable[[], Optional[str]]] = None
-    #: Whether the engine evaluates through a fused workload arena.
-    fused: bool = False
 
     def ensure_available(self) -> None:
         """Raise :class:`AdvisorError` when the engine cannot run here."""

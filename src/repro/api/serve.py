@@ -18,7 +18,7 @@ explicit ``shutdown``.
 
 The frontend drives one long-lived :class:`~repro.api.session.TuningSession`
 per catalog: sessions are created on first use, seeded with the catalog's
-built-in workload, and keep their caches, call cache and compiled engines
+built-in workload, and keep their caches, call cache and compiled arenas
 warm across requests -- so the second ``recommend`` against a catalog costs
 selection only.  A request may address a non-default catalog with a
 top-level ``"catalog"`` (and optional ``"seed"``) field.
@@ -108,7 +108,7 @@ class ServeFrontend:
         self._default_seed = seed
         self._options = options or AdvisorOptions()
         #: When set (the TCP server does), sessions share one read-only tier
-        #: of plan caches / engines / what-if results keyed by catalog
+        #: of plan caches / arenas / what-if results keyed by catalog
         #: fingerprint.  ``None`` keeps the stdio frontend's behaviour (and
         #: wire format) exactly as before.
         self._shared_tier = shared_tier

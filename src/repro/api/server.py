@@ -14,7 +14,7 @@ What changes is the state model:
   that names its session can reconnect to warm state after a dropped
   connection.
 * **one shared read-only tier** (:class:`~repro.api.tier.SharedCacheTier`)
-  under every session: plan caches, compiled engine layouts, what-if
+  under every session: plan caches, compiled workload arenas, what-if
   results and parsed store pages are built once process-wide and adopted by
   later sessions (their ``recommend`` reports ``caches_shared`` instead of
   ``caches_built``).
@@ -221,7 +221,11 @@ class TuningServer:
                 if kind == "end":
                     reason = value
                     break
-                response, close = await self._process(value, default_session)
+                if kind == "refused":  # a line the pump could not read
+                    SERVE_REQUESTS.labels(op="unknown", status="error").inc()
+                    response, close = value, False
+                else:
+                    response, close = await self._process(value, default_session)
                 writer.write(response.encode("utf-8") + b"\n")
                 await writer.drain()
                 if close:
@@ -262,7 +266,14 @@ class TuningServer:
 
     @staticmethod
     async def _pump_lines(reader: asyncio.StreamReader, queue: asyncio.Queue) -> None:
-        """Feed request lines into the queue; an ``end`` marker on EOF."""
+        """Feed request lines into the queue; an ``end`` marker on EOF.
+
+        A line longer than the stream's buffer limit makes ``readline``
+        raise ``ValueError`` after dropping part of it, so the stream cannot
+        be resynchronised: the request is refused with a well-formed error
+        and this connection (only) ends.
+        """
+        reason = "eof"
         try:
             while True:
                 line = await reader.readline()
@@ -273,7 +284,12 @@ class TuningServer:
                     await queue.put(("line", text))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
-        await queue.put(("end", "eof"))
+        except ValueError as error:
+            reason = "request line too long"
+            await queue.put(("refused", json.dumps(ServeFrontend._error_response(
+                None, None, AdvisorError(f"{reason}: {error}")
+            ))))
+        await queue.put(("end", reason))
 
     async def _push_end_on_stop(self, queue: asyncio.Queue) -> None:
         """Inject an ``end`` marker when the process is told to stop."""

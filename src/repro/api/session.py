@@ -10,8 +10,8 @@ its whole lifetime:
 * a memoizing :class:`~repro.optimizer.whatif.WhatIfCallCache` shared by
   every cache build and what-if probe the session performs,
 * a pool of per-query plan caches keyed by (query fingerprint, builder,
-  candidate-set fingerprint) -- plus the compiled evaluation engines built
-  from them -- reused across requests, and
+  candidate-set fingerprint) -- plus the workload arenas compiled from
+  them -- reused across requests, and
 * an optional persistent :class:`~repro.inum.serialization.CacheStore` so
   the pool survives the process.
 
@@ -22,7 +22,7 @@ query.  The workload is mutable -- :meth:`add_queries`,
 :meth:`remove_queries`, :meth:`set_budget` -- and re-tuning after a mutation
 is *incremental*: only queries whose (query, builder, candidate-set) key is
 new get caches built; everything else is answered from the session pool or
-the persistent store, and selection re-runs on the already-compiled engines.
+the persistent store, and selection re-runs on the already-compiled arena.
 
 Two candidate policies (pluggable through
 :data:`~repro.api.registry.CANDIDATE_POLICIES`) control the delta behaviour:
@@ -52,7 +52,7 @@ from repro.advisor.benefit import CostModelRequest
 from repro.advisor.candidates import CandidateGenerator, prune_write_dominated
 from repro.advisor.greedy import SelectionStatistics
 from repro.api.registry import CACHE_BUILDERS, CANDIDATE_POLICIES, COST_MODELS, SELECTORS
-from repro.api.tier import SharedCacheTier, TierNamespace
+from repro.api.tier import ArenaPool, SharedCacheTier, TierNamespace
 from repro.api.requests import (
     UNSET,
     EvaluateRequest,
@@ -279,14 +279,19 @@ class TuningSession:
 
     #: Soft cap on pooled plan caches.  When an insert pushes the pool past
     #: this, entries not referenced by the current request are evicted
-    #: (oldest first) along with their compiled engines, so a long-lived
-    #: serve process cannot grow without bound.
+    #: (oldest first), so a long-lived serve process cannot grow without
+    #: bound.
     DEFAULT_MAX_POOLED_CACHES = 512
 
-    #: Soft cap on pooled fused arenas.  An arena spans the whole workload
-    #: (its fingerprint folds every cache id), so a mutating session churns
-    #: fingerprints fast; recompiling one from warm caches is milliseconds.
-    MAX_POOLED_ARENAS = 8
+    #: Arenas the session keeps (least recently used goes first).  An arena
+    #: spans the whole workload, so every workload delta compiles a new one
+    #: that is never asked for again once the delta is undone; the only
+    #: arena ever re-requested is the one before the delta.  Measured on the
+    #: benchmark's ``warm_retune`` / ``serve_mixed`` / ``online_trace``
+    #: traffic with an unbounded pool: every hit was at LRU depth 1 or 2
+    #: (198 / 101 / 49 hits, none deeper), so two is all the traffic uses;
+    #: recompiling from warm caches takes milliseconds anyway.
+    MAX_POOLED_ARENAS = 2
 
     def __init__(
         self,
@@ -324,15 +329,10 @@ class TuningSession:
         self._queries: Dict[str, Statement] = {}
         self._max_pooled_caches = max(1, max_pooled_caches)
         self._cache_pool: Dict[CacheKey, InumCache] = {}
-        self._engine_pool = (
-            self._tier_ns.engine_map() if self._tier_ns is not None else {}
-        )
-        #: Fused workload arenas, keyed by arena fingerprint.  Tier-backed
+        #: Compiled workload arenas, keyed by arena fingerprint.  Tier-backed
         #: sessions adopt arenas other tenants compiled (the namespace is
-        #: keyed by catalog fingerprint, like the engine map).
-        self._arena_pool = (
-            self._tier_ns.arena_map() if self._tier_ns is not None else {}
-        )
+        #: keyed by catalog fingerprint).
+        self._arena_pool = ArenaPool(self.MAX_POOLED_ARENAS, self._tier_ns)
         self._model = None
         self._model_signature: Optional[tuple] = None
         self.statistics = SessionStatistics()
@@ -832,7 +832,7 @@ class TuningSession:
             self._cache_pool[key] = result.caches[query.name]
             promoted[key] = result.caches[query.name]
             active.add(key)
-        self._prune_pools(active)
+        self._prune_cache_pool(active)
         if self._tier_ns is not None:
             self._tier_ns.promote_caches(promoted)
             self._call_cache.publish_shared()
@@ -888,7 +888,7 @@ class TuningSession:
         else:
             cache = instance.build_cache(query, candidate_list)
         self._cache_pool[key] = cache
-        self._prune_pools({key})
+        self._prune_cache_pool({key})
         if self._store is not None:
             self._store.save(query, cache, builder, candidate_list)
         if self._tier_ns is not None:
@@ -898,10 +898,9 @@ class TuningSession:
         return cache
 
     def clear_caches(self) -> int:
-        """Drop every warm cache and compiled engine; returns the cache count."""
+        """Drop every warm cache and compiled arena; returns the cache count."""
         dropped = len(self._cache_pool)
         self._cache_pool.clear()
-        self._engine_pool.clear()
         self._arena_pool.clear()
         self._invalidate_model()
         return dropped
@@ -986,12 +985,8 @@ class TuningSession:
         self._model = None
         self._model_signature = None
 
-    def _prune_pools(self, active_keys: set) -> None:
-        """Bound the cache/engine/arena pools, never evicting ``active_keys``."""
-        while len(self._arena_pool) > self.MAX_POOLED_ARENAS:
-            # Oldest first; a tier-backed overlay deletion never evicts the
-            # namespace copy other sessions adopted.
-            del self._arena_pool[next(iter(self._arena_pool))]
+    def _prune_cache_pool(self, active_keys: set) -> None:
+        """Bound the cache pool, never evicting ``active_keys``."""
         if len(self._cache_pool) <= self._max_pooled_caches:
             return
         for key in list(self._cache_pool):
@@ -999,16 +994,6 @@ class TuningSession:
                 break
             if key not in active_keys:
                 del self._cache_pool[key]
-        surviving = {
-            ":".join(str(part) for part in key) for key in self._cache_pool
-        }
-        for engine_key in list(self._engine_pool):
-            # DML engine ids carry a '|maint:<digest>' suffix on top of the
-            # cache id (see _apply_maintenance); they survive with their
-            # cache.
-            base_id = engine_key[0].split("|maint:", 1)[0]
-            if base_id not in surviving:
-                del self._engine_pool[engine_key]
 
     def _ensure_caches(
         self,
@@ -1022,7 +1007,7 @@ class TuningSession:
         Only queries whose cache key is missing from the pool are routed
         through the :class:`WorkloadCacheBuilder` (which itself consults the
         persistent store before building).  ``ids`` maps query names to
-        stable cache identities for the compiled-engine pool.
+        stable cache identities for the arena pool.
         """
         keys: Dict[str, CacheKey] = {
             query.name: self._cache_key(query, builder, plan.per_query[query.name])
@@ -1078,7 +1063,7 @@ class TuningSession:
                 )
                 self._call_cache.publish_shared()
 
-        self._prune_pools(set(keys.values()))
+        self._prune_cache_pool(set(keys.values()))
         caches = {
             query.name: self._attach(self._cache_pool[keys[query.name]], query)
             for query in workload
@@ -1100,9 +1085,9 @@ class TuningSession:
         into the cache identity would rebuild warm DML caches on every pool
         perturbation.  Profiles are cheap catalog arithmetic (memoized by
         the session's what-if layer), so they are recomputed here, outside
-        the cache key; the profile digest is folded into the compiled-
-        engine id instead, so engines compiled for an older pool are never
-        reused with stale maintenance columns.
+        the cache key; the profile digest is folded into the cache id the
+        arena fingerprint is computed from instead, so an arena compiled for
+        an older pool is never reused with stale maintenance columns.
         """
         for statement in workload:
             if not statement.is_dml:
@@ -1115,16 +1100,7 @@ class TuningSession:
                 # object: detach first (entries/access costs stay shared).
                 caches[statement.name] = caches[statement.name].detached_copy()
             caches[statement.name].maintenance = profile
-            base_id = cache_ids[statement.name]
-            new_id = f"{base_id}|maint:{profile.digest()}"
-            cache_ids[statement.name] = new_id
-            # Engines compiled for an earlier pool's profile can never be
-            # asked for again (their id embeds the old digest); drop them so
-            # a long-lived session's engine pool stays one-per-cache.
-            prefix = f"{base_id}|maint:"
-            for engine_key in list(self._engine_pool):
-                if engine_key[0].startswith(prefix) and engine_key[0] != new_id:
-                    del self._engine_pool[engine_key]
+            cache_ids[statement.name] += f"|maint:{profile.digest()}"
 
     def _build_cost_model(
         self, workload: Sequence[Query], plan: CandidatePlan, options: AdvisorOptions
@@ -1145,7 +1121,6 @@ class TuningSession:
                 caches=caches,
                 preparation_optimizer_calls=calls,
                 preparation_seconds=seconds,
-                engine_cache=self._engine_pool,
                 cache_ids=cache_ids,
                 weights=options.weight_map(),
                 arena_cache=self._arena_pool,

@@ -4,13 +4,13 @@ The paper's INUM caches exist so an advisor can answer tuning questions
 interactively instead of paying optimizer calls per question.  A concurrent
 server multiplies that economy only if the warm state is *shared*: N tenants
 over the same catalog must not pay N× cache builds or hold N copies of the
-compiled layouts.  :class:`SharedCacheTier` is that process-wide tier:
+compiled arenas.  :class:`SharedCacheTier` is that process-wide tier:
 
 * **per-catalog namespaces** keyed by catalog *fingerprint* (schema,
   statistics, permanent indexes), so sessions over equal-but-distinct
   :class:`~repro.catalog.catalog.Catalog` objects still share,
-* **plan caches** (:class:`~repro.inum.cache.InumCache`), **compiled engine
-  layouts** and **what-if optimizer results** published copy-on-write:
+* **plan caches** (:class:`~repro.inum.cache.InumCache`), **compiled
+  workload arenas** and **what-if optimizer results** published copy-on-write:
   readers see immutable snapshot dicts that are replaced wholesale under a
   single-writer lock, never mutated in place,
 * **persistent-store pages**: one :class:`~repro.inum.serialization.PageCache`
@@ -26,7 +26,7 @@ its pool-specific maintenance profile (see
 object stays pristine.
 
 Task-safety model (CPython): tier reads are lock-free against published
-snapshots; promotions serialize on a per-namespace lock.  Compiled engines
+snapshots; promotions serialize on a per-namespace lock.  Compiled arenas
 are shared across sessions because evaluation is read-only up to their
 internal :class:`~repro.inum.compiled.IndexSetMemo`, whose entries are
 deterministic functions of the key -- a racing double-compute stores the
@@ -36,6 +36,7 @@ same value twice, never a wrong one.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -54,11 +55,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 _LOOKUP = {
     ("cache", True): TIER_LOOKUPS.labels(kind="cache", result="hit"),
     ("cache", False): TIER_LOOKUPS.labels(kind="cache", result="miss"),
-    ("engine", True): TIER_LOOKUPS.labels(kind="engine", result="hit"),
-    ("engine", False): TIER_LOOKUPS.labels(kind="engine", result="miss"),
     ("arena", True): TIER_LOOKUPS.labels(kind="arena", result="hit"),
     ("arena", False): TIER_LOOKUPS.labels(kind="arena", result="miss"),
 }
+
+
+#: Arenas published per catalog namespace.  An arena spans a whole workload,
+#: so every workload delta of every tenant promotes a fresh one that only
+#: that tenant will ask for again (and keeps in its own pool); what is worth
+#: sharing is the handful of base workloads, adopted right after they are
+#: promoted.  An arena is ~0.4 MB at 11 statements, so a generous bound
+#: would hold every delta arena for the server's life.
+DEFAULT_MAX_ARENAS = 8
 
 
 @dataclass
@@ -67,14 +75,12 @@ class TierStatistics:
 
     ``cache_hits`` are session lookups answered with an already-promoted
     plan cache (each one is a whole cache build some tenant did not pay);
-    ``cache_promotions`` count first-time publications.  The engine and
-    store-page counters follow the same shape.
+    ``cache_promotions`` count first-time publications.  The arena
+    counters follow the same shape.
     """
 
     cache_hits: int = 0
     cache_promotions: int = 0
-    engine_hits: int = 0
-    engine_promotions: int = 0
     arena_hits: int = 0
     arena_promotions: int = 0
     sessions_attached: int = 0
@@ -84,8 +90,6 @@ class TierStatistics:
         return {
             "cache_hits": self.cache_hits,
             "cache_promotions": self.cache_promotions,
-            "engine_hits": self.engine_hits,
-            "engine_promotions": self.engine_promotions,
             "arena_hits": self.arena_hits,
             "arena_promotions": self.arena_promotions,
             "sessions_attached": self.sessions_attached,
@@ -107,21 +111,18 @@ class TierNamespace:
         fingerprint: str,
         *,
         max_caches: int = 2048,
-        max_engines: int = 2048,
+        max_arenas: int = DEFAULT_MAX_ARENAS,
     ) -> None:
         self.fingerprint = fingerprint
         self.whatif = SharedWhatIfResults()
         self.statistics = TierStatistics()
         self._lock = threading.Lock()
         self._max_caches = max(1, max_caches)
-        self._max_engines = max(1, max_engines)
+        self._max_arenas = max(1, max_arenas)
         #: Published snapshots; replaced wholesale under ``_lock``.
         self._caches: Dict[tuple, "InumCache"] = {}
-        self._engines: Dict[Tuple[str, str], object] = {}
-        #: Fused workload arenas, keyed by the arena fingerprint
-        #: (:func:`repro.inum.arena.arena_fingerprint`).  Same sharing rules
-        #: as compiled engines: evaluation is read-only up to the
-        #: deterministic internal memo.
+        #: Compiled workload arenas, keyed by the arena fingerprint
+        #: (:func:`repro.inum.arena.arena_fingerprint`).
         self._arenas: Dict[str, object] = {}
 
     # -- plan caches -------------------------------------------------------
@@ -163,125 +164,84 @@ class TierNamespace:
         """Plan caches currently published in this namespace."""
         return len(self._caches)
 
-    # -- compiled engines --------------------------------------------------
-
-    def lookup_engine(self, key: Tuple[str, str]) -> Optional[object]:
-        """The shared compiled engine under ``key`` (lock-free)."""
-        engine = self._engines.get(key)
-        if engine is not None:
-            self.statistics.engine_hits += 1
-        _LOOKUP[("engine", engine is not None)].inc()
-        return engine
-
-    def promote_engine(self, key: Tuple[str, str], engine: object) -> None:
-        """Publish one compiled engine copy-on-write (first promotion wins)."""
-        with self._lock:
-            if key in self._engines:
-                return
-            merged = dict(self._engines)
-            merged[key] = engine
-            if len(merged) > self._max_engines:
-                for stale in list(merged)[: len(merged) - self._max_engines]:
-                    del merged[stale]
-            self._engines = merged
-            self.statistics.engine_promotions += 1
-            TIER_PROMOTIONS.labels(kind="engine").inc()
-
-    @property
-    def engine_count(self) -> int:
-        """Compiled engines currently published in this namespace."""
-        return len(self._engines)
-
-    def engine_map(self) -> "SharedEngineMap":
-        """A per-session engine-pool view over this namespace."""
-        return SharedEngineMap(self)
-
     # -- workload arenas ---------------------------------------------------
 
     def lookup_arena(self, arena_id: str) -> Optional[object]:
-        """The shared fused arena under ``arena_id`` (lock-free)."""
+        """The shared arena under ``arena_id`` (lock-free)."""
         arena = self._arenas.get(arena_id)
         if arena is not None:
             self.statistics.arena_hits += 1
         _LOOKUP[("arena", arena is not None)].inc()
         return arena
 
-    def promote_arena(self, arena_id: str, arena: object) -> None:
-        """Publish one workload arena copy-on-write (first promotion wins)."""
+    def promote_arena(self, arena_id: str, arena: object) -> object:
+        """Publish one workload arena copy-on-write; returns the published one.
+
+        First promotion wins, so a racing double-compile leaves every
+        session holding the same object.  Oldest promotions are dropped past
+        the namespace's arena bound.
+        """
         with self._lock:
-            if arena_id in self._arenas:
-                return
+            published = self._arenas.get(arena_id)
+            if published is not None:
+                return published
             merged = dict(self._arenas)
             merged[arena_id] = arena
-            if len(merged) > self._max_engines:
-                for stale in list(merged)[: len(merged) - self._max_engines]:
+            if len(merged) > self._max_arenas:
+                for stale in list(merged)[: len(merged) - self._max_arenas]:
                     del merged[stale]
             self._arenas = merged
             self.statistics.arena_promotions += 1
             TIER_PROMOTIONS.labels(kind="arena").inc()
+            return arena
 
     @property
     def arena_count(self) -> int:
-        """Fused workload arenas currently published in this namespace."""
+        """Workload arenas currently published in this namespace."""
         return len(self._arenas)
 
-    def arena_map(self) -> "SharedEngineMap":
-        """A per-session arena-pool view over this namespace."""
-        return SharedEngineMap(self, kind="arena")
 
+class ArenaPool:
+    """One session's compiled arenas: a small LRU, optionally over a namespace.
 
-class SharedEngineMap:
-    """One session's view of a shared artifact pool (engines or arenas).
-
-    Implements the dict subset the session and
-    :class:`~repro.advisor.benefit.CacheBackedWorkloadCostModel` use: reads
-    consult the session-local overlay first and fall back to the namespace
-    snapshot; writes land in the overlay *and* are promoted.  Iteration and
-    deletion -- the session's eviction machinery -- see only the overlay, so
-    one session pruning its pool can never evict state other sessions rely
-    on (the namespace applies its own copy-on-write bound instead).
-
-    ``kind="engine"`` (the default) views the compiled-engine pool keyed by
-    ``(cache id, backend)``; ``kind="arena"`` views the fused workload-arena
-    pool keyed by arena fingerprint strings.
+    Implements the dict subset
+    :class:`~repro.advisor.benefit.CacheBackedWorkloadCostModel` uses.  Reads
+    consult the session-local LRU first and fall back to the namespace
+    snapshot; writes land in the LRU *and* are promoted.  Eviction only ever
+    drops the session's own reference, so one session cycling through
+    workloads can never evict an arena other sessions rely on (the namespace
+    applies its own copy-on-write bound instead).
     """
 
-    def __init__(self, namespace: TierNamespace, kind: str = "engine") -> None:
+    def __init__(self, capacity: int, namespace: Optional[TierNamespace] = None) -> None:
+        self._capacity = max(1, capacity)
         self._namespace = namespace
-        self._local: Dict[object, object] = {}
-        if kind == "arena":
-            self._lookup = namespace.lookup_arena
-            self._promote = namespace.promote_arena
-        else:
-            self._lookup = namespace.lookup_engine
-            self._promote = namespace.promote_engine
+        self._local: "OrderedDict[str, object]" = OrderedDict()
 
-    def get(self, key: object, default: object = None) -> object:
-        engine = self._local.get(key)
-        if engine is None:
-            engine = self._lookup(key)
-            if engine is not None:
-                self._local[key] = engine
-        return engine if engine is not None else default
+    def get(self, arena_id: str, default: object = None) -> object:
+        arena = self._local.get(arena_id)
+        if arena is not None:
+            self._local.move_to_end(arena_id)
+            return arena
+        if self._namespace is not None:
+            arena = self._namespace.lookup_arena(arena_id)
+            if arena is not None:
+                self._remember(arena_id, arena)
+                return arena
+        return default
 
-    def __getitem__(self, key: object) -> object:
-        engine = self.get(key)
-        if engine is None:
-            raise KeyError(key)
-        return engine
+    def __setitem__(self, arena_id: str, arena: object) -> None:
+        if self._namespace is not None:
+            arena = self._namespace.promote_arena(arena_id, arena)
+        self._remember(arena_id, arena)
 
-    def __setitem__(self, key: object, engine: object) -> None:
-        self._local[key] = engine
-        self._promote(key, engine)
+    def _remember(self, arena_id: str, arena: object) -> None:
+        self._local[arena_id] = arena
+        while len(self._local) > self._capacity:
+            self._local.popitem(last=False)
 
-    def __delitem__(self, key: object) -> None:
-        del self._local[key]
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._local
-
-    def __iter__(self):
-        return iter(self._local)
+    def __contains__(self, arena_id: object) -> bool:
+        return arena_id in self._local
 
     def __len__(self) -> int:
         return len(self._local)
@@ -296,7 +256,7 @@ class SharedCacheTier:
     Hand one instance to every :class:`~repro.api.session.TuningSession`
     (``shared_tier=``) -- or let :class:`~repro.api.server.TuningServer` do
     it -- and N sessions over the same catalog share one copy of the plan
-    caches, compiled engine layouts, what-if results and parsed store pages.
+    caches, compiled arenas, what-if results and parsed store pages.
     The first session pays each build; every later session's
     ``recommend`` is answered with 0 cache builds (reported as
     ``caches_shared`` in its statistics).
@@ -306,11 +266,11 @@ class SharedCacheTier:
         self,
         *,
         max_caches_per_catalog: int = 2048,
-        max_engines_per_catalog: int = 2048,
+        max_arenas_per_catalog: int = DEFAULT_MAX_ARENAS,
     ) -> None:
         self._lock = threading.Lock()
         self._max_caches = max_caches_per_catalog
-        self._max_engines = max_engines_per_catalog
+        self._max_arenas = max_arenas_per_catalog
         self._namespaces: Dict[str, TierNamespace] = {}
         #: One parsed-page cache shared by every session's persistent store.
         self.page_cache = PageCache()
@@ -327,7 +287,7 @@ class SharedCacheTier:
                     namespace = TierNamespace(
                         fingerprint,
                         max_caches=self._max_caches,
-                        max_engines=self._max_engines,
+                        max_arenas=self._max_arenas,
                     )
                     self._namespaces[fingerprint] = namespace
         namespace.statistics.sessions_attached += 1
@@ -368,15 +328,12 @@ class SharedCacheTier:
             stats = namespace.statistics
             totals.cache_hits += stats.cache_hits
             totals.cache_promotions += stats.cache_promotions
-            totals.engine_hits += stats.engine_hits
-            totals.engine_promotions += stats.engine_promotions
             totals.arena_hits += stats.arena_hits
             totals.arena_promotions += stats.arena_promotions
             totals.sessions_attached += stats.sessions_attached
         return {
             "catalogs": len(namespaces),
             "caches_published": sum(ns.cache_count for ns in namespaces),
-            "engines_published": sum(ns.engine_count for ns in namespaces),
             "arenas_published": sum(ns.arena_count for ns in namespaces),
             "whatif_shared_hits": sum(ns.whatif.hits for ns in namespaces),
             "whatif_shared_promotions": sum(ns.whatif.promotions for ns in namespaces),

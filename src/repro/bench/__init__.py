@@ -1,10 +1,9 @@
-"""Benchmark support: timers and result-table formatting for the experiments."""
+"""Benchmark support: result-table formatting and error metrics for the experiments."""
 
-from repro.bench.harness import ExperimentTable, Timer, geometric_mean, relative_error
+from repro.bench.harness import ExperimentTable, geometric_mean, relative_error
 
 __all__ = [
     "ExperimentTable",
-    "Timer",
     "geometric_mean",
     "relative_error",
 ]

@@ -1,44 +1,17 @@
 """Small helpers shared by the benchmark scripts under ``benchmarks/``.
 
 Each benchmark regenerates one of the paper's tables or figures; the helpers
-here keep the scripts focused on the experiment itself: a wall-clock timer, a
-column-aligned result table (printed to stdout and easy to paste into
-EXPERIMENTS.md) and the error metrics the accuracy experiments report.
+here keep the scripts focused on the experiment itself: a column-aligned
+result table (printed to stdout and easy to paste into EXPERIMENTS.md) and
+the error metrics the accuracy experiments report.  The stopwatch is
+:class:`repro.util.timing.timed`.
 """
 
 from __future__ import annotations
 
 import math
-import time
 import warnings
-from typing import Dict, Iterable, List, Optional, Sequence
-
-
-class Timer:
-    """Context manager measuring wall-clock seconds.
-
-    >>> with Timer() as timer:
-    ...     _ = sum(range(10))
-    >>> timer.seconds >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        self._started: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self._started is not None
-        self.seconds = time.perf_counter() - self._started
-
-    @property
-    def milliseconds(self) -> float:
-        """Elapsed time in milliseconds."""
-        return self.seconds * 1000.0
+from typing import Dict, Iterable, List, Sequence
 
 
 class ExperimentTable:

@@ -545,9 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--engine",
                          choices=["auto", "arena", "numpy", "python", "scalar"],
                          default="auto",
-                         help="cache evaluation engine: compiled (numpy-vectorized "
-                              "when available), the fused workload arena, or the "
-                              "original scalar walk")
+                         help="evaluation backend: auto/arena = the workload arena "
+                              "(numpy when available), numpy/python pin its backend, "
+                              "scalar = the reference oracle's per-slot walk")
         sub.add_argument("--candidate-policy", choices=["workload", "per_query"],
                          default="workload",
                          help="candidate generation: one workload-wide pool (the "

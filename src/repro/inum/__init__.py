@@ -17,13 +17,7 @@ from repro.inum.access_costs import AccessCostInfo, AccessCostTable
 from repro.inum.cache import CacheBuildStatistics, CacheEntry, CachedSlot, InumCache
 from repro.inum.cache_builder import InumCacheBuilder, InumBuilderOptions
 from repro.inum.combinations import covering_configuration, covering_indexes_for
-from repro.inum.compiled import (
-    CompiledCostEngine,
-    CompiledEstimate,
-    IndexSetMemo,
-    compile_cache,
-    numpy_available,
-)
+from repro.inum.compiled import IndexSetMemo, compile_cache, numpy_available
 from repro.inum.cost_estimation import CostEstimate, InumCostModel
 from repro.inum.serialization import (
     CacheStore,
@@ -53,8 +47,6 @@ __all__ = [
     "CacheEntry",
     "CacheStore",
     "CachedSlot",
-    "CompiledCostEngine",
-    "CompiledEstimate",
     "CostEstimate",
     "IndexSetMemo",
     "InumBuilderOptions",

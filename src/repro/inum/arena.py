@@ -1,10 +1,12 @@
-"""One-matmul workload evaluation: fuse per-query compiled caches into an arena.
+"""The evaluation kernel: every plan cache of a workload fused into one arena.
 
-:mod:`repro.inum.compiled` made evaluating *one* query's cache a handful of
-array operations, but selection still loops over the workload in Python --
-one compiled-engine call per (query, candidate) pair, and at 120 candidates
-the per-call numpy dispatch overhead dominates selection wall time.  This
-module fuses every compiled per-query layout into a single *workload arena*:
+"What does the workload cost under index set X" is the arithmetic the whole
+advisor runs on -- the minimum over each query's cached plans of internal
+cost plus the chosen access costs.  The scalar
+:class:`~repro.inum.cost_estimation.InumCostModel` is the reference oracle
+for it; this module is the one production implementation.  It stacks the
+per-cache layouts of :mod:`repro.inum.compiled` into a single *workload
+arena*:
 
 * one **global access-method column** per distinct ``(table, index key)``
   collected by *any* query (heaps included), so a candidate index set maps to
@@ -20,29 +22,24 @@ module fuses every compiled per-query layout into a single *workload arena*:
   vector per index key) mirroring each DML statement's
   :class:`~repro.optimizer.maintenance.MaintenanceProfile` exactly.
 
-Evaluating a whole candidate frontier (every winner set plus one candidate)
-is then one masked min, one batched matmul and one segmented min --
-:meth:`WorkloadArena.evaluate_frontier` -- instead of ``candidates x
-queries`` Python round trips.  The arena is weight-agnostic: callers pass
-their execution-frequency weight vector, so one arena serves every weight
-sweep over the same caches.
+Evaluating one index set is a masked min, a matmul and a segmented min;
+evaluating a whole candidate frontier (every winner set plus one candidate)
+is the same three operations batched -- :meth:`WorkloadArena.frontier_detail`
+-- instead of ``candidates x queries`` Python round trips.  A single cache
+is just a one-query arena (:func:`repro.inum.compiled.compile_cache`).  The
+arena is weight-agnostic: callers pass their execution-frequency weight
+vector, so one arena serves every weight sweep over the same caches.
 
-Backends mirror :func:`repro.inum.compiled.compile_cache`: numpy when
-installed, a pure-Python fallback otherwise, both within 1e-9 of the
-per-query engines (asserted by the property tests).  The numpy buffers can
-additionally be placed in :mod:`multiprocessing.shared_memory` via
-:func:`share_arena`/:func:`attach_arena` so builder workers and the
-concurrent server's tier namespaces map one copy (refcounted; the owner
-unlinks on the last :func:`release_arena`).
+Two backends evaluate the same layout: numpy when installed, a pure-Python
+fallback otherwise (the no-numpy CI leg); both stay within 1e-9 of the
+scalar oracle (asserted by the property tests).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import pickle
-import struct
-import threading
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.inum.cache import InumCache
 from repro.inum.compiled import IndexSetMemo, _CompiledLayout, numpy_available
@@ -146,37 +143,18 @@ class _ArenaLayout:
                     )
                     row[position] = cost
 
-    def manifest(self) -> Dict:
-        """The layout as plain-Python data (for shared-memory attach)."""
-        return {
-            "query_names": list(self.query_names),
-            "columns": list(self.columns),
-            "heap_columns": list(self.heap_columns),
-            "class_offsets": list(self.class_offsets),
-            "entry_offsets": list(self.entry_offsets),
-            "full_weights": self.full_weights,
-            "probe_weights": self.probe_weights,
-            "maintenance_base": list(self.maintenance_base),
-            "maintenance_coeffs": self.maintenance_coeffs,
-        }
+    def active_columns(self, indexes: Sequence) -> set:
+        """Columns usable under ``indexes`` (heaps are always active).
 
-    @classmethod
-    def from_manifest(cls, manifest: Dict) -> "_ArenaLayout":
-        layout = cls.__new__(cls)
-        layout.query_names = list(manifest["query_names"])
-        layout.columns = [tuple(column) for column in manifest["columns"]]
-        layout.column_of = {column: i for i, column in enumerate(layout.columns)}
-        layout.heap_columns = list(manifest["heap_columns"])
-        layout.class_offsets = list(manifest["class_offsets"])
-        layout.entry_offsets = list(manifest["entry_offsets"])
-        layout.full_costs = []  # numeric data lives in the shared buffers
-        layout.probe_costs = []
-        layout.internal_costs = []
-        layout.full_weights = manifest["full_weights"]
-        layout.probe_weights = manifest["probe_weights"]
-        layout.maintenance_base = list(manifest["maintenance_base"])
-        layout.maintenance_coeffs = dict(manifest["maintenance_coeffs"])
-        return layout
+        Indexes whose access cost no query collected are ignored, exactly as
+        the scalar model ignores ``for_index(...) is None``.
+        """
+        active = set(self.heap_columns)
+        for index in indexes:
+            column = self.column_of.get((index.table, index.key))
+            if column is not None:
+                active.add(column)
+        return active
 
     def no_plan_error(self, position: int) -> PlanningError:
         return PlanningError(
@@ -186,7 +164,7 @@ class _ArenaLayout:
 
 
 class WorkloadArena:
-    """Common surface of the fused-workload evaluation backends.
+    """Common surface of the two evaluation backends.
 
     All totals are weighted by the caller-provided ``weights`` vector
     (aligned with :attr:`query_names`; ``None`` means unit weights), so one
@@ -197,13 +175,14 @@ class WorkloadArena:
 
     backend: str = "abstract"
 
-    def __init__(self, layout: _ArenaLayout) -> None:
+    def __init__(self, layout: _ArenaLayout, build_mask: Callable[[Sequence], object]) -> None:
         self._layout = layout
-        self._mask_memo = IndexSetMemo(self._build_mask)
+        # ``build_mask`` is a function of the layout, never a bound method:
+        # a memo holding ``self`` closes a reference cycle, and an arena
+        # evicted from a pool would then wait for a gen-2 collection.
+        self._mask_memo = IndexSetMemo(build_mask)
         #: Stable identity assigned by the compiling model (for pooling).
         self.arena_id: Optional[str] = None
-        #: Name of the shared-memory block backing the buffers, if any.
-        self.shared_name: Optional[str] = None
 
     # -- shape ------------------------------------------------------------
 
@@ -258,9 +237,6 @@ class WorkloadArena:
 
     # -- evaluation -------------------------------------------------------
 
-    def _build_mask(self, indexes: Sequence):
-        raise NotImplementedError
-
     def per_query_vector(self, indexes: Sequence) -> List[float]:
         """Per-query per-execution costs (read plus maintenance)."""
         raise NotImplementedError
@@ -308,7 +284,7 @@ class WorkloadArena:
 
     def query_cost(self, name: str, indexes: Sequence) -> float:
         """One statement's per-execution cost under ``indexes``."""
-        raise NotImplementedError
+        return self.per_query_vector(indexes)[self._layout.query_names.index(name)]
 
     def _weighted_totals(
         self, rows: Sequence[Sequence[float]], weights: Optional[Sequence[float]]
@@ -321,16 +297,15 @@ class WorkloadArena:
 class PythonWorkloadArena(WorkloadArena):
     """Pure-Python fused evaluation (no numpy required).
 
-    Bit-identical to :class:`~repro.inum.compiled.PythonCacheEngine` per
-    query: the same eligible triples, the same per-entry summation order,
-    the same min-over-entries -- only stacked, so one call answers the whole
-    workload.
+    Per class only the eligible (column, full, probe) triples are kept, and
+    slots sharing a ``(table, required_order)`` class share one min per
+    evaluation -- which is where the scalar walk spends most of its time.
     """
 
     backend = "python"
 
     def __init__(self, layout: _ArenaLayout) -> None:
-        super().__init__(layout)
+        super().__init__(layout, functools.partial(_python_mask, layout))
         # Per class, the (global column, full, probe) triples ever eligible.
         self._eligible: List[List[Tuple[int, float, float]]] = []
         for full_row, probe_row in zip(layout.full_costs, layout.probe_costs):
@@ -346,14 +321,8 @@ class PythonWorkloadArena(WorkloadArena):
                 self._column_classes.setdefault(column, []).append(
                     (class_position, full_cost, probe_cost)
                 )
-
-    def _build_mask(self, indexes: Sequence) -> frozenset:
-        active = set(self._layout.heap_columns)
-        for index in indexes:
-            column = self._layout.column_of.get((index.table, index.key))
-            if column is not None:
-                active.add(column)
-        return frozenset(active)
+        # The dense rows are as large as everything kept above; drop them.
+        layout.full_costs = layout.probe_costs = []
 
     def _class_minima(self, active: frozenset) -> Tuple[List[float], List[float]]:
         full_minima: List[float] = []
@@ -441,71 +410,41 @@ class PythonWorkloadArena(WorkloadArena):
             rows.append([read + maint for read, maint in zip(reads, maintenance)])
         return self._weighted_totals(rows, weights), rows
 
-    def query_cost(self, name: str, indexes: Sequence) -> float:
-        layout = self._layout
-        position = layout.query_names.index(name)
-        full_minima, probe_minima = self._class_minima(self._mask_memo.get(indexes))
-        start, stop = layout.entry_offsets[position], layout.entry_offsets[position + 1]
-        best = _INF
-        for entry in range(start, stop):
-            cost = layout.internal_costs[entry]
-            for class_position, weight in layout.full_weights[entry].items():
-                cost += weight * full_minima[class_position]
-            for class_position, weight in layout.probe_weights[entry].items():
-                cost += weight * probe_minima[class_position]
-            if cost < best:
-                best = cost
-        if best == _INF:
-            raise layout.no_plan_error(position)
-        maintenance = layout.maintenance_base[position]
-        for index in indexes:
-            row = layout.maintenance_coeffs.get(index.key)
-            if row is not None:
-                maintenance += row[position]
-        return best + maintenance
-
 
 class NumpyWorkloadArena(WorkloadArena):
     """Vectorized fused evaluation: one masked min, one matmul, one segment min."""
 
     backend = "numpy"
 
-    def __init__(self, layout: _ArenaLayout, buffers: Optional[Dict[str, object]] = None) -> None:
-        if _np is None:
+    def __init__(self, layout: _ArenaLayout) -> None:
+        if not numpy_available():
             raise PlanningError(
-                "the arena numpy backend was requested but numpy is not "
-                "installed (pip install 'pinum-repro[perf]')"
+                "the numpy backend was requested but numpy is not installed "
+                "(pip install 'pinum-repro[perf]')"
             )
-        super().__init__(layout)
-        if buffers is not None:
-            # Shared-memory attach: the numeric buffers already exist.
-            self._full = buffers["full"]
-            self._probe = buffers["probe"]
-            self._internal = buffers["internal"]
-            self._full_weight = buffers["full_weight"]
-            self._probe_weight = buffers["probe_weight"]
-        else:
-            class_count = layout.class_offsets[-1]
-            entry_count = layout.entry_offsets[-1]
-            width = len(layout.columns)
-            self._full = _np.asarray(layout.full_costs, dtype=_np.float64).reshape(
-                class_count, width
-            )
-            self._probe = _np.asarray(layout.probe_costs, dtype=_np.float64).reshape(
-                class_count, width
-            )
-            self._internal = _np.asarray(layout.internal_costs, dtype=_np.float64)
-            self._full_weight = _np.zeros((entry_count, class_count), dtype=_np.float64)
-            self._probe_weight = _np.zeros((entry_count, class_count), dtype=_np.float64)
-            for position in range(entry_count):
-                for class_position, weight in layout.full_weights[position].items():
-                    self._full_weight[position, class_position] = weight
-                for class_position, weight in layout.probe_weights[position].items():
-                    self._probe_weight[position, class_position] = weight
-        self._needs_full = (self._full_weight > 0.0).astype(_np.float64)
-        self._needs_probe = (self._probe_weight > 0.0).astype(_np.float64)
-        self._base_mask = _np.zeros(len(layout.columns), dtype=bool)
-        self._base_mask[layout.heap_columns] = True
+        super().__init__(layout, functools.partial(_numpy_mask, layout))
+        class_count = layout.class_offsets[-1]
+        entry_count = layout.entry_offsets[-1]
+        width = len(layout.columns)
+        self._full = _np.asarray(layout.full_costs, dtype=_np.float64).reshape(
+            class_count, width
+        )
+        self._probe = _np.asarray(layout.probe_costs, dtype=_np.float64).reshape(
+            class_count, width
+        )
+        self._internal = _np.asarray(layout.internal_costs, dtype=_np.float64)
+        self._full_weight = _np.zeros((entry_count, class_count), dtype=_np.float64)
+        self._probe_weight = _np.zeros((entry_count, class_count), dtype=_np.float64)
+        for position in range(entry_count):
+            for class_position, weight in layout.full_weights[position].items():
+                self._full_weight[position, class_position] = weight
+            for class_position, weight in layout.probe_weights[position].items():
+                self._probe_weight[position, class_position] = weight
+        # The arrays hold every number now; the Python lists they were built
+        # from are as large again, so an arena kept in a pool must not keep
+        # both.
+        layout.full_costs = layout.probe_costs = layout.internal_costs = []
+        layout.full_weights = layout.probe_weights = []
         self._entry_starts = _np.asarray(layout.entry_offsets[:-1], dtype=_np.intp)
         self._maintenance_base = _np.asarray(layout.maintenance_base, dtype=_np.float64)
         self._coeff_rows = {
@@ -514,15 +453,6 @@ class NumpyWorkloadArena(WorkloadArena):
         }
 
     # -- internals --------------------------------------------------------
-
-    def _build_mask(self, indexes: Sequence):
-        mask = self._base_mask.copy()
-        for index in indexes:
-            column = self._layout.column_of.get((index.table, index.key))
-            if column is not None:
-                mask[column] = True
-        mask.setflags(write=False)
-        return mask
 
     def _class_minima(self, mask):
         masked_full = _np.where(mask[None, :], self._full, _np.inf)
@@ -533,9 +463,11 @@ class NumpyWorkloadArena(WorkloadArena):
         """Per-query read costs for a (sets x classes) minima batch."""
         missing_full = _np.isinf(full_minima)
         missing_probe = _np.isinf(probe_minima)
+        # A weight is positive exactly where an entry needs the class, so a
+        # positive weighted count of missing minima marks it infeasible.
         infeasible = (
-            missing_full.astype(_np.float64) @ self._needs_full.T
-            + missing_probe.astype(_np.float64) @ self._needs_probe.T
+            missing_full.astype(_np.float64) @ self._full_weight.T
+            + missing_probe.astype(_np.float64) @ self._probe_weight.T
         ) > 0.0
         costs = (
             self._internal[None, :]
@@ -571,12 +503,6 @@ class NumpyWorkloadArena(WorkloadArena):
         reads = self._read_rows(full_minima[None, :], probe_minima[None, :])
         self._check_feasible(reads)
         return (reads[0] + self._maintenance_array(indexes)).tolist()
-
-    def evaluate(self, indexes: Sequence, weights: Optional[Sequence[float]] = None) -> float:
-        vector = self.per_query_vector(indexes)
-        if weights is None:
-            return float(sum(vector))
-        return float(sum(w * c for w, c in zip(weights, vector)))
 
     def evaluate_batch(
         self, index_sets: Sequence[Sequence], weights: Optional[Sequence[float]] = None
@@ -634,20 +560,16 @@ class NumpyWorkloadArena(WorkloadArena):
             totals = rows @ _np.asarray(weights, dtype=_np.float64)
         return totals.tolist(), rows
 
-    def query_cost(self, name: str, indexes: Sequence) -> float:
-        layout = self._layout
-        position = layout.query_names.index(name)
-        full_minima, probe_minima = self._class_minima(self._mask_memo.get(indexes))
-        reads = self._read_rows(full_minima[None, :], probe_minima[None, :])
-        read = float(reads[0, position])
-        if read == _INF:
-            raise layout.no_plan_error(position)
-        maintenance = layout.maintenance_base[position]
-        for index in indexes:
-            row = layout.maintenance_coeffs.get(index.key)
-            if row is not None:
-                maintenance += row[position]
-        return read + maintenance
+
+def _python_mask(layout: _ArenaLayout, indexes: Sequence) -> frozenset:
+    return frozenset(layout.active_columns(indexes))
+
+
+def _numpy_mask(layout: _ArenaLayout, indexes: Sequence):
+    mask = _np.zeros(len(layout.columns), dtype=bool)
+    mask[list(layout.active_columns(indexes))] = True
+    mask.setflags(write=False)
+    return mask
 
 
 def compile_arena(
@@ -658,7 +580,8 @@ def compile_arena(
     """Fuse the workload's caches into one arena.
 
     ``backend="auto"`` selects numpy when installed and the pure-Python
-    fallback otherwise, mirroring :func:`repro.inum.compiled.compile_cache`.
+    fallback otherwise; ``"numpy"`` insists (raising :class:`PlanningError`
+    without numpy) and ``"python"`` forces the fallback.
     """
     if backend not in ARENA_BACKENDS:
         raise PlanningError(
@@ -690,176 +613,3 @@ def arena_fingerprint(
         hasher.update(b"\x01")
         hasher.update(str(cache_ids.get(name, name)).encode("utf-8"))
     return "arena:" + hasher.hexdigest()[:16]
-
-
-# -- shared-memory publication ------------------------------------------------
-#
-# The numpy buffers are flat float64 blocks, so one shared-memory segment can
-# hold the whole arena: an 8-byte length header, a pickled manifest (shapes
-# plus the plain-Python layout data) and the five arrays.  Attachers map the
-# arrays zero-copy (read-only views over the segment).  A process-local
-# refcount table tracks every share/adopt; the owning process unlinks the
-# segment when its count returns to zero.
-
-_ARRAY_FIELDS = ("full", "probe", "internal", "full_weight", "probe_weight")
-_HEADER = struct.Struct("<Q")
-_ALIGN = 64
-
-
-class _SharedBlock:
-    def __init__(self, segment, owner: bool) -> None:
-        self.segment = segment
-        self.owner = owner
-        self.references = 1
-
-
-_SHARED_BLOCKS: Dict[str, _SharedBlock] = {}
-_SHARED_LOCK = threading.Lock()
-
-
-def _untrack(segment) -> None:
-    """Detach the segment from this process's resource tracker.
-
-    Attaching registers the name with ``multiprocessing.resource_tracker``
-    on Pythons before 3.13, which would unlink the segment when *any*
-    attaching process exits; only the owner may unlink.
-    """
-    try:  # pragma: no cover - version-dependent
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
-
-
-def share_arena(arena: WorkloadArena) -> str:
-    """Publish the arena's buffers into a shared-memory segment.
-
-    Returns the segment name (also recorded as ``arena.shared_name``).
-    Numpy-backed arenas only; raises :class:`PlanningError` otherwise.  The
-    publishing process owns the segment: it is unlinked when the owner's
-    :func:`release_arena` balance returns to zero.
-    """
-    if _np is None or not isinstance(arena, NumpyWorkloadArena):
-        raise PlanningError(
-            "only numpy-backed arenas can be placed in shared memory"
-        )
-    if arena.shared_name is not None:
-        with _SHARED_LOCK:
-            block = _SHARED_BLOCKS.get(arena.shared_name)
-            if block is not None:
-                block.references += 1
-                return arena.shared_name
-    from multiprocessing import shared_memory
-
-    arrays = {field: getattr(arena, f"_{field}") for field in _ARRAY_FIELDS}
-    manifest = arena._layout.manifest()
-    manifest["shapes"] = {field: array.shape for field, array in arrays.items()}
-    payload = pickle.dumps(manifest, protocol=pickle.HIGHEST_PROTOCOL)
-    offset = _HEADER.size + len(payload)
-    offset += (-offset) % _ALIGN
-    offsets = {}
-    total = offset
-    for field, array in arrays.items():
-        offsets[field] = total
-        total += array.nbytes
-        total += (-total) % _ALIGN
-    segment = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    segment.buf[: _HEADER.size] = _HEADER.pack(len(payload))
-    segment.buf[_HEADER.size : _HEADER.size + len(payload)] = payload
-    for field, array in arrays.items():
-        view = _np.ndarray(
-            array.shape, dtype=_np.float64, buffer=segment.buf, offset=offsets[field]
-        )
-        view[...] = array
-        setattr(arena, f"_{field}", view)
-    with _SHARED_LOCK:
-        _SHARED_BLOCKS[segment.name] = _SharedBlock(segment, owner=True)
-    arena.shared_name = segment.name
-    return segment.name
-
-
-def attach_arena(name: str) -> NumpyWorkloadArena:
-    """Map a shared arena published by another process (zero-copy).
-
-    The returned arena reads straight from the segment; call
-    :func:`release_arena` when done with it.
-    """
-    if _np is None:
-        raise PlanningError(
-            "attaching a shared arena requires numpy "
-            "(pip install 'pinum-repro[perf]')"
-        )
-    from multiprocessing import shared_memory
-
-    with _SHARED_LOCK:
-        block = _SHARED_BLOCKS.get(name)
-        if block is not None:
-            block.references += 1
-            segment = block.segment
-        else:
-            try:
-                segment = shared_memory.SharedMemory(name=name, track=False)
-            except TypeError:  # pragma: no cover - Python < 3.13
-                segment = shared_memory.SharedMemory(name=name)
-                _untrack(segment)
-            _SHARED_BLOCKS[name] = _SharedBlock(segment, owner=False)
-    (payload_length,) = _HEADER.unpack_from(segment.buf, 0)
-    manifest = pickle.loads(bytes(segment.buf[_HEADER.size : _HEADER.size + payload_length]))
-    offset = _HEADER.size + payload_length
-    offset += (-offset) % _ALIGN
-    buffers: Dict[str, object] = {}
-    for field in _ARRAY_FIELDS:
-        shape = manifest["shapes"][field]
-        view = _np.ndarray(shape, dtype=_np.float64, buffer=segment.buf, offset=offset)
-        view.setflags(write=False)
-        buffers[field] = view
-        offset += view.nbytes
-        offset += (-offset) % _ALIGN
-    layout = _ArenaLayout.from_manifest(manifest)
-    arena = NumpyWorkloadArena(layout, buffers=buffers)
-    arena.shared_name = name
-    return arena
-
-
-def release_arena(name: str) -> None:
-    """Drop one reference to a shared arena segment.
-
-    The last release in the owning process unlinks the segment; attachers
-    merely close their mapping.  Unknown names are ignored (idempotent
-    teardown paths).
-    """
-    with _SHARED_LOCK:
-        block = _SHARED_BLOCKS.get(name)
-        if block is None:
-            return
-        block.references -= 1
-        if block.references > 0:
-            return
-        del _SHARED_BLOCKS[name]
-    # numpy views over the buffer must be gone before close(); callers drop
-    # their arena references first (the tier does, and tests follow suit).
-    try:
-        block.segment.close()
-        if block.owner:
-            # Re-register before unlink: when owner and attachers share one
-            # resource-tracker daemon (multiprocessing children do), an
-            # attacher's pre-3.13 unregister workaround removed the owner's
-            # entry too, and unlink()'s own unregister would hit a KeyError
-            # inside the tracker.  Registering is a set-add, so this is a
-            # no-op when the entry is still there.
-            try:  # pragma: no cover - version/platform dependent
-                from multiprocessing import resource_tracker
-
-                resource_tracker.register(block.segment._name, "shared_memory")
-            except Exception:
-                pass
-            block.segment.unlink()
-    except (BufferError, FileNotFoundError, OSError):  # pragma: no cover
-        pass
-
-
-def shared_arena_names() -> Tuple[str, ...]:
-    """Names of the shared arena segments this process currently maps."""
-    with _SHARED_LOCK:
-        return tuple(_SHARED_BLOCKS)

@@ -1,10 +1,9 @@
-"""Compiled (vectorized) evaluation over INUM/PINUM plan caches.
+"""The dense per-cache layout the evaluation kernel and the ILP compile from.
 
 The scalar :class:`~repro.inum.cost_estimation.InumCostModel` walks every
 cached plan entry and every leaf slot in Python for every evaluation.  The
-advisor's greedy search performs that walk thousands of times, so this module
-compiles a cache once into a dense numeric layout and answers evaluations
-with array arithmetic:
+production kernel (:mod:`repro.inum.arena`) instead digests each cache once
+into a dense numeric layout, :class:`_CompiledLayout`:
 
 * one *column* per collected access method (the table's heap or a candidate
   index), holding its full-scan and per-probe costs,
@@ -17,23 +16,20 @@ with array arithmetic:
   so an entry's total is ``internal + W_full @ class_full + W_probe @
   class_probe`` and the query's cost is the minimum over feasible entries.
 
-A single evaluation is therefore a masked min, two small matrix products and
-an argmin; a *batch* of candidate index sets evaluates as one three-axis
-reduction.  When numpy is not installed the same layout is evaluated by a
-pure-Python backend (still faster than the scalar walk, because per-class
-minima are shared between slots); :func:`compile_cache` picks the backend
-automatically.
+The arena stacks these layouts over a whole workload; the ILP formulation
+reads the same coefficients through :func:`export_layout`.  This module also
+holds the two helpers both sides share: :class:`IndexSetMemo` and
+:func:`numpy_available`.  :func:`compile_cache` is the single-cache entry
+point: a one-query arena.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.inum.access_costs import AccessCostInfo
-from repro.inum.cache import CacheEntry, InumCache
-from repro.util.errors import PlanningError
+from repro.inum.cache import InumCache
 from repro.util.fingerprint import configuration_signature
 
 try:  # numpy is an optional "[perf]" extra; everything degrades without it.
@@ -57,7 +53,7 @@ class IndexSetMemo:
     The greedy search re-evaluates the same index sets (winners plus one
     candidate) against every query, so structures derived from an index set
     -- the per-table grouping of the scalar model, the column mask of the
-    compiled engines -- are worth caching.  Keys are
+    arena -- are worth caching.  Keys are
     :func:`~repro.util.fingerprint.configuration_signature`, so equal sets in
     different order (or containing distinct-but-equal ``Index`` objects) hit
     the same entry.  When the memo reaches ``max_entries`` the least recently
@@ -96,15 +92,6 @@ class IndexSetMemo:
             self._memo.popitem(last=False)
         self._memo[key] = value
         return value
-
-
-@dataclass
-class CompiledEstimate:
-    """Result of one compiled evaluation: the cost and the winning entry."""
-
-    cost: float
-    entry: CacheEntry
-    entry_position: int
 
 
 class _CompiledLayout:
@@ -174,286 +161,12 @@ class _CompiledLayout:
             self.full_costs.append(full_row)
             self.probe_costs.append(probe_row)
 
-    def active_columns(self, indexes: Sequence) -> List[int]:
-        """Column positions usable under ``indexes`` (heaps are always active).
-
-        Indexes whose access cost was never collected are ignored, exactly as
-        the scalar model ignores ``for_index(...) is None``.
-        """
-        active = list(self.heap_columns)
-        seen = set(active)
-        for index in indexes:
-            position = self.column_of.get((index.table, index.key))
-            if position is not None and position not in seen:
-                seen.add(position)
-                active.append(position)
-        return active
-
-    def no_plan_error(self) -> PlanningError:
-        return PlanningError(
-            f"no cached plan of query {self.cache.query.name!r} is applicable to the "
-            "given index set"
-        )
-
-
-class CompiledCostEngine:
-    """Common surface of the compiled backends.
-
-    When the compiled cache belongs to a DML statement it carries a
-    :class:`~repro.optimizer.maintenance.MaintenanceProfile`; every
-    evaluation then adds the index set's maintenance cost (heap base plus
-    per-index write cost) on top of the read estimate.  The addition is the
-    same plain-Python arithmetic in both backends -- it is per-index-set,
-    not per-entry, so there is nothing to vectorize -- which keeps the
-    numpy, python and scalar answers bit-identical on the write side.
-    """
-
-    #: Name of the evaluation backend ("numpy" or "python").
-    backend: str = "abstract"
-
-    def __init__(self, layout: _CompiledLayout) -> None:
-        self._layout = layout
-        self._mask_memo = IndexSetMemo(self._build_mask)
-        self._maintenance = layout.cache.maintenance
-        self._maintenance_memo: Optional[IndexSetMemo] = (
-            None
-            if self._maintenance is None
-            else IndexSetMemo(self._maintenance.cost_for)
-        )
-
-    @property
-    def cache(self) -> InumCache:
-        """The cache this engine was compiled from."""
-        return self._layout.cache
-
-    @property
-    def entry_count(self) -> int:
-        return len(self._layout.internal_costs)
-
-    def maintenance_cost(self, indexes: Sequence) -> float:
-        """The index set's maintenance cost (0.0 for pure-read caches)."""
-        if self._maintenance_memo is None:
-            return 0.0
-        return self._maintenance_memo.get(indexes)
-
-    def memo_counters(self) -> Tuple[int, int]:
-        """Aggregate ``(hits, misses)`` of this engine's index-set memos."""
-        hits, misses = self._mask_memo.hits, self._mask_memo.misses
-        if self._maintenance_memo is not None:
-            hits += self._maintenance_memo.hits
-            misses += self._maintenance_memo.misses
-        return hits, misses
-
-    def _build_mask(self, indexes: Sequence):
-        raise NotImplementedError
-
-    def estimate(self, indexes: Sequence) -> float:
-        """Estimated cost under ``indexes`` (scalar-model compatible)."""
-        return self.estimate_detail(indexes).cost
-
-    def estimate_detail(self, indexes: Sequence) -> CompiledEstimate:
-        """Estimate and also report the winning cache entry."""
-        raise NotImplementedError
-
-    def estimate_batch(self, index_sets: Sequence[Sequence]) -> List[float]:
-        """Costs of several candidate index sets in one evaluation."""
-        raise NotImplementedError
-
-    def entry_costs(self, indexes: Sequence) -> List[float]:
-        """Per-entry costs under ``indexes`` (+inf for infeasible entries)."""
-        raise NotImplementedError
-
-
-class PythonCacheEngine(CompiledCostEngine):
-    """Pure-Python evaluation of the compiled layout (no numpy required).
-
-    Slots sharing a ``(table, required_order)`` class share one min
-    computation per evaluation, which is where the scalar model spends most
-    of its time.
-    """
-
-    backend = "python"
-
-    def __init__(self, layout: _CompiledLayout) -> None:
-        super().__init__(layout)
-        # Per class, the (column, full, probe) triples that are ever eligible.
-        self._eligible: List[List[Tuple[int, float, float]]] = []
-        for full_row, probe_row in zip(layout.full_costs, layout.probe_costs):
-            triples = [
-                (position, full_row[position], probe_row[position])
-                for position in range(len(layout.methods))
-                if full_row[position] != _INF or probe_row[position] != _INF
-            ]
-            self._eligible.append(triples)
-
-    def _build_mask(self, indexes: Sequence) -> frozenset:
-        return frozenset(self._layout.active_columns(indexes))
-
-    def _class_minima(self, active: frozenset) -> Tuple[List[float], List[float]]:
-        full_minima: List[float] = []
-        probe_minima: List[float] = []
-        for triples in self._eligible:
-            best_full = _INF
-            best_probe = _INF
-            for position, full_cost, probe_cost in triples:
-                if position not in active:
-                    continue
-                if full_cost < best_full:
-                    best_full = full_cost
-                if probe_cost < best_probe:
-                    best_probe = probe_cost
-            full_minima.append(best_full)
-            probe_minima.append(best_probe)
-        return full_minima, probe_minima
-
-    def entry_costs(self, indexes: Sequence) -> List[float]:
-        full_minima, probe_minima = self._class_minima(self._mask_memo.get(indexes))
-        costs = self._entry_costs(full_minima, probe_minima)
-        maintenance = self.maintenance_cost(indexes)
-        if maintenance:
-            costs = [cost + maintenance for cost in costs]
-        return costs
-
-    def _entry_costs(
-        self, full_minima: List[float], probe_minima: List[float]
-    ) -> List[float]:
-        layout = self._layout
-        costs: List[float] = []
-        for position in range(len(layout.internal_costs)):
-            cost = layout.internal_costs[position]
-            for class_position, weight in layout.full_weights[position].items():
-                cost += weight * full_minima[class_position]
-            for class_position, weight in layout.probe_weights[position].items():
-                cost += weight * probe_minima[class_position]
-            costs.append(cost)
-        return costs
-
-    def estimate_detail(self, indexes: Sequence) -> CompiledEstimate:
-        costs = self.entry_costs(indexes)
-        best_position = -1
-        best_cost = _INF
-        for position, cost in enumerate(costs):
-            if cost < best_cost:
-                best_cost = cost
-                best_position = position
-        if best_position < 0:
-            raise self._layout.no_plan_error()
-        return CompiledEstimate(
-            cost=best_cost,
-            entry=self._layout.cache.entries[best_position],
-            entry_position=best_position,
-        )
-
-    def estimate_batch(self, index_sets: Sequence[Sequence]) -> List[float]:
-        return [self.estimate_detail(indexes).cost for indexes in index_sets]
-
-
-class NumpyCacheEngine(CompiledCostEngine):
-    """Vectorized evaluation: masked minima, two matmuls, one argmin."""
-
-    backend = "numpy"
-
-    def __init__(self, layout: _CompiledLayout) -> None:
-        if _np is None:
-            raise PlanningError(
-                "the numpy backend was requested but numpy is not installed "
-                "(pip install 'pinum-repro[perf]')"
-            )
-        super().__init__(layout)
-        entry_count = len(layout.internal_costs)
-        class_count = len(layout.classes)
-        self._full = _np.asarray(layout.full_costs, dtype=_np.float64).reshape(
-            class_count, len(layout.methods)
-        )
-        self._probe = _np.asarray(layout.probe_costs, dtype=_np.float64).reshape(
-            class_count, len(layout.methods)
-        )
-        self._internal = _np.asarray(layout.internal_costs, dtype=_np.float64)
-        self._full_weight = _np.zeros((entry_count, class_count), dtype=_np.float64)
-        self._probe_weight = _np.zeros((entry_count, class_count), dtype=_np.float64)
-        for position in range(entry_count):
-            for class_position, weight in layout.full_weights[position].items():
-                self._full_weight[position, class_position] = weight
-            for class_position, weight in layout.probe_weights[position].items():
-                self._probe_weight[position, class_position] = weight
-        # Which classes an entry *needs* -- an entry is infeasible iff any
-        # needed class has no active access method (an infinite minimum).
-        self._needs_full = (self._full_weight > 0.0).astype(_np.float64)
-        self._needs_probe = (self._probe_weight > 0.0).astype(_np.float64)
-        self._base_mask = _np.zeros(len(layout.methods), dtype=bool)
-        self._base_mask[layout.heap_columns] = True
-
-    def _build_mask(self, indexes: Sequence):
-        mask = self._base_mask.copy()
-        active = self._layout.active_columns(indexes)
-        mask[active] = True
-        mask.setflags(write=False)
-        return mask
-
-    def _evaluate(self, masks) -> Tuple:
-        """Entry-cost matrix for a (sets x methods) mask batch.
-
-        Returns ``(costs, feasible)`` with shape (sets x entries); infeasible
-        cells hold +inf.
-        """
-        masked_full = _np.where(masks[:, None, :], self._full[None, :, :], _np.inf)
-        masked_probe = _np.where(masks[:, None, :], self._probe[None, :, :], _np.inf)
-        class_full = masked_full.min(axis=2)
-        class_probe = masked_probe.min(axis=2)
-        missing_full = _np.isinf(class_full)
-        missing_probe = _np.isinf(class_probe)
-        infeasible = (
-            missing_full.astype(_np.float64) @ self._needs_full.T
-            + missing_probe.astype(_np.float64) @ self._needs_probe.T
-        ) > 0.0
-        costs = (
-            self._internal[None, :]
-            + _np.where(missing_full, 0.0, class_full) @ self._full_weight.T
-            + _np.where(missing_probe, 0.0, class_probe) @ self._probe_weight.T
-        )
-        costs[infeasible] = _np.inf
-        return costs, ~infeasible
-
-    def entry_costs(self, indexes: Sequence) -> List[float]:
-        mask = self._mask_memo.get(indexes)
-        costs, _ = self._evaluate(mask[None, :])
-        maintenance = self.maintenance_cost(indexes)
-        if maintenance:
-            return [cost + maintenance for cost in costs[0].tolist()]
-        return costs[0].tolist()
-
-    def estimate_detail(self, indexes: Sequence) -> CompiledEstimate:
-        mask = self._mask_memo.get(indexes)
-        costs, _ = self._evaluate(mask[None, :])
-        best_position = int(costs[0].argmin())
-        best_cost = float(costs[0, best_position])
-        if best_cost == _INF:
-            raise self._layout.no_plan_error()
-        return CompiledEstimate(
-            cost=best_cost + self.maintenance_cost(indexes),
-            entry=self._layout.cache.entries[best_position],
-            entry_position=best_position,
-        )
-
-    def estimate_batch(self, index_sets: Sequence[Sequence]) -> List[float]:
-        if not index_sets:
-            return []
-        masks = _np.stack([self._mask_memo.get(indexes) for indexes in index_sets])
-        costs, _ = self._evaluate(masks)
-        minima = costs.min(axis=1)
-        if _np.isinf(minima).any():
-            raise self._layout.no_plan_error()
-        return [
-            cost + self.maintenance_cost(indexes)
-            for cost, indexes in zip(minima.tolist(), index_sets)
-        ]
-
 
 def export_layout(cache: InumCache) -> _CompiledLayout:
     """The dense (entries x slot classes x access methods) digest of ``cache``.
 
-    The matrix form the compiled engines evaluate, exposed for consumers
-    that need the raw coefficients rather than an evaluator -- notably the
+    The matrix form the arena stacks, exposed for consumers that need the
+    raw coefficients rather than an evaluator -- notably the
     ILP formulation (:mod:`repro.advisor.ilp.formulation`), which compiles
     the same layout into the objective and constraint rows of a binary
     integer program.  The layout validates the cache on construction.
@@ -461,23 +174,12 @@ def export_layout(cache: InumCache) -> _CompiledLayout:
     return _CompiledLayout(cache)
 
 
-#: Recognised values of the ``backend`` argument of :func:`compile_cache`.
-BACKENDS = ("auto", "numpy", "python")
+def compile_cache(cache: InumCache, backend: str = "auto") -> "CompiledCostEngine":
+    """Compile one cache into a one-query arena (``backend`` as for
+    :func:`repro.inum.arena.compile_arena`)."""
+    return compile_arena([cache.query], {cache.query.name: cache}, backend=backend)
 
 
-def compile_cache(cache: InumCache, backend: str = "auto") -> CompiledCostEngine:
-    """Compile ``cache`` into an evaluation engine.
-
-    ``backend="auto"`` (the default) selects numpy when it is installed and
-    the pure-Python layout evaluation otherwise; ``"numpy"`` insists (raising
-    :class:`PlanningError` without numpy) and ``"python"`` forces the
-    fallback.
-    """
-    if backend not in BACKENDS:
-        raise PlanningError(f"unknown compiled backend {backend!r} (expected one of {BACKENDS})")
-    layout = _CompiledLayout(cache)
-    if backend == "auto":
-        backend = "numpy" if numpy_available() else "python"
-    if backend == "numpy":
-        return NumpyCacheEngine(layout)
-    return PythonCacheEngine(layout)
+# benchmarks/e2e/trace.py resolves ``CompiledCostEngine`` on this module; the
+# import sits below the layout because arena.py imports it from here.
+from repro.inum.arena import WorkloadArena as CompiledCostEngine, compile_arena  # noqa: E402

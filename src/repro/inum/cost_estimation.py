@@ -90,7 +90,7 @@ class InumCostModel:
 
         Caches carrying a maintenance profile (DML statements) additionally
         charge the index set's write cost on top of the read estimate,
-        mirroring the compiled engines.
+        mirroring the arena.
         """
         return self.estimate_with_indexes_detail(indexes)[0]
 

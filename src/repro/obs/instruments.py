@@ -109,7 +109,7 @@ SESSION_RETUNES = _REGISTRY.counter(
 
 # -- shared tier (api/tier.py) -----------------------------------------------------
 
-#: Tier lookups by artifact kind (``cache`` / ``engine`` / ``arena``) and
+#: Tier lookups by artifact kind (``cache`` / ``arena``) and
 #: ``result`` (``hit`` / ``miss``).
 TIER_LOOKUPS = _REGISTRY.counter(
     "repro_tier_lookups_total",

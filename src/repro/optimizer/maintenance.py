@@ -89,7 +89,7 @@ class MaintenanceProfile:
         return [self.per_index.get(candidate.key, 0.0) for candidate in candidates]
 
     def digest(self) -> str:
-        """A stable short identity for engine pooling (order-independent)."""
+        """A stable short identity for arena pooling (order-independent)."""
         hasher = hashlib.sha256()
         for part in [self.statement, repr(self.base_cost)] + [
             f"{key[0]}:{','.join(key[1])}:{self.per_index[key]!r}"

@@ -4,8 +4,8 @@ A trace replayed by millions of users contains millions of statement
 *instances* but only a few dozen *templates*.  :func:`compress_workload`
 clusters statements by :func:`~repro.util.fingerprint.template_fingerprint`
 and keeps one representative per cluster with a multiplicity weight -- an
-ordinary weighted workload, so the per-query cache pool, the weighted cost
-engines, the arena and the ILP all consume it unchanged.
+ordinary weighted workload, so the per-query cache pool, the arena and the
+ILP all consume it unchanged.
 
 Exactness: when every instance of a template is literally the same SQL
 (the common case for replayed traces -- and what a Zipfian

@@ -134,12 +134,31 @@ class TestIncrementalEvaluator:
         assert evaluator.total == cost_with_first
         assert evaluator.per_query_costs() == model.per_query_costs([first])
 
-    def test_irrelevant_table_short_circuits(self, model):
+    def test_irrelevant_table_costs_the_current_total(self, model):
+        stranger = Index("nowhere", ["nothing"])
+        evaluator = IncrementalWorkloadEvaluator(model)
+        assert evaluator.cost_with([], stranger) == pytest.approx(evaluator.total, rel=1e-12)
+        # The oracle's delta path re-evaluates only queries reading the
+        # candidate's table: here, none.
+        model.select_engine("scalar")
         evaluator = IncrementalWorkloadEvaluator(model)
         before = model.query_evaluations
-        stranger = Index("nowhere", ["nothing"])
         assert evaluator.cost_with([], stranger) == evaluator.total
         assert model.query_evaluations == before
+
+    def test_frontier_scores_what_cost_with_scores(self, model, candidates):
+        for engine in ("auto", "scalar"):
+            model.select_engine(engine)
+            evaluator = IncrementalWorkloadEvaluator(model)
+            assert evaluator.frontier([], []) == []
+            batch = evaluator.frontier(candidates[:1], candidates[1:4])
+            single = [evaluator.cost_with(candidates[:1], c) for c in candidates[1:4]]
+            assert batch == pytest.approx(single, rel=1e-12)
+            # Any candidate scored since the last commit commits for free.
+            before = model.query_evaluations
+            evaluator.commit(candidates[:1] + [candidates[2]], candidates[2])
+            assert model.query_evaluations == before
+            assert evaluator.total == pytest.approx(batch[1], rel=1e-12)
 
 
 class TestAdvisorSelectorOption:

@@ -70,6 +70,34 @@ class TestRoundTrips:
         assert "not valid JSON" in error["error"]["message"]
         assert alive["ok"] is True
 
+    def test_overlong_line_is_refused_and_closes_only_that_connection(self):
+        """A line past the 64 KiB stream limit used to kill the reader task
+        without queuing the end marker, hanging the connection."""
+        async def work(server):
+            async with TuningClient("127.0.0.1", server.port) as bystander:
+                assert (await bystander.call("ping"))["ok"]
+                async with TuningClient("127.0.0.1", server.port) as client:
+                    oversized = json.dumps(
+                        {"id": 1, "op": "add_queries", "params": {"sql": "x" * 100 * 1024}}
+                    )
+                    client._writer.write(oversized.encode("utf-8") + b"\n")
+                    await client._writer.drain()
+                    error = await asyncio.wait_for(client.receive(), timeout=10)
+                    ack = await asyncio.wait_for(client.receive(), timeout=10)
+                    with pytest.raises(EOFError):
+                        await asyncio.wait_for(client.receive(), timeout=10)
+                still_served = await bystander.call("ping")
+            async with TuningClient("127.0.0.1", server.port) as late:
+                newcomer = await late.call("ping")
+            return error, ack, still_served, newcomer
+
+        error, ack, still_served, newcomer = run(_with_server(work))
+        assert error["ok"] is False and error["id"] is None
+        assert "request line too long" in error["error"]["message"]
+        assert ack["result"]["reason"] == "request line too long"
+        assert still_served["ok"] is True
+        assert newcomer["ok"] is True
+
     def test_unknown_op_is_answered_not_fatal(self):
         async def work(server):
             async with TuningClient("127.0.0.1", server.port) as client:

@@ -1,5 +1,8 @@
 """Tests for the TuningSession service API: reuse, delta re-tuning, requests."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.advisor import AdvisorOptions, IndexAdvisor
@@ -279,6 +282,37 @@ class TestPoolBounds:
         # rebuild, never crash.
         assert response.result.selected_indexes
         session.recommend()
+
+
+    def test_evicted_arenas_die_without_a_cycle_collection(self, session, monkeypatch):
+        """A mutating session compiles one arena per workload shape; all but
+        the pooled ones must be freed by reference count alone (the parent's
+        arena sat in a reference cycle and waited for a gen-2 collection)."""
+        from repro.advisor import benefit
+
+        compiled = []
+        compile_arena = benefit.compile_arena
+
+        def tracking_compile(*args, **kwargs):
+            arena = compile_arena(*args, **kwargs)
+            compiled.append(weakref.ref(arena))
+            return arena
+
+        monkeypatch.setattr(benefit, "compile_arena", tracking_compile)
+        gc.collect()
+        gc.disable()
+        try:
+            session.recommend()
+            for cycle in range(40):
+                session.add_queries([build_third_query(f"delta_{cycle}")])
+                session.recommend()
+                session.remove_queries([f"delta_{cycle}"])
+                session.recommend()
+            alive = sum(1 for reference in compiled if reference() is not None)
+        finally:
+            gc.enable()
+        assert len(compiled) == 41, "one arena per workload shape, the base one reused"
+        assert alive <= TuningSession.MAX_POOLED_ARENAS + 1
 
 
 class TestOptimizerCostModelSession:

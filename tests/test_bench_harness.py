@@ -6,20 +6,20 @@ import pytest
 
 from repro.bench.harness import (
     ExperimentTable,
-    Timer,
     format_value,
     geometric_mean,
     relative_error,
     speedup_table,
 )
+from repro.util.timing import timed
 
 
-class TestTimer:
-    def test_measures_elapsed_time(self):
-        with Timer() as timer:
+class TestStopwatch:
+    def test_timed_measures_elapsed_time(self):
+        with timed() as timer:
             sum(range(1000))
-        assert timer.seconds >= 0
-        assert timer.milliseconds == pytest.approx(timer.seconds * 1000)
+            inside = timer.elapsed()
+        assert 0 <= inside <= timer.seconds
 
 
 class TestExperimentTable:

@@ -40,7 +40,8 @@ from repro.util.fingerprint import template_fingerprint
 from repro.util.units import gigabytes
 from repro.workloads import StarSchemaWorkload
 
-_ENGINES = ["scalar", "python"] + (["numpy"] if numpy_available() else []) + ["arena"]
+#: The oracle and the kernel's two backends.
+_ENGINES = ["scalar", "python"] + (["numpy"] if numpy_available() else [])
 _SELECTORS = ["lazy", "ilp"]
 
 #: Candidate cap for the trace matrix: small enough that the ILP

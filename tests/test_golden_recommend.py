@@ -6,11 +6,15 @@ sizes -- under every evaluation engine.  A refactor that silently changes
 any of it (a cost-model tweak, a tie-break change, a cache layout bug)
 fails here first, with a diff a human can read.
 
-The golden values were recorded from the scalar engine.  The compiled
-python backend must reproduce the pick sequence bit-for-bit; the numpy
+The golden values were recorded from the scalar oracle.  The arena's
+pure-Python backend must reproduce the pick sequence bit-for-bit; the numpy
 backend is allowed to permute *equal-benefit* picks (documented 1-ulp tie
 behaviour of vectorized reduction) but must select the same index set at
 costs within 1e-9.
+
+The second half pins that the ``engine`` option chooses arithmetic, never
+the algorithm: every engine name gives the same pick set and cost under a
+given selector, on the golden workload and on the benchmark's mixed one.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.advisor.advisor import AdvisorOptions
+from repro.api.requests import RecommendRequest
 from repro.api.session import TuningSession
 from repro.inum.compiled import numpy_available
 from repro.util.units import gigabytes
@@ -55,10 +60,8 @@ GOLDEN_PER_QUERY_AFTER = {
     "Q10": 2130423.98596057,
 }
 
+#: The oracle and the kernel's two backends.
 _ENGINES = ["scalar", "python"] + (["numpy"] if numpy_available() else [])
-# The fused arena (PR 7) inherits numpy's tie allowance: its regrouped sums
-# may permute equal-benefit picks, but never the pick *set* or any cost.
-_ENGINES.append("arena")
 
 
 def _recommend(engine: str):
@@ -103,21 +106,6 @@ def test_fig7_recommendation_is_pinned(engine):
         )
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_arena_engine_is_pinned_to_numpy():
-    """The fused arena reproduces the per-query numpy recommendation."""
-    arena = _recommend("arena")
-    reference = _recommend("numpy")
-    arena_picks = sorted((i.table, i.columns) for i in arena.selected_indexes)
-    numpy_picks = sorted((i.table, i.columns) for i in reference.selected_indexes)
-    assert arena_picks == numpy_picks
-    assert arena.workload_cost_after == pytest.approx(
-        reference.workload_cost_after, rel=1e-9
-    )
-    for name, expected in reference.per_query_cost_after.items():
-        assert arena.per_query_cost_after[name] == pytest.approx(expected, rel=1e-9)
-
-
 def test_selectors_agree_on_the_golden_workload():
     """The exhaustive reference loop pins the very same recommendation."""
     workload = StarSchemaWorkload(seed=7)
@@ -135,3 +123,102 @@ def test_selectors_agree_on_the_golden_workload():
     picks = [(index.table, index.columns) for index in result.selected_indexes]
     assert picks == GOLDEN_PICKS
     assert result.workload_cost_after == pytest.approx(GOLDEN_COST_AFTER, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The engine option never changes the answer
+# ---------------------------------------------------------------------------
+
+#: Every registered engine name that can run here ("auto"/"arena" alias the
+#: kernel on its best backend).
+_ENGINE_NAMES = _ENGINES + ["arena", "auto"]
+
+
+def _outcomes(session, selector, budget):
+    """engine name -> (pick set, workload cost) from one warm session."""
+    outcomes = {}
+    for engine in _ENGINE_NAMES:
+        result = session.recommend(
+            RecommendRequest(engine=engine, selector=selector, space_budget_bytes=budget)
+        ).result
+        outcomes[engine] = (
+            frozenset(index.key for index in result.selected_indexes),
+            result.workload_cost_after,
+        )
+    return outcomes
+
+
+def _assert_engine_independent(outcomes, label):
+    reference_picks, reference_cost = outcomes["scalar"]
+    for engine, (picks, cost) in outcomes.items():
+        assert picks == reference_picks, f"{label}: engine {engine!r} changed the pick set"
+        assert cost == pytest.approx(reference_cost, rel=1e-9), (
+            f"{label}: engine {engine!r} changed the workload cost"
+        )
+
+
+@pytest.fixture(scope="module")
+def golden_session():
+    workload = StarSchemaWorkload(seed=7)
+    return TuningSession(
+        workload.catalog(),
+        workload.queries(),
+        options=AdvisorOptions(max_candidates=MAX_CANDIDATES),
+    )
+
+
+@pytest.fixture(scope="module")
+def mixed_session():
+    """The benchmark's ``warm_retune`` inputs: 10 reads + 8 DML, read share 0.7."""
+    workload = StarSchemaWorkload(seed=7)
+    mixed = workload.mixed(read_fraction=0.7)
+    return TuningSession(
+        workload.catalog(),
+        mixed.statements,
+        options=AdvisorOptions(
+            candidate_policy="per_query", statement_weights=dict(mixed.weights)
+        ),
+    )
+
+
+@pytest.mark.parametrize("selector", ["lazy", "exhaustive"])
+def test_engine_never_changes_the_golden_recommendation(golden_session, selector):
+    outcomes = _outcomes(golden_session, selector, gigabytes(5))
+    _assert_engine_independent(outcomes, f"fig-7/{selector}")
+    assert outcomes["scalar"][0] == {(table, columns) for table, columns in GOLDEN_PICKS}
+
+
+@pytest.mark.parametrize("budget_gb", range(1, 9))
+def test_engine_never_changes_the_lazy_answer_on_the_mixed_workload(mixed_session, budget_gb):
+    """At the parent commit ``engine="arena"`` silently ran the exhaustive
+    scan under ``selector="lazy"`` and returned its (different) answer."""
+    outcomes = _outcomes(mixed_session, "lazy", gigabytes(budget_gb))
+    _assert_engine_independent(outcomes, f"mixed/lazy/{budget_gb}GB")
+
+
+# The scalar oracle needs seconds per exhaustive scan at the larger budgets,
+# so the reference loop is checked at the ends and the middle of the sweep.
+@pytest.mark.parametrize("budget_gb", [1, 4, 8])
+def test_engine_never_changes_the_exhaustive_answer_on_the_mixed_workload(
+    mixed_session, budget_gb
+):
+    outcomes = _outcomes(mixed_session, "exhaustive", gigabytes(budget_gb))
+    _assert_engine_independent(outcomes, f"mixed/exhaustive/{budget_gb}GB")
+
+
+def test_the_selectors_legitimately_differ_on_the_mixed_workload(mixed_session):
+    """The mixed workload is not submodular: a stale CELF bound misses a
+    benefit that grew, so lazy settles for 16 indexes where the exhaustive
+    reference loop finds 17 at a slightly lower cost.  That difference is
+    the selector's; the tests above pin that no engine changes either side."""
+    counts = {}
+    costs = {}
+    for selector in ("lazy", "exhaustive"):
+        result = mixed_session.recommend(
+            RecommendRequest(selector=selector, space_budget_bytes=gigabytes(8))
+        ).result
+        counts[selector] = len(result.selected_indexes)
+        costs[selector] = result.workload_cost_after
+    assert counts == {"lazy": 16, "exhaustive": 17}
+    assert costs["lazy"] == pytest.approx(20413671.078, rel=1e-9)
+    assert costs["exhaustive"] == pytest.approx(20409671.080, rel=1e-9)

@@ -8,20 +8,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.statistics import Histogram
-from repro.inum.access_costs import AccessCostInfo
 from repro.inum.atomic_config import AtomicConfiguration
-from repro.inum.cache import CachedSlot, CacheEntry, InumCache
-from repro.inum.compiled import compile_cache, numpy_available
-from repro.inum.cost_estimation import InumCostModel
 from repro.catalog.index import Index
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.interesting_orders import InterestingOrderCombination
 from repro.optimizer.joinplanner import prune_subsumed_plans
 from repro.optimizer.plan import AccessPath, HashJoinNode, ScanNode
-from repro.pinum.cost_model import PinumCostModel
 from repro.query.ast import ColumnRef, JoinPredicate
 from repro.storage import pages
-from repro.util.errors import PlanningError
 
 _settings = settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None)
 
@@ -188,139 +182,6 @@ class TestCostModelProperties:
         outer_cost, inner_cost = costs
         assert model.hash_join(outer_cost, inner_cost, rows, rows, rows) >= outer_cost + inner_cost
         assert model.merge_join(outer_cost, inner_cost, rows, rows, rows) >= outer_cost + inner_cost
-
-
-# ---------------------------------------------------------------------------
-# Compiled cache evaluation vs the scalar INUM arithmetic
-# ---------------------------------------------------------------------------
-
-
-class _StubQuery:
-    """The minimal query surface an :class:`InumCache` needs (name + tables)."""
-
-    def __init__(self, tables):
-        self.name = "synthetic"
-        self.tables = list(tables)
-
-
-_cache_tables = ["alpha", "beta", "gamma"]
-_cache_orders = [None, "k1", "k2"]
-_cost = st.floats(min_value=0.1, max_value=1e6, allow_nan=False, allow_infinity=False)
-_maybe_cost = st.one_of(st.none(), _cost)
-
-
-@st.composite
-def cache_with_indexes(draw):
-    """A randomized plan cache plus the candidate indexes its costs cover."""
-    tables = draw(st.lists(st.sampled_from(_cache_tables), min_size=1, max_size=3, unique=True))
-    cache = InumCache(_StubQuery(tables))
-    indexes = []
-    for table in tables:
-        # A stray provided_order on a heap record (possible in hand-built or
-        # deserialized caches) must not make it satisfy ordered slots.
-        cache.access_costs.add(
-            AccessCostInfo(
-                table=table,
-                index_key=None,
-                full_cost=draw(_cost),
-                probe_cost=draw(_maybe_cost),
-                provided_order=draw(st.sampled_from(_cache_orders)),
-            )
-        )
-        for number in range(draw(st.integers(min_value=0, max_value=3))):
-            index = Index(table, [f"col{number}"])
-            cache.access_costs.add(
-                AccessCostInfo(
-                    table=table,
-                    index_key=index.key,
-                    full_cost=draw(_cost),
-                    probe_cost=draw(_maybe_cost),
-                    provided_order=draw(st.sampled_from(_cache_orders)),
-                )
-            )
-            indexes.append(index)
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        slots = []
-        ioc_orders = {}
-        for table in tables:
-            ioc_orders[table] = draw(st.sampled_from(_cache_orders))
-            for _ in range(draw(st.integers(min_value=0, max_value=2))):
-                parameterized = draw(st.booleans())
-                slots.append(
-                    CachedSlot(
-                        table=table,
-                        required_order=draw(st.sampled_from(_cache_orders)),
-                        multiplier=(
-                            draw(st.floats(min_value=0.5, max_value=100.0))
-                            if parameterized
-                            else 1.0
-                        ),
-                        parameterized=parameterized,
-                    )
-                )
-        cache.add_entry(
-            CacheEntry(
-                ioc=InterestingOrderCombination(ioc_orders),
-                internal_cost=draw(_cost),
-                slots=tuple(slots),
-                uses_nestloop=draw(st.booleans()),
-            )
-        )
-    subset = draw(
-        st.lists(st.sampled_from(indexes), unique_by=lambda index: index.key, max_size=6)
-        if indexes
-        else st.just([])
-    )
-    if draw(st.booleans()):  # an index the cache never collected costs for
-        subset = subset + [Index(tables[0], ["uncollected"])]
-    return cache, subset
-
-
-class TestCompiledEngineProperties:
-    @_settings
-    @given(data=cache_with_indexes())
-    def test_backends_match_scalar_model_exactly(self, data):
-        """Every backend reproduces the scalar cost and winning entry."""
-        cache, subset = data
-        scalar = InumCostModel(cache)
-        try:
-            expected_cost, expected_entry = scalar.estimate_with_indexes_detail(subset)
-        except PlanningError:
-            expected_cost = expected_entry = None
-        backends = ["python"] + (["numpy"] if numpy_available() else [])
-        for backend in backends:
-            engine = compile_cache(cache, backend=backend)
-            if expected_cost is None:
-                with pytest.raises(PlanningError):
-                    engine.estimate_detail(subset)
-                continue
-            detail = engine.estimate_detail(subset)
-            assert detail.cost == pytest.approx(expected_cost, rel=1e-9, abs=1e-9)
-            if detail.entry is not expected_entry:
-                # An exact tie between entries: both must cost the same.
-                costs = engine.entry_costs(subset)
-                expected_position = cache.entries.index(expected_entry)
-                assert costs[expected_position] == pytest.approx(
-                    costs[detail.entry_position], rel=1e-9, abs=1e-9
-                )
-
-    @_settings
-    @given(data=cache_with_indexes())
-    def test_pinum_model_and_batch_agree(self, data):
-        """PINUM's model (same arithmetic) and batched evaluation also match."""
-        cache, subset = data
-        pinum = PinumCostModel(cache)
-        backends = ["python"] + (["numpy"] if numpy_available() else [])
-        for backend in backends:
-            engine = compile_cache(cache, backend=backend)
-            try:
-                expected = pinum.estimate_with_indexes(subset)
-            except PlanningError:
-                continue
-            assert engine.estimate(subset) == pytest.approx(expected, rel=1e-9, abs=1e-9)
-            batch = engine.estimate_batch([subset, subset])
-            assert batch[0] == batch[1]
-            assert batch[0] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,11 @@ class TestSharedBuilds:
         assert stats["sessions_attached"] == 2
         assert stats["cache_promotions"] == first.statistics.caches_built
         assert stats["cache_hits"] == second.statistics.caches_shared
-        # Compiled engines were published once and adopted once.
-        assert stats["engine_promotions"] > 0
-        assert stats["engine_hits"] >= stats["engine_promotions"]
+        # The workload arena was compiled and published once, adopted once.
+        assert stats["arena_promotions"] == 1
+        assert stats["arena_hits"] == 1
+        assert stats["arenas_published"] == 1
+        assert second._model.arena is first._model.arena
 
     def test_different_catalogs_use_different_namespaces(self):
         tier = SharedCacheTier()
@@ -184,19 +186,6 @@ class TestTierInternals:
         for position in range(10):
             namespace.promote_caches({("k", position): InumCache(query)})
         assert namespace.cache_count <= 4
-
-    def test_engine_map_deletion_is_local(self):
-        """One session pruning its engine pool cannot evict for everyone."""
-        namespace = TierNamespace("fp")
-        first = namespace.engine_map()
-        second = namespace.engine_map()
-        engine = object()
-        first[("cache-1", "numpy")] = engine
-        assert second.get(("cache-1", "numpy")) is engine
-        del second[("cache-1", "numpy")]
-        assert ("cache-1", "numpy") not in second  # local view only
-        assert first.get(("cache-1", "numpy")) is engine
-        assert namespace.lookup_engine(("cache-1", "numpy")) is engine
 
     def test_store_page_cache_is_shared(self, tmp_path):
         """Two stores over one PageCache parse each saved file once."""

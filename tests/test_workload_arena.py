@@ -1,17 +1,17 @@
-"""The fused workload arena: one tensor family answers the whole workload.
+"""The workload arena: one tensor family answers the whole workload.
 
 Property tests pin the arena's evaluation -- single index sets, whole
 batches and CELF frontiers, read-only and weighted-DML -- to the scalar
-INUM arithmetic and the per-query engines within 1e-9 on randomized plan
-caches (the same cache strategy :mod:`test_property_based` drives the
-per-query backends with).  The shared-memory suite covers the
-publish/attach/release lifecycle in-process and across a spawned child,
+INUM arithmetic within 1e-9 on randomized plan caches (the same cache
+strategy :mod:`test_inum_compiled` drives a one-query arena with).  The
+retention suite checks that evicted arenas die without a cycle collection,
 and the tier suite covers the one-copy adoption path sessions use.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import gc
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,24 +21,17 @@ from repro.advisor import CandidateGenerator
 from repro.advisor.benefit import CacheBackedWorkloadCostModel
 from repro.catalog.index import Index
 from repro.inum.access_costs import AccessCostInfo
-from repro.inum.arena import (
-    arena_fingerprint,
-    attach_arena,
-    compile_arena,
-    release_arena,
-    share_arena,
-    shared_arena_names,
-)
+from repro.inum.arena import WorkloadArena, arena_fingerprint, compile_arena
 from repro.inum.cache import CachedSlot, CacheEntry, InumCache
 from repro.inum.compiled import numpy_available
 from repro.inum.cost_estimation import InumCostModel
-from repro.api.tier import TierNamespace
+from repro.api.tier import ArenaPool, TierNamespace
 from repro.optimizer import Optimizer
 from repro.optimizer.interesting_orders import InterestingOrderCombination
 from repro.optimizer.maintenance import MaintenanceProfile
 from repro.util.errors import PlanningError
 
-from test_property_based import _StubQuery, cache_with_indexes
+from test_inum_compiled import _StubQuery, cache_with_indexes
 
 _settings = settings(
     max_examples=40, suppress_health_check=[HealthCheck.too_slow], deadline=None
@@ -327,99 +320,6 @@ class TestArenaLayout:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory lifecycle
-# ---------------------------------------------------------------------------
-
-
-def _attach_and_evaluate(name, queue):
-    """Spawn target: adopt the shared arena and report what it evaluates."""
-    try:
-        from repro.inum.arena import attach_arena as _attach
-        from repro.inum.arena import release_arena as _release
-
-        arena = _attach(name)
-        try:
-            queue.put(("ok", arena.evaluate([]), list(arena.query_names)))
-        finally:
-            del arena
-            _release(name)
-    except BaseException as error:  # pragma: no cover - diagnostic path
-        queue.put(("error", repr(error), []))
-
-
-@needs_numpy
-class TestSharedMemoryLifecycle:
-    def test_same_process_roundtrip(self):
-        queries, caches = _tiny_workload()
-        arena = compile_arena(queries, caches, backend="numpy")
-        index = Index("alpha", ["a1"])
-        expected_bare = arena.evaluate([])
-        expected_indexed = arena.evaluate([index])
-
-        name = share_arena(arena)
-        assert arena.shared_name == name
-        assert name in shared_arena_names()
-
-        attached = attach_arena(name)
-        assert attached.query_names == arena.query_names
-        # Same float64 buffers: the attached view is exact, not approximate.
-        assert attached.evaluate([]) == expected_bare
-        assert attached.evaluate([index]) == expected_indexed
-
-        del attached
-        release_arena(name)
-        assert name in shared_arena_names(), "the owner still holds a reference"
-        del arena
-        release_arena(name)
-        assert name not in shared_arena_names()
-
-    def test_share_is_refcounted_per_call(self):
-        queries, caches = _tiny_workload()
-        arena = compile_arena(queries, caches, backend="numpy")
-        name = share_arena(arena)
-        assert share_arena(arena) == name, "re-sharing must reuse the segment"
-        release_arena(name)
-        assert name in shared_arena_names()
-        del arena
-        release_arena(name)
-        assert name not in shared_arena_names()
-
-    def test_release_of_an_unknown_name_is_a_noop(self):
-        release_arena("never-shared-arena-segment")
-
-    def test_python_backend_cannot_be_shared(self):
-        queries, caches = _tiny_workload()
-        arena = compile_arena(queries, caches, backend="python")
-        with pytest.raises(PlanningError):
-            share_arena(arena)
-
-    def test_cross_process_attach(self):
-        """A spawned child maps the segment zero-copy and agrees exactly."""
-        queries, caches = _tiny_workload()
-        arena = compile_arena(queries, caches, backend="numpy")
-        expected = arena.evaluate([])
-        expected_names = list(arena.query_names)
-        name = share_arena(arena)
-        try:
-            context = multiprocessing.get_context("spawn")
-            queue = context.Queue()
-            child = context.Process(target=_attach_and_evaluate, args=(name, queue))
-            child.start()
-            status, value, names = queue.get(timeout=120)
-            child.join(timeout=120)
-            assert status == "ok", value
-            assert value == expected
-            assert names == expected_names
-            assert child.exitcode == 0
-            # The child's release must not have unlinked the owner's segment.
-            assert arena.evaluate([]) == expected
-        finally:
-            del arena
-            release_arena(name)
-        assert name not in shared_arena_names()
-
-
-# ---------------------------------------------------------------------------
 # Tier integration: one arena copy for every session
 # ---------------------------------------------------------------------------
 
@@ -436,48 +336,112 @@ class TestTierArenaSharing:
         assert namespace.statistics.arena_promotions == 1
         assert namespace.statistics.arena_hits == 1
 
-    def test_arena_map_shares_through_the_namespace(self):
+    def test_namespace_bounds_its_arenas(self):
+        namespace = TierNamespace("fingerprint", max_arenas=3)
+        for number in range(10):
+            namespace.promote_arena(f"arena:{number}", object())
+        assert namespace.arena_count == 3
+        assert namespace.lookup_arena("arena:9") is not None
+        assert namespace.lookup_arena("arena:0") is None
+
+    def test_pools_share_through_the_namespace(self):
         namespace = TierNamespace("fingerprint")
-        mine = namespace.arena_map()
-        theirs = namespace.arena_map()
+        mine = ArenaPool(2, namespace)
+        theirs = ArenaPool(2, namespace)
         marker = object()
         mine["arena:x"] = marker
         assert theirs.get("arena:x") is marker, "adopted through the namespace"
-        # A session pruning its own pool never evicts the shared copy.
-        del mine["arena:x"]
+        # A session cycling its own pool never evicts the shared copy.
+        mine["arena:y"] = object()
+        mine["arena:z"] = object()
         assert "arena:x" not in mine
-        assert theirs["arena:x"] is marker
-        assert namespace.arena_count == 1
+        assert theirs.get("arena:x") is marker
+        assert namespace.lookup_arena("arena:x") is marker
+
+    def test_racing_promotion_adopts_the_first_arena(self):
+        namespace = TierNamespace("fingerprint")
+        first, second = object(), object()
+        ArenaPool(2, namespace)["arena:x"] = first
+        late = ArenaPool(2, namespace)
+        late["arena:x"] = second
+        assert late.get("arena:x") is first
+
+    def test_pool_evicts_least_recently_used(self):
+        pool = ArenaPool(2)
+        pool["base"] = base = object()
+        pool["delta-1"] = object()
+        assert pool.get("base") is base  # the pre-delta arena is re-requested
+        pool["delta-2"] = object()
+        assert pool.get("base") is base
+        assert pool.get("delta-1") is None
+        assert len(pool) == 2
 
 
 # ---------------------------------------------------------------------------
-# Cost-model integration: engine="arena" is a drop-in engine
+# Cost-model integration: every engine name but "scalar" is the arena
 # ---------------------------------------------------------------------------
 
 
 class TestArenaEngineIntegration:
-    def test_cost_model_arena_engine_matches_per_query_engines(
+    def test_cost_model_arena_matches_the_scalar_oracle(
         self, small_catalog, join_query, simple_query
     ):
         queries = [join_query, simple_query]
         candidates = CandidateGenerator(small_catalog).for_workload(queries)
         model = CacheBackedWorkloadCostModel(
-            Optimizer(small_catalog), queries, candidates, mode="pinum", engine="python"
+            Optimizer(small_catalog), queries, candidates, mode="pinum", engine="scalar"
         )
+        assert model.arena is None and model.engine_backend == "scalar"
         probes = [candidates[:0], candidates[:1], candidates[:3], candidates]
         expected = [
             (model.per_query_costs(probe), model.workload_cost(probe))
             for probe in probes
         ]
 
-        model.select_engine("arena")
-        for probe, (per_query, total) in zip(probes, expected):
-            arena_per_query = model.per_query_costs(probe)
-            assert set(arena_per_query) == set(per_query)
-            for name, want in per_query.items():
-                assert arena_per_query[name] == pytest.approx(
-                    want, rel=1e-9, abs=1e-9
+        for engine in ("arena", "auto", "python"):
+            model.select_engine(engine)
+            assert isinstance(model.arena, WorkloadArena)
+            assert model.engine_backend == model.arena.backend
+            for probe, (per_query, total) in zip(probes, expected):
+                arena_per_query = model.per_query_costs(probe)
+                assert set(arena_per_query) == set(per_query)
+                for name, want in per_query.items():
+                    assert arena_per_query[name] == pytest.approx(
+                        want, rel=1e-9, abs=1e-9
+                    )
+                assert model.workload_cost(probe) == pytest.approx(
+                    total, rel=1e-9, abs=1e-9
                 )
-            assert model.workload_cost(probe) == pytest.approx(
-                total, rel=1e-9, abs=1e-9
-            )
+                for query in queries:
+                    assert model.query_cost(query, probe) == pytest.approx(
+                        per_query[query.name], rel=1e-9, abs=1e-9
+                    )
+
+
+# ---------------------------------------------------------------------------
+# Retention: an evicted arena dies by reference count, and stays small
+# ---------------------------------------------------------------------------
+
+
+class TestArenaRetention:
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_a_dropped_arena_is_freed_without_a_cycle_collection(self, backend):
+        queries, caches = _tiny_workload()
+        gc.disable()
+        try:
+            arena = compile_arena(queries, caches, backend=backend)
+            arena.evaluate([Index("alpha", ["a1"])])
+            alive = weakref.ref(arena)
+            del arena
+            assert alive() is None, "the arena sits in a reference cycle"
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_dense_cost_rows_are_released_after_compilation(self, backend):
+        queries, caches = _tiny_workload()
+        arena = compile_arena(queries, caches, backend=backend)
+        assert arena._layout.full_costs == [] and arena._layout.probe_costs == []
+        if backend == "numpy":
+            assert arena._layout.internal_costs == []
+            assert arena._layout.full_weights == []
