@@ -85,7 +85,7 @@ def _run_selection_comparison(star_workload):
 
     # One cache build (excluded from all timings) serves every path: the
     # model is flipped between the scalar oracle and the kernel.
-    model = CacheBackedWorkloadCostModel(
+    model = CacheBackedWorkloadCostModel.build(
         Optimizer(catalog), queries, candidates[: max(counts)], mode="pinum", engine="scalar"
     )
 

@@ -54,7 +54,7 @@ def _run_quality_comparison(star_workload):
     anytime_rows = []
     for count in counts:
         candidates = pool[:count]
-        model = CacheBackedWorkloadCostModel(
+        model = CacheBackedWorkloadCostModel.build(
             Optimizer(catalog), queries, candidates, mode="pinum"
         )
         baseline = model.weighted_total(model.per_query_costs([]))

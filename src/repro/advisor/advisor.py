@@ -56,22 +56,19 @@ def validate_tuning_limits(
     offending field.
     """
     problems = []
+
+    def _number(value: object) -> bool:
+        # bool is an int subclass: ``True`` must not pass as a 1-byte budget.
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
     if space_budget_bytes is not UNSET:
-        if not isinstance(space_budget_bytes, (int, float)) or not space_budget_bytes > 0:
+        if not _number(space_budget_bytes) or not space_budget_bytes > 0:
             problems.append(f"space_budget_bytes must be > 0, got {space_budget_bytes!r}")
     if ilp_gap is not UNSET:
-        if (
-            not isinstance(ilp_gap, (int, float))
-            or not math.isfinite(ilp_gap)
-            or ilp_gap < 0
-        ):
+        if not _number(ilp_gap) or not math.isfinite(ilp_gap) or ilp_gap < 0:
             problems.append(f"ilp_gap must be a finite number >= 0, got {ilp_gap!r}")
     if ilp_time_limit is not UNSET and ilp_time_limit is not None:
-        if (
-            not isinstance(ilp_time_limit, (int, float))
-            or math.isnan(ilp_time_limit)
-            or ilp_time_limit < 0
-        ):
+        if not _number(ilp_time_limit) or math.isnan(ilp_time_limit) or ilp_time_limit < 0:
             problems.append(
                 f"ilp_time_limit must be >= 0 seconds or None, got {ilp_time_limit!r}"
             )
@@ -86,8 +83,7 @@ def validate_tuning_limits(
             )
     if horizon_statements is not UNSET:
         if (
-            not isinstance(horizon_statements, (int, float))
-            or isinstance(horizon_statements, bool)
+            not _number(horizon_statements)
             or not math.isfinite(horizon_statements)
             or horizon_statements <= 0
         ):
@@ -96,12 +92,7 @@ def validate_tuning_limits(
             )
 
     def _valid_water(value: object) -> bool:
-        return (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-            and 0.0 <= value <= 1.0
-        )
+        return _number(value) and math.isfinite(value) and 0.0 <= value <= 1.0
 
     if drift_low_water is not UNSET and not _valid_water(drift_low_water):
         problems.append(

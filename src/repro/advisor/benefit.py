@@ -10,7 +10,11 @@ cost if this index set exists?*  Three interchangeable answers are provided:
 * :class:`CacheBackedWorkloadCostModel` with ``mode="pinum"`` -- the paper's
   configuration: same arithmetic, caches built 5-10x faster.
 
-The cache-backed model evaluates through one kernel, the fused
+The cache-backed model never builds a cache of its own accord: it is
+constructed over caches its caller already acquired (a session through
+:meth:`repro.api.tier.PlanCachePool.acquire`; a test or benchmark through
+the standalone :meth:`CacheBackedWorkloadCostModel.build` helper).  It
+evaluates through one kernel, the fused
 :class:`~repro.inum.arena.WorkloadArena` (numpy when installed, pure Python
 otherwise); ``engine="scalar"`` swaps in the per-slot
 :class:`~repro.inum.cost_estimation.InumCostModel` walk, the reference
@@ -26,17 +30,15 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.registry import ENGINES as ENGINE_REGISTRY
 from repro.api.registry import EngineSpec
-from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
 from repro.inum.arena import WorkloadArena, arena_fingerprint, compile_arena
 from repro.inum.cache import InumCache
 from repro.inum.compiled import numpy_available
 from repro.inum.cost_estimation import InumCostModel
-from repro.inum.serialization import CacheStore
 from repro.inum.workload_builder import WorkloadBuilderOptions, WorkloadCacheBuilder
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfCallCache, WhatIfOptimizer
@@ -44,6 +46,9 @@ from repro.pinum.cost_model import PinumCostModel
 from repro.query.ast import Query
 from repro.util.errors import AdvisorError
 from repro.util.fingerprint import configuration_signature, query_fingerprint
+
+if TYPE_CHECKING:  # pragma: no cover - repro.api.tier imports the builders this module uses
+    from repro.api.tier import LocalPool
 
 
 def validate_statement_weight(name: str, value: object, label: str = "statement weight") -> float:
@@ -289,111 +294,76 @@ class OptimizerWorkloadCostModel(WorkloadCostModel):
 class CacheBackedWorkloadCostModel(WorkloadCostModel):
     """Benefit oracle answering from per-query INUM/PINUM caches.
 
-    ``mode`` selects the cache builder: ``"pinum"`` (default, the paper's
-    configuration) or ``"inum"`` (the baseline).  The caches are built once
-    for the given candidate set -- by a
-    :class:`~repro.inum.workload_builder.WorkloadCacheBuilder`, so workload-
-    scale machinery applies: ``jobs`` fans the builds across a process pool,
-    ``store`` reuses caches persisted by earlier runs, and identical-SQL
-    queries are built once.  Every subsequent evaluation is pure arithmetic
-    over one :class:`~repro.inum.arena.WorkloadArena` spanning the workload
-    (``engine`` picks its backend, see :data:`AUTO_ENGINE` and its siblings),
-    or the scalar oracle's per-slot walk under ``engine="scalar"``.
+    The model is built over *already-acquired* ``caches`` (by statement
+    name): a :class:`~repro.api.session.TuningSession` gets them from its
+    :class:`~repro.api.tier.PlanCachePool`, standalone callers from
+    :meth:`build`.  ``mode`` names the builder that filled them --
+    ``"pinum"`` (default, the paper's configuration) or ``"inum"`` (the
+    baseline) -- and picks the matching scalar oracle.  Every evaluation is
+    pure arithmetic over one :class:`~repro.inum.arena.WorkloadArena`
+    spanning the workload (``engine`` picks its backend, see
+    :data:`AUTO_ENGINE` and its siblings), or the scalar oracle's per-slot
+    walk under ``engine="scalar"``.  ``arena_cache``/``cache_ids`` let the
+    caller share compiled arenas across model instances, keyed by the stable
+    identities of the caches they span, so a warm re-tune skips
+    recompilation too.
     """
 
     def __init__(
         self,
-        optimizer: Optimizer,
         queries: Sequence[Query],
-        candidate_indexes: Sequence[Index],
-        mode: str = "pinum",
-        jobs: int = 1,
-        store: Optional[CacheStore] = None,
-        catalog_factory: Optional[Callable[[], Catalog]] = None,
-        engine: str = "auto",
-        call_cache: Optional[WhatIfCallCache] = None,
-        per_query_candidates: Optional[Dict[str, List[Index]]] = None,
-        weights: Optional[Mapping[str, float]] = None,
-    ) -> None:
-        super().__init__(queries, weights=weights)
-        if mode not in ("pinum", "inum"):
-            raise AdvisorError(f"unknown cache mode {mode!r} (expected 'pinum' or 'inum')")
-        builder = WorkloadCacheBuilder(
-            options=WorkloadBuilderOptions(builder=mode, jobs=jobs),
-            catalog_factory=catalog_factory,
-            store=store,
-            optimizer=optimizer,
-            call_cache=call_cache,
-        )
-        outcome = builder.build(
-            self.queries, list(candidate_indexes), per_query_candidates=per_query_candidates
-        )
-        self.build_report = outcome.report
-        self._attach_caches(
-            outcome.caches,
-            mode,
-            engine,
-            outcome.report.optimizer_calls,
-            outcome.report.wall_seconds,
-        )
-
-    @classmethod
-    def from_caches(
-        cls,
-        queries: Sequence[Query],
-        caches: Dict[str, InumCache],
+        caches: Mapping[str, InumCache],
         mode: str = "pinum",
         engine: str = "auto",
+        *,
         preparation_optimizer_calls: int = 0,
         preparation_seconds: float = 0.0,
         cache_ids: Optional[Dict[str, str]] = None,
         weights: Optional[Mapping[str, float]] = None,
-        arena_cache: Optional[Dict[str, WorkloadArena]] = None,
-    ) -> "CacheBackedWorkloadCostModel":
-        """A model over already-built caches (the warm session path).
-
-        No builder runs: the caches were constructed (or loaded) elsewhere,
-        e.g. by a :class:`~repro.api.session.TuningSession`'s incremental
-        pool.  ``arena_cache``/``cache_ids`` let the caller share compiled
-        arenas across model instances, keyed by the stable identities of the
-        caches they span, so a warm re-tune skips recompilation too.
-        """
-        model = cls.__new__(cls)
-        WorkloadCostModel.__init__(model, queries, weights=weights)
-        model.build_report = None
-        model._attach_caches(
-            dict(caches),
-            mode,
-            engine,
-            preparation_optimizer_calls,
-            preparation_seconds,
-            cache_ids=cache_ids,
-            arena_cache=arena_cache,
-        )
-        return model
-
-    def _attach_caches(
-        self,
-        caches: Dict[str, InumCache],
-        mode: str,
-        engine: str,
-        preparation_calls: int,
-        preparation_seconds: float,
-        cache_ids: Optional[Dict[str, str]] = None,
-        arena_cache: Optional[Dict[str, WorkloadArena]] = None,
+        arena_cache: Optional[LocalPool] = None,
     ) -> None:
+        super().__init__(queries, weights=weights)
         if mode not in ("pinum", "inum"):
             raise AdvisorError(f"unknown cache mode {mode!r} (expected 'pinum' or 'inum')")
         self.mode = mode
-        self._caches = caches
+        self._caches = dict(caches)
         #: Scalar oracles, built on first use (see :meth:`model_for`).
         self._models: Dict[str, InumCostModel] = {}
         self._cache_ids = cache_ids or {}
         self._arena: Optional[WorkloadArena] = None
         self._arena_cache = arena_cache
         self.select_engine(engine)
-        self._calls = preparation_calls
+        self._calls = preparation_optimizer_calls
         self._seconds = preparation_seconds
+
+    @classmethod
+    def build(
+        cls,
+        optimizer: Optimizer,
+        queries: Sequence[Query],
+        candidate_indexes: Sequence[Index],
+        mode: str = "pinum",
+        engine: str = "auto",
+        weights: Optional[Mapping[str, float]] = None,
+    ) -> "CacheBackedWorkloadCostModel":
+        """A standalone model that builds its own caches (tests, benchmarks).
+
+        One serial :class:`~repro.inum.workload_builder.WorkloadCacheBuilder`
+        pass over ``queries``, each cache covering the ``candidate_indexes``
+        on its tables; no pool, tier or store is involved.
+        """
+        outcome = WorkloadCacheBuilder(
+            options=WorkloadBuilderOptions(builder=mode), optimizer=optimizer
+        ).build(queries, list(candidate_indexes))
+        return cls(
+            queries,
+            outcome.caches,
+            mode,
+            engine,
+            preparation_optimizer_calls=outcome.report.optimizer_calls,
+            preparation_seconds=outcome.report.wall_seconds,
+            weights=weights,
+        )
 
     def select_engine(self, engine: str) -> None:
         """Switch the evaluation engine.
@@ -420,9 +390,8 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
             arena = compile_arena(self.queries, self._caches, backend=backend)
             arena.arena_id = arena_id
             if self._arena_cache is not None:
-                self._arena_cache[arena_id] = arena
                 # Shared maps are first-promotion-wins: adopt the winner.
-                arena = self._arena_cache.get(arena_id, arena)
+                arena = self._arena_cache.update({arena_id: arena})[arena_id]
         return arena
 
     @property
@@ -490,20 +459,16 @@ class CostModelRequest:
 
     Factories registered in :data:`repro.api.registry.COST_MODELS` receive
     one of these.  Cache-backed factories (``uses_plan_caches = True``) get
-    ``caches`` pre-warmed by the session (with ``arena_cache``/``cache_ids``
-    for compiled-arena reuse); cold paths build from ``optimizer`` and
-    ``candidates`` themselves, optionally through ``store``/``call_cache``.
+    ``caches`` already acquired by the session (with
+    ``arena_cache``/``cache_ids`` for compiled-arena reuse); the others
+    answer from ``optimizer`` through ``call_cache``/``cost_memo``.
     """
 
     optimizer: Optimizer
     queries: Sequence[Query]
     candidates: Sequence[Index] = ()
     engine: str = "auto"
-    jobs: int = 1
-    store: Optional[CacheStore] = None
-    catalog_factory: Optional[Callable[[], Catalog]] = None
     call_cache: Optional[WhatIfCallCache] = None
-    per_query_candidates: Optional[Dict[str, List[Index]]] = None
     caches: Optional[Dict[str, InumCache]] = None
     preparation_optimizer_calls: int = 0
     preparation_seconds: float = 0.0
@@ -511,35 +476,21 @@ class CostModelRequest:
     cost_memo: Optional[Dict[tuple, float]] = None
     #: Per-statement execution-frequency weights (missing names default 1.0).
     weights: Optional[Mapping[str, float]] = None
-    #: Shared pool of compiled workload arenas, keyed by arena fingerprint.
-    arena_cache: Optional[Dict[str, WorkloadArena]] = None
+    #: The session's pool of compiled workload arenas, keyed by arena fingerprint.
+    arena_cache: Optional[LocalPool] = None
 
 
 def _build_cache_backed(request: CostModelRequest, mode: str) -> WorkloadCostModel:
-    if request.caches is not None:
-        return CacheBackedWorkloadCostModel.from_caches(
-            request.queries,
-            request.caches,
-            mode=mode,
-            engine=request.engine,
-            preparation_optimizer_calls=request.preparation_optimizer_calls,
-            preparation_seconds=request.preparation_seconds,
-            cache_ids=request.cache_ids,
-            weights=request.weights,
-            arena_cache=request.arena_cache,
-        )
     return CacheBackedWorkloadCostModel(
-        request.optimizer,
         request.queries,
-        request.candidates,
-        mode=mode,
-        jobs=request.jobs,
-        store=request.store,
-        catalog_factory=request.catalog_factory,
-        engine=request.engine,
-        call_cache=request.call_cache,
-        per_query_candidates=request.per_query_candidates,
+        request.caches,
+        mode,
+        request.engine,
+        preparation_optimizer_calls=request.preparation_optimizer_calls,
+        preparation_seconds=request.preparation_seconds,
+        cache_ids=request.cache_ids,
         weights=request.weights,
+        arena_cache=request.arena_cache,
     )
 
 

@@ -306,8 +306,6 @@ class ServeFrontend:
     def _op_set_budget(self, payload: Dict[str, Any], params: Dict[str, Any]) -> Dict[str, Any]:
         session = self._session(payload)
         budget = params.get("space_budget_bytes")
-        if not isinstance(budget, int):
-            raise AdvisorError("set_budget needs an integer 'space_budget_bytes'")
         session.set_budget(budget)
         return {"space_budget_bytes": budget}
 

@@ -9,11 +9,18 @@ its whole lifetime:
 * the catalog and one :class:`~repro.optimizer.optimizer.Optimizer`,
 * a memoizing :class:`~repro.optimizer.whatif.WhatIfCallCache` shared by
   every cache build and what-if probe the session performs,
-* a pool of per-query plan caches keyed by (query fingerprint, builder,
-  candidate-set fingerprint) -- plus the workload arenas compiled from
-  them -- reused across requests, and
-* an optional persistent :class:`~repro.inum.serialization.CacheStore` so
-  the pool survives the process.
+* a :class:`~repro.api.tier.PlanCachePool` of per-query plan caches keyed
+  by (query fingerprint, builder, candidate-set fingerprint) -- plus the
+  workload arenas compiled from them -- reused across requests, in front
+  of the optional shared tier and the optional persistent
+  :class:`~repro.inum.serialization.CacheStore`.
+
+Every request that needs plan caches runs one pipeline: candidate plan ->
+cache keys -> :meth:`~repro.api.tier.PlanCachePool.acquire` (the lookup
+chain, described once in :mod:`repro.api.tier`) -> maintenance profiles ->
+cost model.  ``recommend``, ``evaluate`` and the CLI's cache commands
+(``build_query_cache``, ``build_workload_caches``) reach a cache builder no
+other way.
 
 Requests are typed messages (:mod:`repro.api.requests`): ``recommend``
 re-tunes the current workload, ``evaluate`` prices an index set from the
@@ -51,8 +58,14 @@ from repro.advisor.advisor import AdvisorOptions, AdvisorResult, validate_tuning
 from repro.advisor.benefit import CostModelRequest
 from repro.advisor.candidates import CandidateGenerator, prune_write_dominated
 from repro.advisor.greedy import SelectionStatistics
-from repro.api.registry import CACHE_BUILDERS, CANDIDATE_POLICIES, COST_MODELS, SELECTORS
-from repro.api.tier import ArenaPool, SharedCacheTier, TierNamespace
+from repro.api.registry import CANDIDATE_POLICIES, COST_MODELS, SELECTORS
+from repro.api.tier import (
+    LocalPool,
+    PlanCachePool,
+    SharedCacheTier,
+    TierNamespace,
+    cache_keys,
+)
 from repro.api.requests import (
     UNSET,
     EvaluateRequest,
@@ -68,14 +81,8 @@ from repro.api.requests import (
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
 from repro.inum.cache import InumCache
-from repro.inum.dml import build_statement_cache
 from repro.inum.serialization import CacheStore
-from repro.inum.workload_builder import (
-    WorkloadBuilderOptions,
-    WorkloadBuildResult,
-    WorkloadCacheBuilder,
-    rename_cache,
-)
+from repro.inum.workload_builder import WorkloadBuildReport, WorkloadBuildResult
 from repro.obs.instruments import (
     RECOMMEND_SECONDS,
     SESSION_CACHES,
@@ -83,24 +90,14 @@ from repro.obs.instruments import (
     SESSION_RETUNES,
 )
 from repro.obs.trace import get_tracer
-from repro.optimizer.maintenance import build_profiles, profile_for
+from repro.optimizer.maintenance import MaintenanceProfile, build_profiles
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfCallCache
 from repro.query.ast import DmlStatement, Query, Statement
 from repro.util.errors import AdvisorError
-from repro.util.fingerprint import (
-    index_set_fingerprint,
-    query_fingerprint,
-    template_fingerprint,
-)
+from repro.util.fingerprint import index_set_fingerprint, template_fingerprint
 from repro.util.timing import timed
 from repro.workloads.compress import compress_workload
-
-#: Identity of one pooled cache: (query fingerprint, builder, candidate-set
-#: fingerprint).  Everything that can make a cache unusable is in the key, so
-#: pool lookups never return stale caches.
-CacheKey = Tuple[str, str, Optional[str]]
-
 
 def _call_selector_factory(factory, catalog, cost_model, options: AdvisorOptions):
     """Invoke a selector factory, passing ``options`` when it accepts them.
@@ -150,25 +147,32 @@ class CandidatePlan:
     per_query: Dict[str, List[Index]]
 
 
-def workload_candidate_policy(
-    generator: CandidateGenerator,
+def pooled_candidate_plan(
+    pool: Sequence[Index],
     queries: Sequence[Query],
     max_candidates: Optional[int],
 ) -> CandidatePlan:
-    """The one-shot advisor's policy: one workload-wide candidate pool.
+    """One candidate pool for the whole workload (generated or caller-supplied).
 
-    Each query's cache covers the pool members touching its tables -- the
-    same filtering :class:`~repro.inum.workload_builder.WorkloadCacheBuilder`
-    applies, so store keys are shared with ``repro cache-workload``.
+    Each query's cache covers the pool members touching its tables, so
+    ``recommend``, ``repro cache-workload`` and an explicit-candidates
+    request over the same pool share pool, tier and store keys.
     """
-    pool = generator.for_workload(queries)
-    if max_candidates is not None:
-        pool = pool[:max_candidates]
+    pool = list(pool if max_candidates is None else pool[:max_candidates])
     per_query = {
         query.name: [index for index in pool if index.table in query.tables]
         for query in queries
     }
     return CandidatePlan(pool=pool, per_query=per_query)
+
+
+def workload_candidate_policy(
+    generator: CandidateGenerator,
+    queries: Sequence[Query],
+    max_candidates: Optional[int],
+) -> CandidatePlan:
+    """The one-shot advisor's policy: one workload-wide candidate pool."""
+    return pooled_candidate_plan(generator.for_workload(queries), queries, max_candidates)
 
 
 def per_query_candidate_policy(
@@ -189,7 +193,7 @@ def per_query_candidate_policy(
     churn warm DML caches.  Their maintenance profile -- which must cover
     every pool candidate on their table, not just their own -- is cheap
     catalog arithmetic and is recomputed per recommend outside the cache
-    key (see ``TuningSession._apply_maintenance``).
+    key (see ``TuningSession._cost_model``).
     """
     per_query = {query.name: generator.for_query(query) for query in queries}
     pool: List[Index] = []
@@ -201,22 +205,6 @@ def per_query_candidate_policy(
                 pool.append(index)
     if max_candidates is not None:
         pool = pool[:max_candidates]
-    return CandidatePlan(pool=pool, per_query=per_query)
-
-
-def explicit_candidate_plan(
-    candidates: Sequence[Index],
-    queries: Sequence[Query],
-    max_candidates: Optional[int],
-) -> CandidatePlan:
-    """Plan for a caller-supplied candidate list (bypasses generation)."""
-    pool = list(candidates)
-    if max_candidates is not None:
-        pool = pool[:max_candidates]
-    per_query = {
-        query.name: [index for index in pool if index.table in query.tables]
-        for query in queries
-    }
     return CandidatePlan(pool=pool, per_query=per_query)
 
 
@@ -250,18 +238,13 @@ class SessionStatistics:
         """Count cache acquisitions: the field and the registry in one step.
 
         ``source`` is one of ``built`` / ``from_store`` / ``deduplicated`` /
-        ``reused`` / ``shared`` -- the same vocabulary as the fields and the
-        ``repro_session_caches_total`` label, so the per-session dataclass
-        and the process-wide family can never disagree.
+        ``reused`` / ``shared`` -- the one vocabulary of the builder report's
+        outcomes, these fields and the ``repro_session_caches_total`` label.
+        :meth:`repro.api.tier.PlanCachePool.acquire` is the only caller.
         """
-        if count:
-            field_name = f"caches_{source}"
-            setattr(self, field_name, getattr(self, field_name) + count)
-            SESSION_CACHES.labels(source=source).inc(count)
-
-    def snapshot(self) -> "SessionStatistics":
-        """A copy (for before/after deltas in tests and benchmarks)."""
-        return dataclasses.replace(self)
+        field_name = f"caches_{source}"
+        setattr(self, field_name, getattr(self, field_name) + count)
+        SESSION_CACHES.labels(source=source).inc(count)
 
 
 # -- the session -------------------------------------------------------------------
@@ -277,10 +260,9 @@ class TuningSession:
     the one-shot advisor.
     """
 
-    #: Soft cap on pooled plan caches.  When an insert pushes the pool past
-    #: this, entries not referenced by the current request are evicted
-    #: (oldest first), so a long-lived serve process cannot grow without
-    #: bound.
+    #: Cap on pooled plan caches (least recently used goes first), so a
+    #: long-lived serve process cannot grow without bound.  A request larger
+    #: than the cap still completes: it holds its own references.
     DEFAULT_MAX_POOLED_CACHES = 512
 
     #: Arenas the session keeps (least recently used goes first).  An arena
@@ -308,34 +290,46 @@ class TuningSession:
         self._catalog = catalog
         self._options = options or AdvisorOptions()
         self._optimizer = optimizer or Optimizer(catalog)
-        self._catalog_factory = catalog_factory
         self._generator = generator or CandidateGenerator(catalog)
         #: The process-wide shared read-only tier (None for a solo session).
         #: The session itself stays single-threaded; the tier is what makes
         #: N sessions share builds without sharing mutable state.
         self._shared_tier = shared_tier
-        self._tier_ns = shared_tier.namespace_for(catalog) if shared_tier is not None else None
-        if self._options.cache_dir is None:
-            self._store = None
-        elif shared_tier is not None:
-            self._store = shared_tier.store_for(self._options.cache_dir, catalog)
-        else:
-            self._store = CacheStore(self._options.cache_dir, catalog)
+        namespace = store = None
+        if shared_tier is not None:
+            namespace = shared_tier.namespace_for(catalog)
+        if self._options.cache_dir is not None:
+            store = (
+                shared_tier.store_for(self._options.cache_dir, catalog)
+                if shared_tier is not None
+                else CacheStore(self._options.cache_dir, catalog)
+            )
         self._call_cache = WhatIfCallCache(
             self._optimizer,
-            shared=self._tier_ns.whatif if self._tier_ns is not None else None,
+            shared=namespace.whatif if namespace is not None else None,
         )
         self._whatif_cost_memo: Dict[tuple, float] = {}
         self._queries: Dict[str, Statement] = {}
-        self._max_pooled_caches = max(1, max_pooled_caches)
-        self._cache_pool: Dict[CacheKey, InumCache] = {}
+        self.statistics = SessionStatistics()
+        #: Where every plan cache of this session comes from.
+        self._pool = PlanCachePool(
+            catalog,
+            self._optimizer,
+            self._call_cache,
+            self.statistics,
+            capacity=max_pooled_caches,
+            namespace=namespace,
+            store=store,
+            catalog_factory=catalog_factory,
+        )
         #: Compiled workload arenas, keyed by arena fingerprint.  Tier-backed
         #: sessions adopt arenas other tenants compiled (the namespace is
         #: keyed by catalog fingerprint).
-        self._arena_pool = ArenaPool(self.MAX_POOLED_ARENAS, self._tier_ns)
+        self._arena_pool = LocalPool(
+            self.MAX_POOLED_ARENAS, namespace.arenas if namespace is not None else None
+        )
         self._model = None
         self._model_signature: Optional[tuple] = None
-        self.statistics = SessionStatistics()
         #: The most recent recommend outcome (for the serve ``stats`` op's
         #: selector telemetry -- selector, optimality gap, solver nodes).
         self.last_result: Optional[AdvisorResult] = None
@@ -373,7 +367,7 @@ class TuningSession:
     @property
     def store(self) -> Optional[CacheStore]:
         """The persistent cache store (``None`` without ``cache_dir``)."""
-        return self._store
+        return self._pool.store
 
     @property
     def call_cache(self) -> WhatIfCallCache:
@@ -388,7 +382,7 @@ class TuningSession:
     @property
     def tier_namespace(self) -> Optional[TierNamespace]:
         """This session's catalog namespace in the shared tier (if any)."""
-        return self._tier_ns
+        return self._pool.namespace
 
     @property
     def queries(self) -> List[Statement]:
@@ -402,7 +396,7 @@ class TuningSession:
 
     def cached_query_count(self) -> int:
         """Plan caches currently warm in the session pool."""
-        return len(self._cache_pool)
+        return len(self._pool)
 
     def describe(self) -> WorkloadResponse:
         """The session's workload and tuning state (for ``repro serve``)."""
@@ -418,7 +412,7 @@ class TuningSession:
                 for query in self._queries.values()
             ],
             space_budget_bytes=self._options.space_budget_bytes,
-            caches_warm=len(self._cache_pool),
+            caches_warm=len(self._pool),
         )
 
     # -- workload mutation -------------------------------------------------
@@ -469,21 +463,23 @@ class TuningSession:
             return [query.name for query in incoming]
 
         compressed = compress_workload(list(queries), weights)
+        # Check every cluster before inserting any (atomic, as above).
+        for cluster in compressed.clusters:
+            existing = self._queries.get(cluster.representative.name)
+            if existing is not None and template_fingerprint(existing) != cluster.fingerprint:
+                raise AdvisorError(
+                    f"a statement named {cluster.representative.name!r} is already "
+                    "in the session workload with a different template"
+                )
         self.last_compression = compressed.stats()
         merged = self._options.weight_map()
         for cluster in compressed.clusters:
             name = cluster.representative.name
-            existing = self._queries.get(name)
-            if existing is None:
+            if name in self._queries:
+                merged[name] = merged.get(name, 1.0) + cluster.weight
+            else:
                 self._queries[name] = cluster.representative
                 merged[name] = cluster.weight
-                continue
-            if template_fingerprint(existing) != cluster.fingerprint:
-                raise AdvisorError(
-                    f"a statement named {name!r} is already in the session "
-                    "workload with a different template"
-                )
-            merged[name] = merged.get(name, 1.0) + cluster.weight
         if compressed.clusters:
             self._options = dataclasses.replace(
                 self._options, statement_weights=merged or None
@@ -500,12 +496,14 @@ class TuningSession:
         targets = [str(name) for name in names]
         # Validate the whole batch before touching the workload (atomic, as
         # for add_queries).
-        for name in targets:
+        for position, name in enumerate(targets):
             if name not in self._queries:
                 raise AdvisorError(
                     f"no query named {name!r} in the session workload "
                     f"(current: {', '.join(repr(n) for n in self._queries) or 'empty'})"
                 )
+            if name in targets[:position]:
+                raise AdvisorError(f"query {name!r} is named twice in one remove_queries call")
         for name in targets:
             del self._queries[name]
         # Weights die with their statement: a future statement re-using the
@@ -613,9 +611,7 @@ class TuningSession:
 
     def _recommend(self, request: RecommendRequest, tracer) -> RecommendResponse:
         options = self._effective_options(request)
-        workload = self.queries
-        if not workload:
-            raise AdvisorError("the workload must contain at least one query")
+        workload = self._workload()
 
         with tracer.span("recommend.build") as build_span:
             compression_stats: Optional[Dict[str, object]] = None
@@ -631,17 +627,8 @@ class TuningSession:
                 compression_stats = compressed.stats()
                 self.last_compression = compression_stats
 
-            if request.candidates is not None:
-                plan = explicit_candidate_plan(
-                    request.candidates, workload, options.max_candidates
-                )
-            else:
-                policy = CANDIDATE_POLICIES.get(options.candidate_policy)
-                plan = policy(self._generator, workload, options.max_candidates)
-
-            before = self.statistics.snapshot()
-            cost_model, preparation_calls, preparation_seconds = self._build_cost_model(
-                workload, plan, options
+            cost_model, plan, report, profiles = self._cost_model(
+                workload, options, request.candidates
             )
             build_span.set(queries=len(workload), candidates=len(plan.pool))
 
@@ -655,8 +642,10 @@ class TuningSession:
         with tracer.span("recommend.evaluate", phase="baseline"):
             per_query_before = cost_model.per_query_costs([])
             cost_before = cost_model.weighted_total(per_query_before)
-            pool, pruned_for_writes = self._prune_candidates(
-                workload, plan.pool, cost_model, per_query_before
+            # Drop write-dominated candidates before selection (a no-op for
+            # a read-only workload, which has no profiles).
+            pool, pruned_for_writes = prune_write_dominated(
+                plan.pool, workload, cost_model.weights, per_query_before, profiles
             )
         with tracer.span("recommend.select", selector=options.selector):
             steps = selector.select(pool)
@@ -676,8 +665,8 @@ class TuningSession:
             per_query_cost_before=per_query_before,
             per_query_cost_after=per_query_after,
             total_index_bytes=total_bytes,
-            preparation_optimizer_calls=preparation_calls,
-            preparation_seconds=preparation_seconds,
+            preparation_optimizer_calls=report.optimizer_calls,
+            preparation_seconds=report.wall_seconds,
             selector=options.selector,
             engine=getattr(cost_model, "engine_backend", "optimizer"),
             selection_seconds=selection_stats.seconds,
@@ -690,17 +679,16 @@ class TuningSession:
             compression=compression_stats,
         )
         self.last_result = result
-        after = self.statistics
         return RecommendResponse(
             result=result,
             candidate_policy=(
                 "explicit" if request.candidates is not None else options.candidate_policy
             ),
-            caches_built=after.caches_built - before.caches_built,
-            caches_from_store=after.caches_from_store - before.caches_from_store,
-            caches_deduplicated=after.caches_deduplicated - before.caches_deduplicated,
-            caches_reused=after.caches_reused - before.caches_reused,
-            caches_shared=after.caches_shared - before.caches_shared,
+            caches_built=report.count("built"),
+            caches_from_store=report.count("from_store"),
+            caches_deduplicated=report.count("deduplicated"),
+            caches_reused=report.count("reused"),
+            caches_shared=report.count("shared"),
             compression=compression_stats,
         )
 
@@ -715,10 +703,8 @@ class TuningSession:
         costs) and contributes zero on both sides -- use :meth:`what_if`
         to price an ad-hoc index exactly.
         """
-        workload = self.queries
-        if not workload:
-            raise AdvisorError("the workload must contain at least one query")
-        cost_model = self._current_cost_model(workload)
+        workload = self._workload()
+        cost_model = self._cost_model(workload, self._options, reuse=True)[0]
         indexes = list(request.indexes)
         per_query = cost_model.per_query_costs(indexes)
         return EvaluateResponse(
@@ -737,9 +723,7 @@ class TuningSession:
         maintenance model; the total applies the session's statement
         weights.
         """
-        workload = self.queries
-        if not workload:
-            raise AdvisorError("the workload must contain at least one query")
+        workload = self._workload()
         calls_before = self._optimizer.call_count
         weights = self._options.weight_map()
         indexes = list(request.indexes)
@@ -794,53 +778,29 @@ class TuningSession:
         max_candidates: object = UNSET,
         use_call_cache: bool = True,
     ) -> WorkloadBuildResult:
-        """Build (or load) every workload query's plan cache, reporting sources.
+        """Acquire every workload query's plan cache, reporting sources.
 
-        This is the ``repro cache-workload`` path: the whole workload goes
-        through one :class:`WorkloadCacheBuilder` pass (store consulted,
-        identical SQL deduplicated, ``jobs`` fanning out) and the results
-        are registered in the session pool so a following :meth:`recommend`
-        with the ``"workload"`` policy reuses them without rebuilding.
+        This is the ``repro cache-workload`` path: the same lookup chain as
+        :meth:`recommend` (:meth:`~repro.api.tier.PlanCachePool.acquire`:
+        session pool, shared tier, then one builder pass with the store
+        consulted, identical SQL deduplicated and ``jobs`` fanning out) over
+        the ``"workload"`` policy's candidate plan, so a following
+        :meth:`recommend` with that policy reuses every cache.  The report
+        has one row per statement whatever its source.
         """
-        workload = self.queries
-        if not workload:
-            raise AdvisorError("the workload must contain at least one query")
-        CACHE_BUILDERS.validate(builder)
-        cap = self._options.max_candidates if max_candidates is UNSET else max_candidates
-        if candidates is None:
-            plan = workload_candidate_policy(self._generator, workload, cap)
-        else:
-            plan = explicit_candidate_plan(candidates, workload, cap)
-        per_query = plan.per_query
-        workload_builder = WorkloadCacheBuilder(
-            self._catalog,
-            WorkloadBuilderOptions(
-                builder=builder,
-                jobs=jobs if jobs is not None else self._options.jobs,
-                use_call_cache=use_call_cache,
-            ),
-            catalog_factory=self._catalog_factory,
-            store=self._store,
-            optimizer=self._optimizer,
-            call_cache=self._call_cache if use_call_cache else None,
+        workload = self._workload()
+        plan = pooled_candidate_plan(
+            self._generator.for_workload(workload) if candidates is None else candidates,
+            workload,
+            self._options.max_candidates if max_candidates is UNSET else max_candidates,
         )
-        result = workload_builder.build(workload, per_query_candidates=per_query)
-        active = set()
-        promoted: Dict[CacheKey, InumCache] = {}
-        for query in workload:
-            key = self._cache_key(query, builder, per_query[query.name])
-            self._cache_pool[key] = result.caches[query.name]
-            promoted[key] = result.caches[query.name]
-            active.add(key)
-        self._prune_cache_pool(active)
-        if self._tier_ns is not None:
-            self._tier_ns.promote_caches(promoted)
-            self._call_cache.publish_shared()
-        report = result.report
-        self.statistics.record_caches("built", report.queries_built)
-        self.statistics.record_caches("from_store", report.queries_from_store)
-        self.statistics.record_caches("deduplicated", report.queries_deduplicated)
-        return result
+        return self._pool.acquire(
+            workload,
+            plan.per_query,
+            builder,
+            jobs=jobs if jobs is not None else self._options.jobs,
+            use_call_cache=use_call_cache,
+        )
 
     def build_query_cache(
         self,
@@ -850,78 +810,32 @@ class TuningSession:
         candidates: Optional[Sequence[Index]] = None,
         use_call_cache: bool = False,
     ) -> InumCache:
-        """Build one query's plan cache (the ``repro cache`` path).
+        """Acquire one query's plan cache (the ``repro cache`` path).
 
-        ``query`` need not be part of the session workload; the cache is
-        registered in the session pool either way.  A pool hit returns the
-        warm cache without optimizer work.
+        ``query`` need not be part of the session workload; the cache goes
+        through the same lookup chain as everything else and lands in the
+        session pool either way.  ``use_call_cache=False`` (the default)
+        makes a fresh build report the paper's un-memoised optimizer-call
+        counts.
         """
-        CACHE_BUILDERS.validate(builder)
         if candidates is None:
             candidates = self._generator.for_query(query)
-        candidate_list = list(candidates)
-        key = self._cache_key(query, builder, candidate_list)
-        cached = self._cache_pool.get(key)
-        if cached is not None:
-            self.statistics.record_caches("reused")
-            return self._attach(cached, query)
-        if self._tier_ns is not None:
-            shared = self._tier_ns.lookup_cache(key)
-            if shared is not None:
-                self._cache_pool[key] = shared
-                self.statistics.record_caches("shared")
-                return self._attach(shared, query)
-        builder_class = CACHE_BUILDERS.get(builder)
-        instance = builder_class(
-            self._optimizer,
-            None,
-            call_cache=self._call_cache if use_call_cache else None,
-        )
-        if isinstance(query, DmlStatement):
-            cache = build_statement_cache(
-                query,
-                candidate_list,
-                self._catalog,
-                instance.build_cache,
-                whatif=self._call_cache if use_call_cache else None,
-            )
-        else:
-            cache = instance.build_cache(query, candidate_list)
-        self._cache_pool[key] = cache
-        self._prune_cache_pool({key})
-        if self._store is not None:
-            self._store.save(query, cache, builder, candidate_list)
-        if self._tier_ns is not None:
-            self._tier_ns.promote_caches({key: cache})
-            self._call_cache.publish_shared()
-        self.statistics.record_caches("built")
-        return cache
+        return self._pool.acquire(
+            [query],
+            {query.name: list(candidates)},
+            builder,
+            use_call_cache=use_call_cache,
+        ).caches[query.name]
 
     def clear_caches(self) -> int:
         """Drop every warm cache and compiled arena; returns the cache count."""
-        dropped = len(self._cache_pool)
-        self._cache_pool.clear()
+        dropped = len(self._pool)
+        self._pool.clear()
         self._arena_pool.clear()
         self._invalidate_model()
         return dropped
 
     # -- internals ---------------------------------------------------------
-
-    def _prune_candidates(
-        self,
-        workload: Sequence[Query],
-        pool: List[Index],
-        cost_model,
-        baseline_costs: Dict[str, float],
-    ) -> Tuple[List[Index], int]:
-        """Drop write-dominated candidates before selection (no-op read-only)."""
-        dml = [statement for statement in workload if statement.is_dml]
-        if not dml:
-            return pool, 0
-        profiles = build_profiles(self._catalog, dml, pool, whatif=self._call_cache)
-        return prune_write_dominated(
-            pool, workload, cost_model.weights, baseline_costs, profiles
-        )
 
     def _effective_options(self, request: RecommendRequest) -> AdvisorOptions:
         """Session options with the request's non-default fields applied."""
@@ -964,189 +878,61 @@ class TuningSession:
         # the same eager name validation as session options.
         return dataclasses.replace(self._options, **overrides)
 
-    @staticmethod
-    def _cache_key(
-        query: Query, builder: str, candidates: Optional[Sequence[Index]]
-    ) -> CacheKey:
-        return (
-            query_fingerprint(query),
-            builder,
-            index_set_fingerprint(list(candidates) if candidates is not None else None),
-        )
-
-    @staticmethod
-    def _attach(cache: InumCache, query: Query) -> InumCache:
-        """The pooled cache re-attached to ``query``'s name when they differ."""
-        if cache.query.name == query.name:
-            return cache
-        return rename_cache(cache, query)
+    def _workload(self) -> List[Statement]:
+        """The current workload; every request that prices it needs one statement."""
+        if not self._queries:
+            raise AdvisorError("the workload must contain at least one query")
+        return self.queries
 
     def _invalidate_model(self) -> None:
         self._model = None
         self._model_signature = None
 
-    def _prune_cache_pool(self, active_keys: set) -> None:
-        """Bound the cache pool, never evicting ``active_keys``."""
-        if len(self._cache_pool) <= self._max_pooled_caches:
-            return
-        for key in list(self._cache_pool):
-            if len(self._cache_pool) <= self._max_pooled_caches:
-                break
-            if key not in active_keys:
-                del self._cache_pool[key]
-
-    def _ensure_caches(
+    def _cost_model(
         self,
-        workload: Sequence[Query],
-        plan: CandidatePlan,
+        workload: Sequence[Statement],
         options: AdvisorOptions,
-        builder: str,
-    ) -> Tuple[Dict[str, InumCache], Dict[str, str], int, float]:
-        """Warm the session pool for ``workload``; returns (caches, ids, calls, secs).
+        candidates: Optional[Sequence[Index]] = None,
+        *,
+        reuse: bool = False,
+    ) -> Tuple[object, CandidatePlan, WorkloadBuildReport, Dict[str, MaintenanceProfile]]:
+        """The one per-request pipeline, ending in a cost model.
 
-        Only queries whose cache key is missing from the pool are routed
-        through the :class:`WorkloadCacheBuilder` (which itself consults the
-        persistent store before building).  ``ids`` maps query names to
-        stable cache identities for the arena pool.
-        """
-        keys: Dict[str, CacheKey] = {
-            query.name: self._cache_key(query, builder, plan.per_query[query.name])
-            for query in workload
-        }
-        missing: List[Query] = []
-        for query in workload:
-            if keys[query.name] in self._cache_pool:
-                self.statistics.record_caches("reused")
-                continue
-            shared = (
-                self._tier_ns.lookup_cache(keys[query.name])
-                if self._tier_ns is not None
-                else None
-            )
-            if shared is not None:
-                # Another session already paid this build: adopt the shared
-                # object (read-only; DML maintenance is applied on a
-                # detached copy, see _apply_maintenance).
-                self._cache_pool[keys[query.name]] = shared
-                self.statistics.record_caches("shared")
-                continue
-            missing.append(query)
+        Candidate plan -> cache keys -> :meth:`PlanCachePool.acquire` ->
+        maintenance profiles -> model.  Returns the model, the plan, the
+        acquisition report (empty for a cost model that uses no plan caches)
+        and each DML statement's maintenance profile over the *pool*.
 
-        preparation_calls = 0
-        preparation_seconds = 0.0
-        if missing:
-            workload_builder = WorkloadCacheBuilder(
-                self._catalog,
-                WorkloadBuilderOptions(builder=builder, jobs=options.jobs),
-                catalog_factory=self._catalog_factory,
-                store=self._store,
-                optimizer=self._optimizer,
-                call_cache=self._call_cache,
-            )
-            result = workload_builder.build(
-                missing,
-                per_query_candidates={
-                    query.name: plan.per_query[query.name] for query in missing
-                },
-            )
-            for query in missing:
-                self._cache_pool[keys[query.name]] = result.caches[query.name]
-            report = result.report
-            preparation_calls = report.optimizer_calls
-            preparation_seconds = report.wall_seconds
-            self.statistics.record_caches("built", report.queries_built)
-            self.statistics.record_caches("from_store", report.queries_from_store)
-            self.statistics.record_caches("deduplicated", report.queries_deduplicated)
-            if self._tier_ns is not None:
-                self._tier_ns.promote_caches(
-                    {keys[query.name]: result.caches[query.name] for query in missing}
-                )
-                self._call_cache.publish_shared()
-
-        self._prune_cache_pool(set(keys.values()))
-        caches = {
-            query.name: self._attach(self._cache_pool[keys[query.name]], query)
-            for query in workload
-        }
-        cache_ids = {name: ":".join(str(part) for part in key) for name, key in keys.items()}
-        return caches, cache_ids, preparation_calls, preparation_seconds
-
-    def _apply_maintenance(
-        self,
-        workload: Sequence[Query],
-        plan: CandidatePlan,
-        caches: Dict[str, InumCache],
-        cache_ids: Dict[str, str],
-    ) -> None:
-        """Refresh each DML cache's maintenance profile over the *pool*.
+        ``reuse=True`` (``evaluate``) hands back the last-built model when
+        its full signature -- workload, cost model, engine, weights, pool and
+        every per-query cache key -- matches what ``options`` would build
+        right now; anything else (a previous request's overrides, explicit
+        candidates, a mutated workload) would answer from caches that never
+        collected the right access costs, so the model is rebuilt (warm: the
+        cache pool still serves every unchanged query).
 
         A DML statement must charge maintenance for every pool candidate on
-        its table -- any of them may be selected -- but baking that set
-        into the cache identity would rebuild warm DML caches on every pool
+        its table -- any of them may be selected -- but baking that set into
+        the cache identity would rebuild warm DML caches on every pool
         perturbation.  Profiles are cheap catalog arithmetic (memoized by
-        the session's what-if layer), so they are recomputed here, outside
-        the cache key; the profile digest is folded into the cache id the
-        arena fingerprint is computed from instead, so an arena compiled for
-        an older pool is never reused with stale maintenance columns.
+        the session's what-if layer), so they are computed here, once per
+        request and outside the cache key; the profile digest is folded into
+        the cache id the arena fingerprint is computed from instead, so an
+        arena compiled for an older pool is never reused with stale
+        maintenance columns.
         """
-        for statement in workload:
-            if not statement.is_dml:
-                continue
-            profile = profile_for(
-                statement, plan.pool, self._catalog, self._call_cache
-            )
-            if self._tier_ns is not None:
-                # Never write a pool-specific profile onto a tier-shared
-                # object: detach first (entries/access costs stay shared).
-                caches[statement.name] = caches[statement.name].detached_copy()
-            caches[statement.name].maintenance = profile
-            cache_ids[statement.name] += f"|maint:{profile.digest()}"
-
-    def _build_cost_model(
-        self, workload: Sequence[Query], plan: CandidatePlan, options: AdvisorOptions
-    ):
-        """Resolve and build the cost model, warming caches when it needs them."""
-        factory = COST_MODELS.get(options.cost_model)
-        if getattr(factory, "uses_plan_caches", False):
-            builder = getattr(factory, "cache_builder", options.cost_model)
-            caches, cache_ids, calls, seconds = self._ensure_caches(
-                workload, plan, options, builder
-            )
-            self._apply_maintenance(workload, plan, caches, cache_ids)
-            request = CostModelRequest(
-                optimizer=self._optimizer,
-                queries=list(workload),
-                candidates=plan.pool,
-                engine=options.engine,
-                caches=caches,
-                preparation_optimizer_calls=calls,
-                preparation_seconds=seconds,
-                cache_ids=cache_ids,
-                weights=options.weight_map(),
-                arena_cache=self._arena_pool,
-            )
+        if candidates is not None:
+            plan = pooled_candidate_plan(candidates, workload, options.max_candidates)
         else:
-            calls = 0
-            seconds = 0.0
-            request = CostModelRequest(
-                optimizer=self._optimizer,
-                queries=list(workload),
-                candidates=plan.pool,
-                engine=options.engine,
-                call_cache=self._call_cache,
-                cost_memo=self._whatif_cost_memo,
-                weights=options.weight_map(),
-            )
-        model = factory(request)
-        self._model = model
-        self._model_signature = self._signature(workload, plan, options)
-        return model, calls, seconds
-
-    def _signature(
-        self, workload: Sequence[Query], plan: CandidatePlan, options: AdvisorOptions
-    ) -> tuple:
-        return (
-            tuple(query.name for query in workload),
+            policy = CANDIDATE_POLICIES.get(options.candidate_policy)
+            plan = policy(self._generator, workload, options.max_candidates)
+        factory = COST_MODELS.get(options.cost_model)
+        builder = getattr(factory, "cache_builder", options.cost_model)
+        # Computed once per request: the signature, the pool lookup and the
+        # arena identity all read this one mapping.
+        keys = cache_keys(workload, plan.per_query, builder)
+        signature = (
+            tuple(keys),
             options.cost_model,
             options.engine,
             options.statement_weights,
@@ -1155,32 +941,49 @@ class TuningSession:
             # under a request's pool override must not answer for the
             # session's configured pool.
             index_set_fingerprint(plan.pool),
-            tuple(
-                self._cache_key(query, options.cost_model, plan.per_query[query.name])
-                for query in workload
-                if query.name in plan.per_query
-            ),
+            tuple(keys.values()),
         )
+        report = WorkloadBuildReport(builder=builder, jobs=options.jobs)
+        if reuse and signature == self._model_signature:
+            return self._model, plan, report, {}
 
-    def _current_cost_model(self, workload: Sequence[Query]):
-        """A cost model reflecting the session's *configured* view.
-
-        The last-built model is reused only when its full signature --
-        workload, cost model, engine and every per-query cache key -- matches
-        what the session options would build right now; anything else (a
-        previous request's overrides, explicit candidates, a mutated
-        workload) would answer from caches that never collected the right
-        access costs, so the model is rebuilt (warm: the cache pool still
-        serves every unchanged query).
-        """
-        options = self._options
-        policy = CANDIDATE_POLICIES.get(options.candidate_policy)
-        plan = policy(self._generator, workload, options.max_candidates)
-        if self._model is not None and self._model_signature is not None:
-            if self._model_signature == self._signature(workload, plan, options):
-                return self._model
-        model, _, _ = self._build_cost_model(workload, plan, options)
-        return model
+        profiles = build_profiles(
+            self._catalog,
+            [statement for statement in workload if statement.is_dml],
+            plan.pool,
+            whatif=self._call_cache,
+        )
+        request = CostModelRequest(
+            optimizer=self._optimizer,
+            queries=list(workload),
+            candidates=plan.pool,
+            engine=options.engine,
+            weights=options.weight_map(),
+        )
+        if getattr(factory, "uses_plan_caches", False):
+            result = self._pool.acquire(
+                workload, plan.per_query, builder, jobs=options.jobs, keys=keys
+            )
+            report = result.report
+            request.caches = result.caches
+            request.cache_ids = {
+                name: ":".join(str(part) for part in key) for name, key in keys.items()
+            }
+            for name, profile in profiles.items():
+                # Pooled (possibly tier-shared) caches are never written: the
+                # pool-specific profile goes on a detached copy (entries and
+                # access costs stay shared).
+                request.caches[name] = request.caches[name].detached_copy()
+                request.caches[name].maintenance = profile
+                request.cache_ids[name] += f"|maint:{profile.digest()}"
+            request.preparation_optimizer_calls = report.optimizer_calls
+            request.preparation_seconds = report.wall_seconds
+            request.arena_cache = self._arena_pool
+        else:
+            request.call_cache = self._call_cache
+            request.cost_memo = self._whatif_cost_memo
+        self._model, self._model_signature = factory(request), signature
+        return self._model, plan, report, profiles
 
     def _resolve_query(self, request: ExplainRequest) -> Query:
         if (request.query is None) == (request.sql is None):

@@ -1,32 +1,48 @@
-"""The shared read-only cache tier: one copy of the expensive state for N sessions.
+"""The shared read-only cache tier, and the one way to get a plan cache.
 
 The paper's INUM caches exist so an advisor can answer tuning questions
-interactively instead of paying optimizer calls per question.  A concurrent
-server multiplies that economy only if the warm state is *shared*: N tenants
-over the same catalog must not pay N× cache builds or hold N copies of the
-compiled arenas.  :class:`SharedCacheTier` is that process-wide tier:
+interactively instead of paying optimizer calls per question; *where a plan
+cache comes from* is therefore the one decision every front door has to
+make.  :meth:`PlanCachePool.acquire` is its only implementation -- the
+session's ``recommend``/``evaluate``, ``build_query_cache`` and
+``build_workload_caches`` (hence the CLI's ``cache`` and ``cache-workload``)
+all call it -- and it walks one chain:
+
+1. the session's own pool (source ``reused``),
+2. the process-wide :class:`SharedCacheTier` (``shared``: another tenant
+   already paid the build),
+3. for what is still missing, one
+   :class:`~repro.inum.workload_builder.WorkloadCacheBuilder` pass: the
+   persistent :class:`~repro.inum.serialization.CacheStore`
+   (``from_store``), identical-SQL siblings (``deduplicated``), then a
+   serial or process-pool build (``built``, saved back to the store),
+4. pool insert, tier promotion, what-if publication and source accounting.
+
+A concurrent server multiplies the caching economy only if the warm state is
+*shared*: N tenants over the same catalog must not pay N x cache builds or
+hold N copies of the compiled arenas.  :class:`SharedCacheTier` is that tier:
 
 * **per-catalog namespaces** keyed by catalog *fingerprint* (schema,
   statistics, permanent indexes), so sessions over equal-but-distinct
   :class:`~repro.catalog.catalog.Catalog` objects still share,
-* **plan caches** (:class:`~repro.inum.cache.InumCache`), **compiled
-  workload arenas** and **what-if optimizer results** published copy-on-write:
-  readers see immutable snapshot dicts that are replaced wholesale under a
-  single-writer lock, never mutated in place,
+* **plan caches** (:class:`~repro.inum.cache.InumCache`) and **compiled
+  workload arenas**, each held in one :class:`PublishedMap` -- a bounded,
+  copy-on-write, first-promotion-wins dict -- plus **what-if optimizer
+  results**,
 * **persistent-store pages**: one :class:`~repro.inum.serialization.PageCache`
   shared by every session's :class:`~repro.inum.serialization.CacheStore`,
   so a warm store is read and parsed once per process, not once per tenant.
 
+A session sees each :class:`PublishedMap` through a :class:`LocalPool`: a
+small LRU of its own references in front of the (optional) shared map.
 Sessions keep *mutable* workload state (queries, weights, budget, DML
-maintenance profiles) in per-session overlays; only immutable-after-build
-artifacts are promoted into the tier.  A SELECT query's plan cache never
-changes once built; DML caches are shallow-detached before a session writes
-its pool-specific maintenance profile (see
-:meth:`~repro.api.session.TuningSession._apply_maintenance`), so the shared
-object stays pristine.
+maintenance profiles) to themselves; only immutable-after-build artifacts
+are pooled or promoted.  A pooled cache is never written: the session puts
+a DML statement's pool-specific maintenance profile on a
+:meth:`~repro.inum.cache.InumCache.detached_copy`.
 
 Task-safety model (CPython): tier reads are lock-free against published
-snapshots; promotions serialize on a per-namespace lock.  Compiled arenas
+snapshots; promotions serialize on a per-map lock.  Compiled arenas
 are shared across sessions because evaluation is read-only up to their
 internal :class:`~repro.inum.compiled.IndexSetMemo`, whose entries are
 deterministic functions of the key -- a racing double-compute stores the
@@ -36,28 +52,65 @@ same value twice, never a wrong one.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import Counter, OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.inum.serialization import CacheStore, PageCache
+from repro.inum.workload_builder import (
+    QueryBuildOutcome,
+    WorkloadBuilderOptions,
+    WorkloadBuildReport,
+    WorkloadBuildResult,
+    WorkloadCacheBuilder,
+    rename_cache,
+)
 from repro.obs.instruments import TIER_LOOKUPS, TIER_PROMOTIONS
-from repro.optimizer.whatif import SharedWhatIfResults
-from repro.util.fingerprint import catalog_fingerprint
+from repro.optimizer.whatif import SharedWhatIfResults, WhatIfCallCache
+from repro.util.fingerprint import (
+    catalog_fingerprint,
+    index_set_fingerprint,
+    query_fingerprint,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.api.session import SessionStatistics
     from repro.catalog.catalog import Catalog
+    from repro.catalog.index import Index
     from repro.inum.cache import InumCache
+    from repro.optimizer.optimizer import Optimizer
+    from repro.query.ast import Statement
 
-# Pre-resolved registry children: tier lookups sit on the recommend hot path,
-# so the label resolution happens once at import, not per call.
-_LOOKUP = {
-    ("cache", True): TIER_LOOKUPS.labels(kind="cache", result="hit"),
-    ("cache", False): TIER_LOOKUPS.labels(kind="cache", result="miss"),
-    ("arena", True): TIER_LOOKUPS.labels(kind="arena", result="hit"),
-    ("arena", False): TIER_LOOKUPS.labels(kind="arena", result="miss"),
-}
+#: Identity of one plan cache: (query fingerprint, builder, candidate-set
+#: fingerprint).  Everything that can make a cache unusable is in the key, so
+#: a pool or tier hit never returns a stale cache.
+CacheKey = Tuple[str, str, Optional[str]]
+
+
+def cache_keys(
+    statements: Sequence["Statement"],
+    per_query_candidates: Mapping[str, Optional[Sequence["Index"]]],
+    builder: str,
+) -> Dict[str, CacheKey]:
+    """Each statement's pool/tier key, by statement name."""
+    return {
+        statement.name: (
+            query_fingerprint(statement),
+            builder,
+            index_set_fingerprint(per_query_candidates[statement.name]),
+        )
+        for statement in statements
+    }
 
 
 #: Arenas published per catalog namespace.  An arena spans a whole workload,
@@ -69,41 +122,70 @@ _LOOKUP = {
 DEFAULT_MAX_ARENAS = 8
 
 
-@dataclass
-class TierStatistics:
-    """Cumulative accounting of one namespace's shared-tier traffic.
+class PublishedMap:
+    """One kind of tier artifact: a bounded, copy-on-write, first-wins dict.
 
-    ``cache_hits`` are session lookups answered with an already-promoted
-    plan cache (each one is a whole cache build some tenant did not pay);
-    ``cache_promotions`` count first-time publications.  The arena
-    counters follow the same shape.
+    Reads go against the published snapshot (replaced wholesale, never
+    mutated); writes serialize on the lock.  An already-published key is
+    left alone -- equal keys imply equal content -- so a racing double-build
+    cannot flap the shared object's identity under other sessions' feet.
+    Past ``capacity`` the oldest promotions are dropped.  ``hits`` count
+    lookups answered with a published value (for plan caches each one is a
+    whole build some tenant did not pay), ``promotions`` first-time
+    publications.
     """
 
-    cache_hits: int = 0
-    cache_promotions: int = 0
-    arena_hits: int = 0
-    arena_promotions: int = 0
-    sessions_attached: int = 0
+    def __init__(self, kind: str, capacity: int) -> None:
+        self._capacity = max(1, capacity)
+        self._lock = threading.Lock()
+        self._snapshot: Dict[Hashable, object] = {}
+        self.hits = 0
+        self.promotions = 0
+        # Registry children resolved once: lookups sit on the recommend hot path.
+        self._hit = TIER_LOOKUPS.labels(kind=kind, result="hit")
+        self._miss = TIER_LOOKUPS.labels(kind=kind, result="miss")
+        self._promoted = TIER_PROMOTIONS.labels(kind=kind)
 
-    def to_dict(self) -> Dict[str, int]:
-        """JSON form (for the server's ``server_stats`` operation)."""
-        return {
-            "cache_hits": self.cache_hits,
-            "cache_promotions": self.cache_promotions,
-            "arena_hits": self.arena_hits,
-            "arena_promotions": self.arena_promotions,
-            "sessions_attached": self.sessions_attached,
-        }
+    def lookup(self, key: Hashable) -> Optional[object]:
+        """The published value under ``key`` (lock-free snapshot read)."""
+        value = self._snapshot.get(key)
+        if value is None:
+            self._miss.inc()
+        else:
+            self.hits += 1
+            self._hit.inc()
+        return value
+
+    def promote(self, items: Mapping[Hashable, object]) -> Dict[Hashable, object]:
+        """Publish ``items``; returns the *published* value per key.
+
+        For a key someone else promoted first that is their object, which
+        the caller should adopt in place of its own.
+        """
+        with self._lock:
+            fresh = {
+                key: value for key, value in items.items() if key not in self._snapshot
+            }
+            if fresh:
+                merged = {**self._snapshot, **fresh}
+                for stale in list(merged)[: max(0, len(merged) - self._capacity)]:
+                    del merged[stale]
+                self._snapshot = merged
+                self.promotions += len(fresh)
+                self._promoted.inc(len(fresh))
+            published = self._snapshot
+        return {key: published.get(key, value) for key, value in items.items()}
+
+    def __len__(self) -> int:
+        return len(self._snapshot)
 
 
 class TierNamespace:
     """The shared artifacts of one catalog fingerprint.
 
-    All reads go against published snapshot dicts (replaced, never mutated);
-    all writes serialize on ``_lock``.  The cache keys are the session's
-    :data:`~repro.api.session.CacheKey` -- (query fingerprint, builder,
-    candidate-set fingerprint) -- so a tier hit is exactly as safe as a
-    session-pool hit.
+    Plan caches are keyed by :data:`CacheKey`, arenas by
+    :func:`repro.inum.arena.arena_fingerprint`, so a tier hit is exactly as
+    safe as a session-pool hit.
     """
 
     def __init__(
@@ -115,139 +197,169 @@ class TierNamespace:
     ) -> None:
         self.fingerprint = fingerprint
         self.whatif = SharedWhatIfResults()
-        self.statistics = TierStatistics()
-        self._lock = threading.Lock()
-        self._max_caches = max(1, max_caches)
-        self._max_arenas = max(1, max_arenas)
-        #: Published snapshots; replaced wholesale under ``_lock``.
-        self._caches: Dict[tuple, "InumCache"] = {}
-        #: Compiled workload arenas, keyed by the arena fingerprint
-        #: (:func:`repro.inum.arena.arena_fingerprint`).
-        self._arenas: Dict[str, object] = {}
-
-    # -- plan caches -------------------------------------------------------
-
-    def lookup_cache(self, key: tuple) -> Optional["InumCache"]:
-        """The shared cache under ``key`` (lock-free snapshot read)."""
-        cache = self._caches.get(key)
-        if cache is not None:
-            self.statistics.cache_hits += 1
-        _LOOKUP[("cache", cache is not None)].inc()
-        return cache
-
-    def promote_caches(self, caches: Dict[tuple, "InumCache"]) -> int:
-        """Publish a batch of freshly built caches; returns how many were new.
-
-        Copy-on-write: the published dict is rebuilt and swapped in one
-        assignment.  Already-promoted keys are left alone (first build wins;
-        equal keys imply equal content), so a racing double-build cannot
-        flap the shared object identity under other sessions' feet.
-        """
-        if not caches:
-            return 0
-        with self._lock:
-            fresh = {key: cache for key, cache in caches.items() if key not in self._caches}
-            if not fresh:
-                return 0
-            merged = dict(self._caches)
-            merged.update(fresh)
-            if len(merged) > self._max_caches:
-                for stale in list(merged)[: len(merged) - self._max_caches]:
-                    del merged[stale]
-            self._caches = merged
-            self.statistics.cache_promotions += len(fresh)
-            TIER_PROMOTIONS.labels(kind="cache").inc(len(fresh))
-            return len(fresh)
-
-    @property
-    def cache_count(self) -> int:
-        """Plan caches currently published in this namespace."""
-        return len(self._caches)
-
-    # -- workload arenas ---------------------------------------------------
-
-    def lookup_arena(self, arena_id: str) -> Optional[object]:
-        """The shared arena under ``arena_id`` (lock-free)."""
-        arena = self._arenas.get(arena_id)
-        if arena is not None:
-            self.statistics.arena_hits += 1
-        _LOOKUP[("arena", arena is not None)].inc()
-        return arena
-
-    def promote_arena(self, arena_id: str, arena: object) -> object:
-        """Publish one workload arena copy-on-write; returns the published one.
-
-        First promotion wins, so a racing double-compile leaves every
-        session holding the same object.  Oldest promotions are dropped past
-        the namespace's arena bound.
-        """
-        with self._lock:
-            published = self._arenas.get(arena_id)
-            if published is not None:
-                return published
-            merged = dict(self._arenas)
-            merged[arena_id] = arena
-            if len(merged) > self._max_arenas:
-                for stale in list(merged)[: len(merged) - self._max_arenas]:
-                    del merged[stale]
-            self._arenas = merged
-            self.statistics.arena_promotions += 1
-            TIER_PROMOTIONS.labels(kind="arena").inc()
-            return arena
-
-    @property
-    def arena_count(self) -> int:
-        """Workload arenas currently published in this namespace."""
-        return len(self._arenas)
+        self.caches = PublishedMap("cache", max_caches)
+        self.arenas = PublishedMap("arena", max_arenas)
+        self.sessions_attached = 0
 
 
-class ArenaPool:
-    """One session's compiled arenas: a small LRU, optionally over a namespace.
+class LocalPool:
+    """One session's references to pooled artifacts: a small LRU, optionally
+    in front of a :class:`PublishedMap`.
 
-    Implements the dict subset
-    :class:`~repro.advisor.benefit.CacheBackedWorkloadCostModel` uses.  Reads
-    consult the session-local LRU first and fall back to the namespace
-    snapshot; writes land in the LRU *and* are promoted.  Eviction only ever
-    drops the session's own reference, so one session cycling through
-    workloads can never evict an arena other sessions rely on (the namespace
-    applies its own copy-on-write bound instead).
+    Reads consult the session-local LRU first and fall back to the shared
+    map (adopting what they find); writes are promoted and the pool keeps
+    the published winner.  Eviction only ever drops the session's own
+    reference, so one session cycling through workloads can never evict an
+    artifact other sessions rely on (the shared map applies its own bound).
     """
 
-    def __init__(self, capacity: int, namespace: Optional[TierNamespace] = None) -> None:
+    def __init__(self, capacity: int, published: Optional[PublishedMap] = None) -> None:
         self._capacity = max(1, capacity)
-        self._namespace = namespace
-        self._local: "OrderedDict[str, object]" = OrderedDict()
+        self._published = published
+        self._local: "OrderedDict[Hashable, object]" = OrderedDict()
 
-    def get(self, arena_id: str, default: object = None) -> object:
-        arena = self._local.get(arena_id)
-        if arena is not None:
-            self._local.move_to_end(arena_id)
-            return arena
-        if self._namespace is not None:
-            arena = self._namespace.lookup_arena(arena_id)
-            if arena is not None:
-                self._remember(arena_id, arena)
-                return arena
-        return default
+    def get(self, key: Hashable) -> Optional[object]:
+        value = self._local.get(key)
+        if value is not None:
+            self._local.move_to_end(key)
+        elif self._published is not None:
+            value = self._published.lookup(key)
+            if value is not None:
+                self._remember(key, value)
+        return value
 
-    def __setitem__(self, arena_id: str, arena: object) -> None:
-        if self._namespace is not None:
-            arena = self._namespace.promote_arena(arena_id, arena)
-        self._remember(arena_id, arena)
+    def update(self, items: Mapping[Hashable, object]) -> Mapping[Hashable, object]:
+        """Insert (and publish) ``items``; returns what the pool now holds."""
+        if self._published is not None:
+            items = self._published.promote(items)
+        for key, value in items.items():
+            self._remember(key, value)
+        return items
 
-    def _remember(self, arena_id: str, arena: object) -> None:
-        self._local[arena_id] = arena
+    def _remember(self, key: Hashable, value: object) -> None:
+        self._local[key] = value
+        self._local.move_to_end(key)
         while len(self._local) > self._capacity:
             self._local.popitem(last=False)
 
-    def __contains__(self, arena_id: object) -> bool:
-        return arena_id in self._local
+    def __contains__(self, key: object) -> bool:
+        return key in self._local
 
     def __len__(self) -> int:
         return len(self._local)
 
     def clear(self) -> None:
         self._local.clear()
+
+
+class PlanCachePool:
+    """One session's plan caches, and the only place they come from.
+
+    Owns the session-local pool, the namespace it shares through and the
+    persistent store it loads from; :meth:`acquire` is the single lookup
+    chain described in the module docstring.
+    """
+
+    def __init__(
+        self,
+        catalog: "Catalog",
+        optimizer: "Optimizer",
+        call_cache: WhatIfCallCache,
+        statistics: "SessionStatistics",
+        *,
+        capacity: int,
+        namespace: Optional[TierNamespace] = None,
+        store: Optional[CacheStore] = None,
+        catalog_factory: Optional[Callable[[], "Catalog"]] = None,
+    ) -> None:
+        self._catalog = catalog
+        self._optimizer = optimizer
+        self._call_cache = call_cache
+        self._statistics = statistics
+        self._catalog_factory = catalog_factory
+        self.namespace = namespace
+        self.store = store
+        self._caches = LocalPool(
+            capacity, namespace.caches if namespace is not None else None
+        )
+
+    def __len__(self) -> int:
+        return len(self._caches)
+
+    def clear(self) -> None:
+        """Drop the session's references (tier and store keep theirs)."""
+        self._caches.clear()
+
+    def acquire(
+        self,
+        statements: Sequence["Statement"],
+        per_query_candidates: Mapping[str, Optional[List["Index"]]],
+        builder: str,
+        *,
+        jobs: int = 1,
+        use_call_cache: bool = True,
+        keys: Optional[Mapping[str, CacheKey]] = None,
+    ) -> WorkloadBuildResult:
+        """One plan cache per statement, from the cheapest source that has it.
+
+        ``per_query_candidates`` maps statement names to the candidates each
+        cache covers (its identity); ``keys`` passes the matching
+        :func:`cache_keys` when the caller already computed them.
+        The report carries one outcome per statement, in order, whatever
+        its source; caches come back attached to the statements' own names.
+        """
+        if keys is None:
+            keys = cache_keys(statements, per_query_candidates, builder)
+        caches: Dict[str, "InumCache"] = {}
+        outcomes: Dict[str, QueryBuildOutcome] = {}
+        missing: List["Statement"] = []
+        for statement in statements:
+            key = keys[statement.name]
+            source = "reused" if key in self._caches else "shared"
+            cache = self._caches.get(key)
+            if cache is None:
+                missing.append(statement)
+                continue
+            if cache.query.name != statement.name:
+                cache = rename_cache(cache, statement)
+            caches[statement.name] = cache
+            outcomes[statement.name] = QueryBuildOutcome(
+                statement.name, builder, source, cache.build_stats
+            )
+
+        wall_seconds = 0.0
+        if missing:
+            built = WorkloadCacheBuilder(
+                self._catalog,
+                WorkloadBuilderOptions(
+                    builder=builder, jobs=jobs, use_call_cache=use_call_cache
+                ),
+                catalog_factory=self._catalog_factory,
+                store=self.store,
+                optimizer=self._optimizer,
+                call_cache=self._call_cache if use_call_cache else None,
+            ).build(missing, per_query_candidates=per_query_candidates)
+            self._caches.update(
+                {keys[statement.name]: built.caches[statement.name] for statement in missing}
+            )
+            self._call_cache.publish_shared()
+            caches.update(built.caches)
+            outcomes.update(
+                (outcome.query_name, outcome) for outcome in built.report.outcomes
+            )
+            wall_seconds = built.report.wall_seconds
+
+        report = WorkloadBuildReport(
+            builder=builder,
+            jobs=jobs,
+            outcomes=[outcomes[statement.name] for statement in statements],
+            wall_seconds=wall_seconds,
+        )
+        for source, count in Counter(
+            outcome.source for outcome in report.outcomes
+        ).items():
+            self._statistics.record_caches(source, count)
+        return WorkloadBuildResult(caches=caches, report=report)
 
 
 class SharedCacheTier:
@@ -290,7 +402,7 @@ class SharedCacheTier:
                         max_arenas=self._max_arenas,
                     )
                     self._namespaces[fingerprint] = namespace
-        namespace.statistics.sessions_attached += 1
+        namespace.sessions_attached += 1
         return namespace
 
     def store_for(self, cache_dir: object, catalog: "Catalog") -> CacheStore:
@@ -323,21 +435,17 @@ class SharedCacheTier:
     def statistics_dict(self) -> Dict[str, object]:
         """Aggregated tier statistics (for ``server_stats`` and benchmarks)."""
         namespaces = self.namespaces()
-        totals = TierStatistics()
-        for namespace in namespaces:
-            stats = namespace.statistics
-            totals.cache_hits += stats.cache_hits
-            totals.cache_promotions += stats.cache_promotions
-            totals.arena_hits += stats.arena_hits
-            totals.arena_promotions += stats.arena_promotions
-            totals.sessions_attached += stats.sessions_attached
         return {
             "catalogs": len(namespaces),
-            "caches_published": sum(ns.cache_count for ns in namespaces),
-            "arenas_published": sum(ns.arena_count for ns in namespaces),
+            "caches_published": sum(len(ns.caches) for ns in namespaces),
+            "arenas_published": sum(len(ns.arenas) for ns in namespaces),
             "whatif_shared_hits": sum(ns.whatif.hits for ns in namespaces),
             "whatif_shared_promotions": sum(ns.whatif.promotions for ns in namespaces),
             "store_page_hits": self.page_cache.hits,
             "store_page_misses": self.page_cache.misses,
-            **totals.to_dict(),
+            "cache_hits": sum(ns.caches.hits for ns in namespaces),
+            "cache_promotions": sum(ns.caches.promotions for ns in namespaces),
+            "arena_hits": sum(ns.arenas.hits for ns in namespaces),
+            "arena_promotions": sum(ns.arenas.promotions for ns in namespaces),
+            "sessions_attached": sum(ns.sessions_attached for ns in namespaces),
         }

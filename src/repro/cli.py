@@ -14,11 +14,13 @@ implementation:
   per-slot walk),
 * ``cache``          -- build the INUM/PINUM plan cache for a query and
   report its statistics (optionally saving it to JSON),
-* ``cache-workload`` -- build the plan caches of a whole workload at once
-  through the :class:`~repro.inum.workload_builder.WorkloadCacheBuilder`:
+* ``cache-workload`` -- build the plan caches of a whole workload at once:
   ``--jobs N`` fans the per-query builds across a process pool, the
   memoizing what-if layer deduplicates identical optimizer probes, and
-  ``--cache-dir`` persists the caches for later runs,
+  ``--cache-dir`` persists the caches for later runs (``cache``,
+  ``cache-workload`` and ``recommend`` all get their caches from the
+  session's one lookup chain,
+  :meth:`repro.api.tier.PlanCachePool.acquire`, so they share cache keys),
 * ``serve``          -- the long-lived tuning service: newline-delimited
   JSON requests on stdin, responses on stdout, one warm session per catalog
   (see :mod:`repro.api.serve` for the protocol),
@@ -78,7 +80,7 @@ import json
 import sys
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.advisor import AdvisorOptions, CandidateGenerator
+from repro.advisor import AdvisorOptions
 from repro.advisor.candidates import DEFAULT_MAX_CANDIDATES
 from repro.api.serve import ServeFrontend
 from repro.api.session import TuningSession
@@ -267,16 +269,13 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     session = _build_session(args, AdvisorOptions())
-    generator = CandidateGenerator(session.catalog)
     table = ExperimentTable(
         f"Plan-cache construction ({args.builder})",
         ["query", "IOCs enumerated/kept", "optimizer calls", "cached plans",
          "access costs", "build (ms)"],
     )
     for query in session.queries:
-        cache = session.build_query_cache(
-            query, args.builder, candidates=generator.for_query(query)
-        )
+        cache = session.build_query_cache(query, args.builder)
         stats = cache.build_stats
         table.add_row(
             query.name, stats.combinations_enumerated, stats.optimizer_calls_total,
@@ -301,9 +300,7 @@ def _cmd_cache_workload(args: argparse.Namespace) -> int:
     )
     queries = session.queries
     result = session.build_workload_caches(
-        args.builder,
-        jobs=args.jobs,
-        use_call_cache=not args.no_call_cache,
+        args.builder, use_call_cache=not args.no_call_cache
     )
     report = result.report
 

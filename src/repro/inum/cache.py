@@ -193,9 +193,9 @@ class InumCache:
         Entries, access costs and build statistics are shared by reference
         (they never change after a build); the copy can take its *own*
         ``maintenance`` profile without touching the original.  Sessions
-        over a :class:`~repro.api.tier.SharedCacheTier` detach DML caches
-        this way before applying their pool-specific maintenance, so the
-        shared object stays pristine for every other tenant.
+        detach DML caches this way before applying their pool-specific
+        maintenance, so a pooled (possibly tier-shared) object stays
+        pristine for every other request and tenant.
         """
         clone = InumCache(self.query)
         clone.entries = self.entries

@@ -24,41 +24,15 @@ cases: every workload statement owns a cache, every cache compiles.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
 from repro.inum.access_costs import AccessCostInfo
 from repro.inum.cache import CacheEntry, InumCache
 from repro.optimizer.interesting_orders import InterestingOrderCombination
-from repro.optimizer.maintenance import MaintenanceProfile, profile_for
+from repro.optimizer.maintenance import profile_for
 from repro.query.ast import DmlStatement
-
-
-def statement_candidates(
-    statement: DmlStatement, candidates: Optional[Sequence[Index]]
-) -> Optional[List[Index]]:
-    """The candidates relevant to a DML statement: those on its table."""
-    if candidates is None:
-        return None
-    return [index for index in candidates if index.table == statement.table]
-
-
-def maintenance_profile_for(
-    statement: DmlStatement,
-    candidates: Optional[Sequence[Index]],
-    catalog: Catalog,
-    whatif: Optional[object] = None,
-) -> MaintenanceProfile:
-    """The statement's maintenance profile over ``candidates``.
-
-    Thin wrapper over the canonical
-    :func:`repro.optimizer.maintenance.profile_for` that tolerates the
-    builders' ``candidates=None`` convention.  Probes go through ``whatif``
-    when it is a memoizing what-if layer, so repeated questions across
-    builds and pruning passes are free.
-    """
-    return profile_for(statement, list(candidates or []), catalog, whatif)
 
 
 def synthetic_statement_cache(statement: DmlStatement, catalog: Catalog) -> InumCache:
@@ -108,12 +82,14 @@ def build_statement_cache(
     key it by the statement's own SQL, which also distinguishes an UPDATE
     from a DELETE sharing the same shadow).
     """
-    relevant = statement_candidates(statement, candidates)
     shadow = statement.shadow_query()
     if shadow is None:
         cache = synthetic_statement_cache(statement, catalog)
     else:
+        relevant = None if candidates is None else [
+            index for index in candidates if index.table == statement.table
+        ]
         cache = build_shadow(shadow, relevant)
         cache.query = statement
-    cache.maintenance = maintenance_profile_for(statement, relevant, catalog, whatif)
+    cache.maintenance = profile_for(statement, candidates or [], catalog, whatif)
     return cache

@@ -21,6 +21,11 @@ The result is a :class:`WorkloadBuildResult`: one
 :class:`~repro.inum.cache.InumCache` per query plus a
 :class:`WorkloadBuildReport` merging the per-query build statistics into the
 workload-level accounting the benchmarks and the CLI report.
+
+This builder is the tail of the plan-cache lookup chain: sessions (and
+through them the CLI) reach it only via
+:meth:`repro.api.tier.PlanCachePool.acquire`, which hands it the statements
+neither the session pool nor the shared tier could answer.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from repro.api.registry import CACHE_BUILDERS
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
 from repro.inum.cache import CacheBuildStatistics, InumCache
-from repro.inum.cache_builder import InumBuilderOptions
 from repro.inum.dml import build_statement_cache
 from repro.inum.serialization import CacheStore, cache_from_dict, cache_to_dict
 from repro.obs.instruments import BUILD_QUERIES
@@ -41,36 +45,27 @@ from repro.obs.trace import get_tracer
 from repro.optimizer.interesting_orders import combination_count
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfCallCache
-from repro.pinum.cache_builder import PinumBuilderOptions
 from repro.query.ast import DmlStatement, Query
 from repro.util.errors import ReproError
 from repro.util.fingerprint import query_fingerprint
 from repro.util.timing import timed
-
-#: Built-in per-query builders (the authoritative, extensible list is
-#: :data:`repro.api.registry.CACHE_BUILDERS`).
-BUILDERS = ("pinum", "inum")
 
 
 @dataclass
 class WorkloadBuilderOptions:
     """Knobs of a workload-scale build.
 
-    ``builder`` selects the per-query builder (``"pinum"`` or ``"inum"``).
-    ``jobs`` is the process-pool width; ``1`` builds serially in-process
-    (with the benefit of one shared what-if call cache across all queries).
-    ``use_call_cache`` toggles the memoizing what-if layer.
-    ``dedupe_queries`` builds queries with identical canonical SQL once and
-    shares the cache.  ``inum_options``/``pinum_options`` are forwarded to
-    the per-query builders.
+    ``builder`` selects the per-query builder (a
+    :data:`~repro.api.registry.CACHE_BUILDERS` name).  ``jobs`` is the
+    process-pool width; ``1`` builds serially in-process (with the benefit
+    of one shared what-if call cache across all queries).
+    ``use_call_cache`` toggles the memoizing what-if layer (off, a build
+    reports the paper's un-memoised optimizer-call counts).
     """
 
     builder: str = "pinum"
     jobs: int = 1
     use_call_cache: bool = True
-    dedupe_queries: bool = True
-    inum_options: Optional[InumBuilderOptions] = None
-    pinum_options: Optional[PinumBuilderOptions] = None
 
     def __post_init__(self) -> None:
         # Names resolve through the CACHE_BUILDERS registry, so external
@@ -87,9 +82,10 @@ class QueryBuildOutcome:
 
     query_name: str
     builder: str
-    #: ``"built"`` (fresh optimizer work), ``"store"`` (loaded from the
+    #: ``"built"`` (fresh optimizer work), ``"from_store"`` (loaded from the
     #: persistent cache store) or ``"deduplicated"`` (identical SQL to an
-    #: earlier query; its cache was shared).
+    #: earlier query; its cache was shared); the pool in front of the
+    #: builder adds ``"reused"`` (session pool) and ``"shared"`` (tier).
     source: str
     stats: CacheBuildStatistics
     deduped_from: Optional[str] = None
@@ -115,6 +111,10 @@ class WorkloadBuildReport:
     def _built(self) -> List[QueryBuildOutcome]:
         return [outcome for outcome in self.outcomes if outcome.source == "built"]
 
+    def count(self, source: str) -> int:
+        """How many queries' caches came from ``source``."""
+        return sum(1 for outcome in self.outcomes if outcome.source == source)
+
     @property
     def queries_total(self) -> int:
         """Number of queries in the workload."""
@@ -123,17 +123,17 @@ class WorkloadBuildReport:
     @property
     def queries_built(self) -> int:
         """Queries whose cache was freshly constructed this run."""
-        return len(self._built())
+        return self.count("built")
 
     @property
     def queries_from_store(self) -> int:
         """Queries answered from the persistent cache store."""
-        return sum(1 for outcome in self.outcomes if outcome.source == "store")
+        return self.count("from_store")
 
     @property
     def queries_deduplicated(self) -> int:
         """Queries sharing an identical-SQL sibling's cache."""
-        return sum(1 for outcome in self.outcomes if outcome.source == "deduplicated")
+        return self.count("deduplicated")
 
     @property
     def optimizer_calls(self) -> int:
@@ -250,7 +250,7 @@ class WorkloadCacheBuilder:
         report = result.report
         span.set(
             built=report.queries_built,
-            store=report.queries_from_store,
+            from_store=report.queries_from_store,
             deduplicated=report.queries_deduplicated,
         )
         return result
@@ -295,7 +295,7 @@ class WorkloadCacheBuilder:
             if stored is not None:
                 caches[query.name] = stored
                 outcomes[query.name] = QueryBuildOutcome(
-                    query.name, opts.builder, "store", stored.build_stats
+                    query.name, opts.builder, "from_store", stored.build_stats
                 )
             else:
                 to_build.append(query)
@@ -341,9 +341,6 @@ class WorkloadCacheBuilder:
         plans: List[Tuple[Query, Optional[str]]] = []
         primary_by_fingerprint: Dict[str, str] = {}
         for query in queries:
-            if not self.options.dedupe_queries:
-                plans.append((query, None))
-                continue
             fingerprint = query_fingerprint(query)
             primary = primary_by_fingerprint.get(fingerprint)
             if primary is None:
@@ -423,19 +420,13 @@ def _build_one_cache(
 ) -> InumCache:
     """Build a single statement's cache with the configured per-query builder.
 
-    The builder class resolves through the CACHE_BUILDERS registry; the
-    builtin names get their dedicated option blocks, external builders are
-    constructed with ``options=None``.  DML statements build their *shadow*
-    query through the same builder and carry a maintenance profile on top
+    The builder class resolves through the CACHE_BUILDERS registry and runs
+    with its default options.  DML statements build their *shadow* query
+    through the same builder and carry a maintenance profile on top
     (:mod:`repro.inum.dml`); the shared what-if layer memoizes both kinds of
     probe.
     """
-    builder_class = CACHE_BUILDERS.get(options.builder)
-    builder_options = {
-        "inum": options.inum_options,
-        "pinum": options.pinum_options,
-    }.get(options.builder)
-    builder = builder_class(optimizer, builder_options, call_cache=call_cache)
+    builder = CACHE_BUILDERS.get(options.builder)(optimizer, None, call_cache=call_cache)
     if isinstance(query, DmlStatement):
         return build_statement_cache(
             query,

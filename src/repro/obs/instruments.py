@@ -46,8 +46,9 @@ BUILD_SECONDS = _REGISTRY.histogram(
 )
 
 #: Workload-builder outcomes per query: ``built`` cost optimizer work,
-#: ``store`` loaded from the persistent store, ``deduplicated`` shared an
-#: identical-SQL sibling's build.
+#: ``from_store`` loaded from the persistent store, ``deduplicated`` shared
+#: an identical-SQL sibling's build (the same words as
+#: ``repro_session_caches_total``'s label below).
 BUILD_QUERIES = _REGISTRY.counter(
     "repro_build_queries_total",
     "Workload cache-builder outcomes per query.",
@@ -92,8 +93,11 @@ RECOMMEND_SECONDS = _REGISTRY.histogram(
     ("selector",),
 )
 
-#: Where each requested plan cache came from: ``built`` / ``store`` /
-#: ``deduplicated`` / ``reused`` (session pool) / ``shared`` (tier).
+#: Where each requested plan cache came from: ``built`` / ``from_store`` /
+#: ``deduplicated`` / ``reused`` (session pool) / ``shared`` (tier) -- one
+#: vocabulary with the builder report's outcome ``source`` and the
+#: ``SessionStatistics.caches_<source>`` fields; bumped in one place,
+#: :meth:`repro.api.tier.PlanCachePool.acquire`.
 SESSION_CACHES = _REGISTRY.counter(
     "repro_session_caches_total",
     "Plan-cache requests by fulfillment source.",

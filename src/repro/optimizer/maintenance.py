@@ -293,27 +293,25 @@ def profile_for(
     """One statement's profile over the candidates on its table.
 
     The single canonical construction path: cache builders, the session's
-    pruning pass and ad-hoc callers all come through here.  ``whatif`` may
-    be a :class:`~repro.optimizer.whatif.WhatIfCallCache` (or anything
-    exposing ``maintenance_cost``/``statement_base_cost``), in which case
-    every probe -- per-index and base cost alike -- is memoized and counted
-    there; without one a fresh :class:`MaintenanceCostModel` answers.
+    per-request pipeline and ad-hoc callers all come through here.
+    ``whatif`` may be a :class:`~repro.optimizer.whatif.WhatIfCallCache`, in
+    which case every probe -- per-index and base cost alike -- is memoized
+    and counted there (the statement is fingerprinted once for all of
+    them); without one a fresh :class:`MaintenanceCostModel` answers.
     """
     relevant: List[Index] = [
         index for index in candidates if index.table == statement.table
     ]
-    if whatif is not None and hasattr(whatif, "maintenance_cost"):
-        per_index: Dict[IndexKey, float] = {}
-        for index in relevant:
-            cost = whatif.maintenance_cost(statement, index)
-            if cost > 0.0:
-                per_index[index.key] = cost
-        return MaintenanceProfile(
-            statement=statement.name,
-            base_cost=whatif.statement_base_cost(statement),
-            per_index=per_index,
-        )
-    return MaintenanceCostModel(catalog).profile(statement, relevant)
+    if whatif is None:
+        return MaintenanceCostModel(catalog).profile(statement, relevant)
+    costs = whatif.maintenance_costs(statement, relevant)
+    return MaintenanceProfile(
+        statement=statement.name,
+        base_cost=whatif.statement_base_cost(statement),
+        per_index={
+            index.key: cost for index, cost in zip(relevant, costs) if cost > 0.0
+        },
+    )
 
 
 def build_profiles(

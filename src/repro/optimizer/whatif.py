@@ -407,39 +407,39 @@ class WhatIfCallCache:
 
     # -- update-aware probes -----------------------------------------------
 
-    def maintenance_cost(self, statement: DmlStatement, index: Index) -> float:
-        """Memoized per-execution maintenance cost of ``index`` for ``statement``.
+    def maintenance_costs(
+        self, statement: DmlStatement, indexes: Sequence[Index]
+    ) -> List[float]:
+        """Memoized per-execution maintenance cost of each index for ``statement``.
 
         Keyed by (statement fingerprint, index signature): the same
         (statement, index) question arrives once per cache build, once per
-        pruning pass and once per what-if request, and the arithmetic only
+        recommend and once per what-if request, and the arithmetic only
         depends on catalog statistics, which are fixed for the cache's
-        lifetime.
+        lifetime.  The statement is fingerprinted once for the whole batch.
         """
-        key = (
-            query_fingerprint(statement),
-            configuration_signature([index]),
-        )
-        cost = self._maintenance_memo.get(key)
-        if cost is not None:
-            self.statistics.record_maintenance_hit()
-            return cost
-        if self._shared is not None:
-            cost = self._shared.lookup_maintenance(key)
-            if cost is not None:
-                self.statistics.record_maintenance_hit()
-                self._maintenance_memo[key] = cost
-                return cost
-        cost = self._whatif.maintenance_cost(statement, index)
-        self.statistics.record_maintenance_miss()
-        self._maintenance_memo[key] = cost
-        if self._shared is not None:
-            self._shared.promote_maintenance(key, cost)
-        return cost
+        fingerprint = query_fingerprint(statement)
+        return [
+            self._maintenance_probe(
+                (fingerprint, configuration_signature([index])),
+                self._whatif.maintenance_cost, statement, index,
+            )
+            for index in indexes
+        ]
+
+    def maintenance_cost(self, statement: DmlStatement, index: Index) -> float:
+        """:meth:`maintenance_costs` for a single index."""
+        return self.maintenance_costs(statement, [index])[0]
 
     def statement_base_cost(self, statement: DmlStatement) -> float:
         """Memoized index-independent heap cost of ``statement``."""
-        key = (query_fingerprint(statement), None)
+        return self._maintenance_probe(
+            (query_fingerprint(statement), None),
+            self._whatif.statement_base_cost, statement,
+        )
+
+    def _maintenance_probe(self, key: tuple, compute, *arguments) -> float:
+        """``compute(*arguments)`` through the local memo and the shared tier."""
         cost = self._maintenance_memo.get(key)
         if cost is not None:
             self.statistics.record_maintenance_hit()
@@ -450,7 +450,7 @@ class WhatIfCallCache:
                 self.statistics.record_maintenance_hit()
                 self._maintenance_memo[key] = cost
                 return cost
-        cost = self._whatif.statement_base_cost(statement)
+        cost = compute(*arguments)
         self.statistics.record_maintenance_miss()
         self._maintenance_memo[key] = cost
         if self._shared is not None:
@@ -476,9 +476,9 @@ class WhatIfCallCache:
         if shadow is not None:
             cost += self.cost_with_configuration(shadow, indexes, exclusive=exclusive)
         cost += self.statement_base_cost(statement)
-        for index in indexes:
-            if index.table == statement.table:
-                cost += self.maintenance_cost(statement, index)
+        relevant = [index for index in indexes if index.table == statement.table]
+        for charge in self.maintenance_costs(statement, relevant):
+            cost += charge
         return cost
 
     @staticmethod

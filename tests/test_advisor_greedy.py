@@ -33,11 +33,13 @@ class TestWorkloadCostModels:
 
     def test_cache_model_requires_known_mode(self, small_catalog, workload, candidates):
         with pytest.raises(AdvisorError):
-            CacheBackedWorkloadCostModel(Optimizer(small_catalog), workload, candidates, mode="bogus")
+            CacheBackedWorkloadCostModel.build(
+                Optimizer(small_catalog), workload, candidates, mode="bogus"
+            )
 
     def test_cache_model_answers_without_optimizer(self, small_catalog, workload, candidates):
         optimizer = Optimizer(small_catalog)
-        model = CacheBackedWorkloadCostModel(optimizer, workload, candidates, mode="pinum")
+        model = CacheBackedWorkloadCostModel.build(optimizer, workload, candidates, mode="pinum")
         optimizer.reset_counters()
         model.workload_cost(candidates[:3])
         assert optimizer.call_count == 0
@@ -45,7 +47,9 @@ class TestWorkloadCostModels:
 
     def test_pinum_cache_model_tracks_optimizer_model(self, small_catalog, workload, candidates):
         optimizer = Optimizer(small_catalog)
-        cache_model = CacheBackedWorkloadCostModel(optimizer, workload, candidates, mode="pinum")
+        cache_model = CacheBackedWorkloadCostModel.build(
+            optimizer, workload, candidates, mode="pinum"
+        )
         optimizer_model = OptimizerWorkloadCostModel(optimizer, workload)
         subset = candidates[:5]
         assert cache_model.workload_cost(subset) == pytest.approx(
@@ -59,7 +63,7 @@ class TestWorkloadCostModels:
 
 class TestGreedySelector:
     def _model(self, small_catalog, workload, candidates):
-        return CacheBackedWorkloadCostModel(
+        return CacheBackedWorkloadCostModel.build(
             Optimizer(small_catalog), workload, candidates, mode="pinum"
         )
 

@@ -29,7 +29,7 @@ def candidates(small_catalog, workload):
 
 @pytest.fixture
 def model(small_catalog, workload, candidates):
-    return CacheBackedWorkloadCostModel(
+    return CacheBackedWorkloadCostModel.build(
         Optimizer(small_catalog), workload, candidates, mode="pinum"
     )
 

@@ -87,6 +87,27 @@ class TestDispatch:
         assert workload["result"]["space_budget_bytes"] == megabytes(64)
 
 
+    def test_set_budget_rejects_a_boolean(self, frontend):
+        before = frontend.handle({"op": "workload"})["result"]["space_budget_bytes"]
+        response = frontend.handle(
+            {"op": "set_budget", "params": {"space_budget_bytes": True}}
+        )
+        assert response["ok"] is False
+        assert "space_budget_bytes must be > 0, got True" in response["error"]["message"]
+        after = frontend.handle({"op": "workload"})["result"]["space_budget_bytes"]
+        assert after == before
+
+    def test_remove_queries_rejects_a_repeated_name(self, frontend):
+        response = frontend.handle(
+            {"op": "remove_queries",
+             "params": {"names": ["tpch_small_join", "tpch_small_join"]}}
+        )
+        assert response["ok"] is False
+        assert "named twice" in response["error"]["message"]
+        names = [q["name"] for q in frontend.handle({"op": "workload"})["result"]["queries"]]
+        assert names == ["tpch_q5_like", "tpch_small_join"]
+
+
 class TestErrors:
     def test_unknown_operation(self, frontend):
         response = frontend.handle({"id": 9, "op": "bogus"})

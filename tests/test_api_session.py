@@ -184,6 +184,38 @@ class TestWorkloadMutation:
             session.remove_queries(["simple_scan", "nope"])
         assert session.query_names == ["sales_by_region", "simple_scan"]
 
+    def test_remove_queries_rejects_a_repeated_name_before_touching_anything(self, session):
+        session.set_weights({"simple_scan": 3.0})
+        with pytest.raises(AdvisorError, match="named twice"):
+            session.remove_queries(["simple_scan", "simple_scan"])
+        assert session.query_names == ["sales_by_region", "simple_scan"]
+        assert session.options.weight_map() == {"simple_scan": 3.0}
+        # A clean removal still takes the weight with it.
+        session.remove_queries(["simple_scan"])
+        assert session.options.weight_map() == {}
+
+    def test_compressed_add_queries_is_atomic(self, session):
+        """A template clash in a later cluster leaves no earlier cluster behind."""
+        from repro.util.fingerprint import template_fingerprint
+
+        fresh, clashing = build_third_query("fresh"), build_simple_query("incoming")
+        taken = f"tpl_{template_fingerprint(clashing)}"
+        session.add_queries([build_third_query(taken)])  # same name, another template
+        names, weights = session.query_names, session.options.weight_map()
+        with pytest.raises(AdvisorError, match="different template"):
+            session.add_queries([fresh, clashing], compress=True)
+        assert session.query_names == names
+        assert session.options.weight_map() == weights
+
+    @pytest.mark.parametrize("field", ["space_budget_bytes", "ilp_gap", "ilp_time_limit"])
+    def test_booleans_are_not_tuning_limits(self, session, field):
+        with pytest.raises(AdvisorError, match=f"{field} must be"):
+            AdvisorOptions(**{field: True})
+        if field == "space_budget_bytes":
+            with pytest.raises(AdvisorError, match="space_budget_bytes must be > 0, got True"):
+                session.set_budget(True)
+            assert session.options.space_budget_bytes == megabytes(512)
+
     def test_removing_unknown_name_rejected(self, session):
         with pytest.raises(AdvisorError, match="no query named 'nope'"):
             session.remove_queries(["nope"])
@@ -251,6 +283,83 @@ class TestOtherRequests:
             session.explain(ExplainRequest(query="simple_scan", sql="SELECT 1"))
         with pytest.raises(AdvisorError, match="no query named"):
             session.explain(ExplainRequest(query="missing"))
+
+
+class TestEntryPointsAgree:
+    """``recommend``, ``build_query_cache`` and ``build_workload_caches`` get
+    their caches from one lookup chain (``PlanCachePool.acquire``)."""
+
+    def test_build_query_cache_reads_the_store_it_writes(self, options, tmp_path):
+        import dataclasses
+
+        store_options = dataclasses.replace(options, cache_dir=str(tmp_path / "store"))
+        query = build_join_query()
+        first = TuningSession(build_small_catalog(), options=store_options)
+        built = first.build_query_cache(query)
+        assert first.statistics.caches_built == 1
+        assert first.store.statistics.saves == 1
+
+        second = TuningSession(build_small_catalog(), options=store_options)
+        loaded = second.build_query_cache(query)
+        assert second.statistics.caches_built == 0
+        assert second.statistics.caches_from_store == 1
+        assert second.optimizer.call_count == 0
+        assert second.store.statistics.hits == 1
+        assert second.store.statistics.saves == 0
+        assert loaded.entry_count == built.entry_count
+
+    def test_second_build_workload_caches_reuses_every_cache(self, session):
+        cold = session.build_workload_caches()
+        assert [o.source for o in cold.report.outcomes] == ["built", "built"]
+        warm = session.build_workload_caches()
+        assert [(o.query_name, o.source) for o in warm.report.outcomes] == [
+            ("sales_by_region", "reused"), ("simple_scan", "reused"),
+        ]
+        assert warm.report.optimizer_calls == 0
+        assert session.statistics.caches_built == 2
+        assert session.statistics.caches_reused == 2
+        assert set(warm.caches) == set(cold.caches)
+
+    def test_every_entry_point_lands_on_one_pool_entry(self):
+        query = build_join_query()
+        session = TuningSession(
+            build_small_catalog(), [query],
+            options=AdvisorOptions(space_budget_bytes=megabytes(512)),
+        )
+        assert session.recommend().caches_built == 1
+        assert session.cached_query_count() == 1
+        candidates = session._generator.for_workload([query])
+        session.build_query_cache(query, candidates=candidates)
+        session.build_workload_caches()
+        assert session.cached_query_count() == 1
+        assert session.statistics.caches_built == 1
+        assert session.statistics.caches_reused == 2
+
+    def test_warm_recommend_prices_maintenance_once(self):
+        """One memoised maintenance probe per (DML statement, pool candidate
+        on its table) plus one per DML statement for its base cost."""
+        from repro.query import parse_statement
+
+        writes = [
+            parse_statement("UPDATE sales SET s_amount = 7 WHERE s_quantity <= 500", name="u"),
+            parse_statement("DELETE FROM sales WHERE s_quantity BETWEEN 100 AND 600", name="d"),
+            parse_statement("INSERT INTO customers (c_age, c_region) VALUES (1, 2)", name="i"),
+        ]
+        session = TuningSession(
+            build_small_catalog(), [build_join_query(), build_simple_query(), *writes],
+            options=AdvisorOptions(space_budget_bytes=megabytes(512)),
+        )
+        session.recommend()
+        pool = session._generator.for_workload(session.queries)
+        expected = sum(
+            1 + sum(index.table == write.table for index in pool) for write in writes
+        )
+        statistics = session.call_cache.statistics
+        hits, misses = statistics.maintenance_hits, statistics.maintenance_misses
+        warm = session.recommend()
+        assert warm.caches_reused == 5
+        assert statistics.maintenance_misses == misses
+        assert statistics.maintenance_hits - hits == expected
 
 
 class TestPoolBounds:

@@ -29,7 +29,7 @@ def _star_model(star_workload, query_count=5, candidate_count=25, weights=None,
     queries = statements if statements is not None else star_workload.queries()[:query_count]
     reads = [q for q in queries if not q.is_dml]
     candidates = CandidateGenerator(catalog).for_workload(reads)[:candidate_count]
-    model = CacheBackedWorkloadCostModel(
+    model = CacheBackedWorkloadCostModel.build(
         Optimizer(catalog), queries, candidates, weights=weights
     )
     return catalog, queries, candidates, model

@@ -40,7 +40,7 @@ def _instance(star_workload, rng, query_count=5, candidate_count=12, mixed=False
         reads = statements
     pool = CandidateGenerator(catalog).for_workload(reads)
     candidates = rng.sample(pool, min(candidate_count, len(pool)))
-    model = CacheBackedWorkloadCostModel(
+    model = CacheBackedWorkloadCostModel.build(
         Optimizer(catalog), statements, candidates, weights=weights
     )
     budget = gigabytes(rng.choice([1, 2, 3, 5]))
@@ -84,7 +84,7 @@ class TestExactness:
     def test_empty_candidate_set(self, star_workload):
         catalog = star_workload.catalog()
         queries = star_workload.queries()[:2]
-        model = CacheBackedWorkloadCostModel(Optimizer(catalog), queries, [])
+        model = CacheBackedWorkloadCostModel.build(Optimizer(catalog), queries, [])
         formulation = build_formulation(model, catalog, [], gigabytes(1))
         solution = BranchAndBoundSolver(formulation).solve(0, "lazy-greedy")
         assert solution.selection == 0
@@ -169,7 +169,7 @@ class TestValidation:
         catalog = star_workload.catalog()
         queries = star_workload.queries()[:3]
         candidates = CandidateGenerator(catalog).for_workload(queries)[:30]
-        model = CacheBackedWorkloadCostModel(Optimizer(catalog), queries, candidates)
+        model = CacheBackedWorkloadCostModel.build(Optimizer(catalog), queries, candidates)
         formulation = build_formulation(model, catalog, candidates, gigabytes(5))
         with pytest.raises(AdvisorError, match="enumeration"):
             solve_by_enumeration(formulation)

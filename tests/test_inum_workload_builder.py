@@ -68,13 +68,6 @@ class TestSerialBuild:
         assert outcome.deduped_from == "wq_join"
         assert result.caches["wq_join_again"].entry_count == result.caches["wq_join"].entry_count
 
-    def test_dedupe_can_be_disabled(self, small_catalog, candidates):
-        query = build_join_query("wq_join")
-        twin = dataclasses.replace(query, name="wq_join_again")
-        options = WorkloadBuilderOptions(dedupe_queries=False)
-        result = WorkloadCacheBuilder(small_catalog, options).build([query, twin], candidates)
-        assert result.report.queries_built == 2
-
     def test_empty_workload_rejected(self, small_catalog):
         with pytest.raises(ReproError):
             WorkloadCacheBuilder(small_catalog).build([])

@@ -152,7 +152,7 @@ class TestRealWorkloadEquivalence:
         statements += [_random_dml(rng, number) for number in range(1, 4)]
         pool = CandidateGenerator(catalog).for_workload(statements)
         weights = {stmt.name: float(rng.randint(1, 20)) for stmt in statements}
-        model = CacheBackedWorkloadCostModel(
+        model = CacheBackedWorkloadCostModel.build(
             Optimizer(catalog), statements, pool, weights=weights
         )
         subsets = [[]] + [

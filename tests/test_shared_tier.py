@@ -71,6 +71,20 @@ class TestSharedBuilds:
         assert stats["arenas_published"] == 1
         assert second._model.arena is first._model.arena
 
+    def test_build_workload_caches_adopts_another_tenants_builds(self):
+        """The cache-construction entry point walks the same chain as recommend."""
+        tier = SharedCacheTier()
+        first = _session(tier)
+        first.recommend()
+        second = _session(tier)
+        result = second.build_workload_caches()
+        assert [outcome.source for outcome in result.report.outcomes] == [
+            "shared"
+        ] * len(second.queries)
+        assert second.statistics.caches_built == 0
+        assert second.statistics.caches_shared == len(second.queries)
+        assert second.optimizer.call_count == 0
+
     def test_different_catalogs_use_different_namespaces(self):
         tier = SharedCacheTier()
         tpch = _session(tier, "tpch")
@@ -138,7 +152,7 @@ class TestSessionIsolation:
         namespace = first.tier_namespace
         shared_maintenance = {
             key: cache.maintenance
-            for key, cache in namespace._caches.items()
+            for key, cache in namespace.caches._snapshot.items()
         }
 
         second = _session(tier)
@@ -150,7 +164,7 @@ class TestSessionIsolation:
 
         # The published objects kept exactly the maintenance state they
         # were promoted with: the second tenant worked on detached copies.
-        for key, cache in namespace._caches.items():
+        for key, cache in namespace.caches._snapshot.items():
             assert cache.maintenance is shared_maintenance[key]
 
         # And the first session still reproduces its own answer.
@@ -176,16 +190,19 @@ class TestTierInternals:
         namespace = TierNamespace("fp")
         query = parse_statement("SELECT orders.o_orderkey FROM orders", name="q")
         first, second = InumCache(query), InumCache(query)
-        assert namespace.promote_caches({("k",): first}) == 1
-        assert namespace.promote_caches({("k",): second}) == 0
-        assert namespace.lookup_cache(("k",)) is first
+        assert namespace.caches.promote({("k",): first}) == {("k",): first}
+        assert namespace.caches.promote({("k",): second}) == {("k",): first}
+        assert namespace.caches.lookup(("k",)) is first
+        assert (namespace.caches.promotions, namespace.caches.hits) == (1, 1)
 
     def test_cache_bound_is_enforced(self):
         namespace = TierNamespace("fp", max_caches=4)
         query = parse_statement("SELECT orders.o_orderkey FROM orders", name="q")
         for position in range(10):
-            namespace.promote_caches({("k", position): InumCache(query)})
-        assert namespace.cache_count <= 4
+            namespace.caches.promote({("k", position): InumCache(query)})
+        assert len(namespace.caches) == 4
+        assert namespace.caches.lookup(("k", 9)) is not None
+        assert namespace.caches.lookup(("k", 0)) is None
 
     def test_store_page_cache_is_shared(self, tmp_path):
         """Two stores over one PageCache parse each saved file once."""
@@ -254,5 +271,5 @@ class TestThreadedStress:
         # First-build-wins: racing initial builds may each construct, but
         # the tier publishes one winner per key.
         namespace = tier.namespaces()[0]
-        assert stats["caches_published"] == namespace.cache_count
+        assert stats["caches_published"] == len(namespace.caches)
         assert stats["sessions_attached"] == 4

@@ -90,7 +90,7 @@ class TestWeightedCostModel:
         weights = {"w_upd": 2.0, "w_del": 3.0, "q_join": 0.5}
         generator = CandidateGenerator(small_catalog)
         pool = generator.for_workload(statements)
-        model = CacheBackedWorkloadCostModel(
+        model = CacheBackedWorkloadCostModel.build(
             Optimizer(small_catalog), statements, pool, weights=weights
         )
         evaluator = IncrementalWorkloadEvaluator(model)
@@ -106,7 +106,7 @@ class TestWeightedCostModel:
         statements = _mixed_workload()
         generator = CandidateGenerator(small_catalog)
         pool = generator.for_workload(statements)
-        model = CacheBackedWorkloadCostModel(
+        model = CacheBackedWorkloadCostModel.build(
             Optimizer(small_catalog), statements, pool
         )
         sales_index = next(index for index in pool if index.table == "sales")
@@ -119,7 +119,7 @@ class TestWeightedCostModel:
         """Both oracles charge maintenance: costs rise when indexes exist."""
         statements = [parse_statement(INSERT_SQL, name="w_ins")]
         index = Index("sales", ["s_amount"])
-        cache_model = CacheBackedWorkloadCostModel(
+        cache_model = CacheBackedWorkloadCostModel.build(
             Optimizer(small_catalog), statements, [index]
         )
         optimizer_model = OptimizerWorkloadCostModel(

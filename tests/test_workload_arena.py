@@ -25,7 +25,7 @@ from repro.inum.arena import WorkloadArena, arena_fingerprint, compile_arena
 from repro.inum.cache import CachedSlot, CacheEntry, InumCache
 from repro.inum.compiled import numpy_available
 from repro.inum.cost_estimation import InumCostModel
-from repro.api.tier import ArenaPool, TierNamespace
+from repro.api.tier import LocalPool, PublishedMap, TierNamespace
 from repro.optimizer import Optimizer
 from repro.optimizer.interesting_orders import InterestingOrderCombination
 from repro.optimizer.maintenance import MaintenanceProfile
@@ -325,53 +325,57 @@ class TestArenaLayout:
 
 
 class TestTierArenaSharing:
-    def test_namespace_promotes_once_and_counts_hits(self):
+    """Arenas and plan caches sit in the same two classes: a
+    :class:`PublishedMap` per namespace, a :class:`LocalPool` per session."""
+
+    def test_published_map_promotes_once_and_counts_hits(self):
         namespace = TierNamespace("fingerprint")
         first, second = object(), object()
-        namespace.promote_arena("arena:abc", first)
-        namespace.promote_arena("arena:abc", second)
-        assert namespace.lookup_arena("arena:abc") is first, "first promotion wins"
-        assert namespace.lookup_arena("arena:missing") is None
-        assert namespace.arena_count == 1
-        assert namespace.statistics.arena_promotions == 1
-        assert namespace.statistics.arena_hits == 1
+        assert namespace.arenas.promote({"arena:abc": first}) == {"arena:abc": first}
+        assert namespace.arenas.promote({"arena:abc": second}) == {"arena:abc": first}
+        assert namespace.arenas.lookup("arena:abc") is first, "first promotion wins"
+        assert namespace.arenas.lookup("arena:missing") is None
+        assert len(namespace.arenas) == 1
+        assert (namespace.arenas.promotions, namespace.arenas.hits) == (1, 1)
+        assert namespace.caches.promotions == 0
 
-    def test_namespace_bounds_its_arenas(self):
-        namespace = TierNamespace("fingerprint", max_arenas=3)
+    def test_published_map_drops_its_oldest_past_the_bound(self):
+        arenas = PublishedMap("arena", 3)
         for number in range(10):
-            namespace.promote_arena(f"arena:{number}", object())
-        assert namespace.arena_count == 3
-        assert namespace.lookup_arena("arena:9") is not None
-        assert namespace.lookup_arena("arena:0") is None
+            arenas.promote({f"arena:{number}": object()})
+        assert len(arenas) == 3
+        assert arenas.lookup("arena:9") is not None
+        assert arenas.lookup("arena:0") is None
 
     def test_pools_share_through_the_namespace(self):
         namespace = TierNamespace("fingerprint")
-        mine = ArenaPool(2, namespace)
-        theirs = ArenaPool(2, namespace)
+        mine = LocalPool(2, namespace.arenas)
+        theirs = LocalPool(2, namespace.arenas)
         marker = object()
-        mine["arena:x"] = marker
+        mine.update({"arena:x": marker})
         assert theirs.get("arena:x") is marker, "adopted through the namespace"
         # A session cycling its own pool never evicts the shared copy.
-        mine["arena:y"] = object()
-        mine["arena:z"] = object()
+        mine.update({"arena:y": object()})
+        mine.update({"arena:z": object()})
         assert "arena:x" not in mine
         assert theirs.get("arena:x") is marker
-        assert namespace.lookup_arena("arena:x") is marker
+        assert namespace.arenas.lookup("arena:x") is marker
 
     def test_racing_promotion_adopts_the_first_arena(self):
         namespace = TierNamespace("fingerprint")
         first, second = object(), object()
-        ArenaPool(2, namespace)["arena:x"] = first
-        late = ArenaPool(2, namespace)
-        late["arena:x"] = second
+        LocalPool(2, namespace.arenas).update({"arena:x": first})
+        late = LocalPool(2, namespace.arenas)
+        assert late.update({"arena:x": second}) == {"arena:x": first}
         assert late.get("arena:x") is first
 
     def test_pool_evicts_least_recently_used(self):
-        pool = ArenaPool(2)
-        pool["base"] = base = object()
-        pool["delta-1"] = object()
+        pool = LocalPool(2)
+        base = object()
+        pool.update({"base": base})
+        pool.update({"delta-1": object()})
         assert pool.get("base") is base  # the pre-delta arena is re-requested
-        pool["delta-2"] = object()
+        pool.update({"delta-2": object()})
         assert pool.get("base") is base
         assert pool.get("delta-1") is None
         assert len(pool) == 2
@@ -388,7 +392,7 @@ class TestArenaEngineIntegration:
     ):
         queries = [join_query, simple_query]
         candidates = CandidateGenerator(small_catalog).for_workload(queries)
-        model = CacheBackedWorkloadCostModel(
+        model = CacheBackedWorkloadCostModel.build(
             Optimizer(small_catalog), queries, candidates, mode="pinum", engine="scalar"
         )
         assert model.arena is None and model.engine_backend == "scalar"
