@@ -17,7 +17,6 @@ from repro.advisor.advisor import (
 )
 from repro.advisor.benefit import (
     CacheBackedWorkloadCostModel,
-    CostModelRequest,
     IncrementalWorkloadEvaluator,
     OptimizerWorkloadCostModel,
     WorkloadCostModel,
@@ -28,7 +27,6 @@ from repro.advisor.lazy_greedy import LazyGreedySelector
 
 __all__ = [
     "AdvisorOptions",
-    "CostModelRequest",
     "DEFAULT_MAX_CANDIDATES",
     "AdvisorResult",
     "CacheBackedWorkloadCostModel",

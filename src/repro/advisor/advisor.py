@@ -7,8 +7,9 @@ both surfaces share one implementation of candidate generation, cache
 construction and selection.  Long-lived callers -- repeated tuning requests,
 incremental workload changes, warm caches -- should hold a session directly.
 
-Behaviour is selected through the plugin registries of
-:mod:`repro.api.registry`; :class:`AdvisorOptions` validates every name
+Behaviour is selected by name through the plain tables below
+(:data:`COST_MODELS`, :data:`SELECTORS`, :data:`ENGINES`,
+:data:`CANDIDATE_POLICIES`); :class:`AdvisorOptions` validates every name
 *eagerly* at construction time, so a typo fails in milliseconds instead of
 after minutes of cache construction.
 """
@@ -19,16 +20,31 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.advisor.benefit import validate_statement_weight
-from repro.advisor.greedy import SelectionStep
-from repro.api.registry import CANDIDATE_POLICIES, COST_MODELS, ENGINES, SELECTORS
-from repro.api.requests import UNSET
+from repro.advisor.benefit import (
+    ENGINES,  # noqa: F401 - owned by the model that evaluates on them; listed with the rest
+    resolve_engine,
+    validate_statement_weight,
+)
+from repro.advisor.candidates import per_query_candidate_policy, workload_candidate_policy
+from repro.advisor.greedy import GreedySelector, SelectionStep
+from repro.advisor.lazy_greedy import LazyGreedySelector
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
 from repro.optimizer.optimizer import Optimizer
 from repro.query.ast import Query
-from repro.util.errors import AdvisorError
+from repro.util.errors import AdvisorError, validate_name
 from repro.util.units import format_bytes, gigabytes
+
+
+class _Unset:
+    """Sentinel for "the caller did not say" where ``None`` is meaningful."""
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "UNSET"
+
+
+#: The "inherit the session's setting" sentinel.
+UNSET = _Unset()
 
 
 def validate_tuning_limits(
@@ -51,7 +67,7 @@ def validate_tuning_limits(
     limit non-negative (``ilp_time_limit=None`` = no limit), the sliding
     window and re-tune horizon strictly positive statement counts, and the
     drift thresholds a hysteresis band ``0 <= low < high <= 1``.  A field
-    left at the :data:`~repro.api.requests.UNSET` sentinel is not checked.
+    left at the :data:`UNSET` sentinel is not checked.
     Raises one :class:`~repro.util.errors.AdvisorError` listing *every*
     offending field.
     """
@@ -117,6 +133,58 @@ def validate_tuning_limits(
         raise AdvisorError("invalid tuning limits: " + "; ".join(problems))
 
 
+# -- behaviour by name -------------------------------------------------------------
+
+
+def _lazy_selector(catalog, cost_model, options: "AdvisorOptions"):
+    return LazyGreedySelector(
+        catalog, cost_model, options.space_budget_bytes, options.min_relative_benefit
+    )
+
+
+def _exhaustive_selector(catalog, cost_model, options: "AdvisorOptions"):
+    return GreedySelector(
+        catalog, cost_model, options.space_budget_bytes, options.min_relative_benefit
+    )
+
+
+def _ilp_selector(catalog, cost_model, options: "AdvisorOptions"):
+    # First use: the solver package is loaded only by runs that ask for it.
+    from repro.advisor.ilp.selector import IlpSelector
+
+    return IlpSelector(
+        catalog,
+        cost_model,
+        options.space_budget_bytes,
+        options.min_relative_benefit,
+        gap=options.ilp_gap,
+        time_limit=options.ilp_time_limit,
+    )
+
+
+#: Benefit oracles by ``AdvisorOptions.cost_model`` name: the
+#: :data:`~repro.inum.workload_builder.CACHE_BUILDERS` name that fills the
+#: model's per-query plan caches, or ``None`` for the raw what-if optimizer
+#: oracle.  A closed set: the session constructs each model itself.
+COST_MODELS: Dict[str, Optional[str]] = {"pinum": "pinum", "inum": "inum", "optimizer": None}
+
+#: Index-selection searches by ``AdvisorOptions.selector`` name: constructors
+#: ``(catalog, cost_model, options)`` of an object with ``select(candidates)``
+#: and ``statistics``.  A plain dict: a new selector is one assignment away.
+SELECTORS: Dict[str, Callable] = {
+    "lazy": _lazy_selector,
+    "exhaustive": _exhaustive_selector,
+    "ilp": _ilp_selector,
+}
+
+#: Candidate-generation policies by ``AdvisorOptions.candidate_policy`` name:
+#: callables ``(generator, queries, max_candidates) -> CandidatePlan``.
+CANDIDATE_POLICIES: Dict[str, Callable] = {
+    "workload": workload_candidate_policy,
+    "per_query": per_query_candidate_policy,
+}
+
+
 @dataclass(frozen=True)
 class AdvisorOptions:
     """Configuration of one advisor run (and the defaults of a session).
@@ -140,9 +208,10 @@ class AdvisorOptions:
     :mod:`repro.advisor.ilp` -- provably optimal within ``ilp_gap``, or the
     best-found selection with a proven gap when ``ilp_time_limit`` seconds
     run out; never worse than ``"lazy"``, whose picks warm-start it).
-    ``engine`` picks how cache-backed models evaluate: ``"auto"`` (default,
-    compiled arithmetic, vectorized with numpy when installed), ``"numpy"``,
-    ``"python"`` or ``"scalar"`` (the original per-slot walk).
+    ``engine`` picks how cache-backed models evaluate: ``"auto"`` or
+    ``"arena"`` (default, the workload arena, vectorized with numpy when
+    installed), ``"numpy"`` or ``"python"`` (the arena pinned to one
+    backend) or ``"scalar"`` (the original per-slot walk).
 
     ``candidate_policy`` controls candidate generation: ``"workload"``
     (default, one workload-wide pool -- the paper's arrangement) or
@@ -156,10 +225,9 @@ class AdvisorOptions:
     normalised to a sorted tuple of pairs so options stay hashable and
     comparable.
 
-    All names resolve through the registries of :mod:`repro.api.registry`
-    and are validated here, at options-construction time; unknown names
-    raise :class:`~repro.util.errors.AdvisorError` listing the registered
-    choices.
+    All names are keys of this module's tables and are validated here, at
+    options-construction time; unknown names raise
+    :class:`~repro.util.errors.AdvisorError` listing the registered choices.
     """
 
     space_budget_bytes: int = gigabytes(5)
@@ -192,12 +260,10 @@ class AdvisorOptions:
             ilp_gap=self.ilp_gap,
             ilp_time_limit=self.ilp_time_limit,
         )
-        COST_MODELS.validate(self.cost_model)
-        SELECTORS.validate(self.selector)
-        CANDIDATE_POLICIES.validate(self.candidate_policy)
-        if self.selector == "ilp" and not getattr(
-            COST_MODELS.get(self.cost_model), "uses_plan_caches", False
-        ):
+        validate_name("cost model", self.cost_model, COST_MODELS)
+        validate_name("selector", self.selector, SELECTORS)
+        validate_name("candidate policy", self.candidate_policy, CANDIDATE_POLICIES)
+        if self.selector == "ilp" and COST_MODELS[self.cost_model] is None:
             raise AdvisorError(
                 f"selector 'ilp' needs a cache-backed cost model, not "
                 f"{self.cost_model!r}: the BIP is formulated over per-query "
@@ -206,7 +272,7 @@ class AdvisorOptions:
         # Engines also probe availability eagerly (e.g. engine="numpy"
         # without numpy installed), before recommend() pays for a whole
         # cache build only to have the cost model reject it afterwards.
-        ENGINES.get(self.engine).ensure_available()
+        resolve_engine(self.engine)
         if self.statement_weights is not None:
             items = (
                 self.statement_weights.items()

@@ -29,11 +29,8 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.api.registry import ENGINES as ENGINE_REGISTRY
-from repro.api.registry import EngineSpec
 from repro.catalog.index import Index
 from repro.inum.arena import WorkloadArena, arena_fingerprint, compile_arena
 from repro.inum.cache import InumCache
@@ -44,7 +41,7 @@ from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfCallCache, WhatIfOptimizer
 from repro.pinum.cost_model import PinumCostModel
 from repro.query.ast import Query
-from repro.util.errors import AdvisorError
+from repro.util.errors import AdvisorError, validate_name
 from repro.util.fingerprint import configuration_signature, query_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - repro.api.tier imports the builders this module uses
@@ -70,26 +67,35 @@ def validate_statement_weight(name: str, value: object, label: str = "statement 
     return weight
 
 
-def _numpy_problem() -> Optional[str]:
-    if numpy_available():
-        return None
-    return (
-        "the numpy evaluation engine was requested but numpy is not "
-        "installed (pip install 'pinum-repro[perf]')"
-    )
+#: Evaluation engines by ``AdvisorOptions.engine`` name: the
+#: :class:`~repro.inum.arena.WorkloadArena` backend the model evaluates on
+#: -- ``"auto"`` = numpy when installed, else pure Python -- or ``None`` for
+#: the scalar reference oracle (the original per-slot walk tests and
+#: benchmark checks compare the kernel against).  A closed set: the arena
+#: must implement every backend named here.
+ENGINES: Dict[str, Optional[str]] = {
+    "auto": "auto",
+    "arena": "auto",
+    "numpy": "numpy",
+    "python": "python",
+    "scalar": None,
+}
 
 
-#: Engine specs registered (lazily) in :data:`repro.api.registry.ENGINES`, the
-#: evaluation engines :class:`CacheBackedWorkloadCostModel` accepts.
-#: ``"auto"`` and ``"arena"`` evaluate through the
-#: :class:`~repro.inum.arena.WorkloadArena` on the best available backend,
-#: ``"numpy"``/``"python"`` pin the backend, and ``"scalar"`` is the
-#: reference oracle (the original per-slot Python walk).
-AUTO_ENGINE = EngineSpec("auto")
-ARENA_ENGINE = EngineSpec("arena")
-NUMPY_ENGINE = EngineSpec("numpy", backend="numpy", availability=_numpy_problem)
-PYTHON_ENGINE = EngineSpec("python", backend="python")
-SCALAR_ENGINE = EngineSpec("scalar", backend=None)
+def resolve_engine(engine: str) -> Optional[str]:
+    """The arena backend ``engine`` names, checked to be usable here.
+
+    Raises :class:`AdvisorError` for an unknown name, or for the numpy
+    backend in a process without numpy.
+    """
+    validate_name("evaluation engine", engine, ENGINES)
+    backend = ENGINES[engine]
+    if backend == "numpy" and not numpy_available():
+        raise AdvisorError(
+            "the numpy evaluation engine was requested but numpy is not "
+            "installed (pip install 'pinum-repro[perf]')"
+        )
+    return backend
 
 
 class WorkloadCostModel(abc.ABC):
@@ -302,8 +308,8 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
     baseline) -- and picks the matching scalar oracle.  Every evaluation is
     pure arithmetic over one :class:`~repro.inum.arena.WorkloadArena`
     spanning the workload (``engine`` picks its backend, see
-    :data:`AUTO_ENGINE` and its siblings), or the scalar oracle's per-slot
-    walk under ``engine="scalar"``.  ``arena_cache``/``cache_ids`` let the
+    :data:`ENGINES`), or the scalar oracle's per-slot walk under
+    ``engine="scalar"``.  ``arena_cache``/``cache_ids`` let the
     caller share compiled arenas across model instances, keyed by the stable
     identities of the caches they span, so a warm re-tune skips
     recompilation too.
@@ -366,18 +372,15 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
         )
 
     def select_engine(self, engine: str) -> None:
-        """Switch the evaluation engine.
+        """Switch the evaluation engine (an :data:`ENGINES` name).
 
-        Engine names resolve through :data:`repro.api.registry.ENGINES`, so
-        plugins appear here automatically.  Every engine but the scalar
-        oracle compiles (or adopts from ``arena_cache``) one workload-wide
-        arena on its backend; compilation is one pass over the caches, so
-        benchmarks and sessions can flip one model between the oracle and
-        the kernel without rebuilding caches.
+        Every engine but the scalar oracle compiles (or adopts from
+        ``arena_cache``) one workload-wide arena on its backend; compilation
+        is one pass over the caches, so benchmarks and sessions can flip one
+        model between the oracle and the kernel without rebuilding caches.
         """
-        spec: EngineSpec = ENGINE_REGISTRY.get(engine)
-        spec.ensure_available()
-        self._arena = None if spec.backend is None else self._compile_arena(spec.backend)
+        backend = resolve_engine(engine)
+        self._arena = None if backend is None else self._compile_arena(backend)
 
     def _compile_arena(self, backend: str) -> WorkloadArena:
         if backend == "auto":
@@ -448,79 +451,3 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
     @property
     def preparation_seconds(self) -> float:
         return self._seconds
-
-
-# -- cost-model plugin surface ------------------------------------------------------
-
-
-@dataclass
-class CostModelRequest:
-    """Everything a registered cost-model factory may need to build a model.
-
-    Factories registered in :data:`repro.api.registry.COST_MODELS` receive
-    one of these.  Cache-backed factories (``uses_plan_caches = True``) get
-    ``caches`` already acquired by the session (with
-    ``arena_cache``/``cache_ids`` for compiled-arena reuse); the others
-    answer from ``optimizer`` through ``call_cache``/``cost_memo``.
-    """
-
-    optimizer: Optimizer
-    queries: Sequence[Query]
-    candidates: Sequence[Index] = ()
-    engine: str = "auto"
-    call_cache: Optional[WhatIfCallCache] = None
-    caches: Optional[Dict[str, InumCache]] = None
-    preparation_optimizer_calls: int = 0
-    preparation_seconds: float = 0.0
-    cache_ids: Dict[str, str] = field(default_factory=dict)
-    cost_memo: Optional[Dict[tuple, float]] = None
-    #: Per-statement execution-frequency weights (missing names default 1.0).
-    weights: Optional[Mapping[str, float]] = None
-    #: The session's pool of compiled workload arenas, keyed by arena fingerprint.
-    arena_cache: Optional[LocalPool] = None
-
-
-def _build_cache_backed(request: CostModelRequest, mode: str) -> WorkloadCostModel:
-    return CacheBackedWorkloadCostModel(
-        request.queries,
-        request.caches,
-        mode,
-        request.engine,
-        preparation_optimizer_calls=request.preparation_optimizer_calls,
-        preparation_seconds=request.preparation_seconds,
-        cache_ids=request.cache_ids,
-        weights=request.weights,
-        arena_cache=request.arena_cache,
-    )
-
-
-def build_pinum_cost_model(request: CostModelRequest) -> WorkloadCostModel:
-    """The paper's configuration: arithmetic over PINUM-built caches."""
-    return _build_cache_backed(request, "pinum")
-
-
-build_pinum_cost_model.uses_plan_caches = True
-build_pinum_cost_model.cache_builder = "pinum"
-
-
-def build_inum_cost_model(request: CostModelRequest) -> WorkloadCostModel:
-    """The baseline: the same arithmetic over classically-built INUM caches."""
-    return _build_cache_backed(request, "inum")
-
-
-build_inum_cost_model.uses_plan_caches = True
-build_inum_cost_model.cache_builder = "inum"
-
-
-def build_optimizer_cost_model(request: CostModelRequest) -> WorkloadCostModel:
-    """The pre-INUM oracle: one (memoized) optimizer probe per evaluation."""
-    return OptimizerWorkloadCostModel(
-        request.optimizer,
-        request.queries,
-        whatif=request.call_cache,
-        cost_memo=request.cost_memo,
-        weights=request.weights,
-    )
-
-
-build_optimizer_cost_model.uses_plan_caches = False

@@ -19,7 +19,8 @@ candidates (1093 in the paper's run).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
@@ -148,3 +149,78 @@ def prune_write_dominated(
         else:
             kept.append(candidate)
     return kept, pruned
+
+
+# -- candidate policies ------------------------------------------------------------
+
+
+@dataclass
+class CandidatePlan:
+    """What one recommend call selects over and what each cache must cover."""
+
+    #: The candidate set the greedy search runs over, in generation order.
+    pool: List[Index]
+    #: Per query (by name), the candidates its plan cache collects access
+    #: costs for -- the cache's fingerprint identity.
+    per_query: Dict[str, List[Index]]
+
+
+def pooled_candidate_plan(
+    pool: Sequence[Index],
+    queries: Sequence[Query],
+    max_candidates: Optional[int],
+) -> CandidatePlan:
+    """One candidate pool for the whole workload (generated or caller-supplied).
+
+    Each query's cache covers the pool members touching its tables, so
+    ``recommend``, ``repro cache-workload`` and an explicit-candidates
+    request over the same pool share pool, tier and store keys.
+    """
+    pool = list(pool if max_candidates is None else pool[:max_candidates])
+    per_query = {
+        query.name: [index for index in pool if index.table in query.tables]
+        for query in queries
+    }
+    return CandidatePlan(pool=pool, per_query=per_query)
+
+
+def workload_candidate_policy(
+    generator: CandidateGenerator,
+    queries: Sequence[Query],
+    max_candidates: Optional[int],
+) -> CandidatePlan:
+    """The one-shot advisor's policy: one workload-wide candidate pool."""
+    return pooled_candidate_plan(generator.for_workload(queries), queries, max_candidates)
+
+
+def per_query_candidate_policy(
+    generator: CandidateGenerator,
+    queries: Sequence[Query],
+    max_candidates: Optional[int],
+) -> CandidatePlan:
+    """The delta-friendly policy: each query's cache covers its own candidates.
+
+    A query's candidate set depends only on the query itself, so workload
+    mutations leave every other query's cache key untouched and re-tuning
+    builds exactly the delta.  The selection pool is the deduplicated union
+    in workload order (truncation applies to the pool only, never to the
+    per-query sets, so cache keys stay stable under ``max_candidates``).
+
+    DML statements participate like everything else: their cache identity
+    is their *shadow* query's own candidates, so workload mutations never
+    churn warm DML caches.  Their maintenance profile -- which must cover
+    every pool candidate on their table, not just their own -- is cheap
+    catalog arithmetic and is recomputed per recommend outside the cache
+    key (see ``TuningSession._cost_model``).
+    """
+    per_query = {query.name: generator.for_query(query) for query in queries}
+    pool: List[Index] = []
+    seen = set()
+    for query in queries:
+        for index in per_query[query.name]:
+            if index.key not in seen:
+                seen.add(index.key)
+                pool.append(index)
+    if max_candidates is not None:
+        pool = pool[:max_candidates]
+    return CandidatePlan(pool=pool, per_query=per_query)

@@ -204,14 +204,3 @@ class GreedySelector:
         stats.memo_misses = memo_after[1] - memo_before[1]
         stats.publish("exhaustive")
         return steps
-
-
-def build_exhaustive_selector(
-    catalog: Catalog,
-    cost_model: WorkloadCostModel,
-    space_budget_bytes: int,
-    min_relative_benefit: float = 1e-4,
-) -> GreedySelector:
-    """Factory behind the ``"exhaustive"`` entry of
-    :data:`repro.api.registry.SELECTORS` (the paper's literal loop)."""
-    return GreedySelector(catalog, cost_model, space_budget_bytes, min_relative_benefit)

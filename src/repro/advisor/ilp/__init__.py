@@ -16,7 +16,7 @@ with a proven bound:
   incumbent, *anytime* under ``time_limit``/``gap`` and always reporting the
   proven optimality gap, and
 * :mod:`repro.advisor.ilp.selector` wires it into the advisor as the
-  ``"ilp"`` entry of :data:`repro.api.registry.SELECTORS`
+  ``"ilp"`` entry of :data:`repro.advisor.advisor.SELECTORS`
   (``AdvisorOptions(selector="ilp", ilp_gap=..., ilp_time_limit=...)``,
   ``recommend --selector ilp --gap --time-limit``).
 """
@@ -26,7 +26,7 @@ from repro.advisor.ilp.formulation import (
     IlpFormulation,
     build_formulation,
 )
-from repro.advisor.ilp.selector import IlpSelector, build_ilp_selector
+from repro.advisor.ilp.selector import IlpSelector
 from repro.advisor.ilp.solver import (
     BranchAndBoundSolver,
     IlpSolution,
@@ -42,6 +42,5 @@ __all__ = [
     "IlpSolution",
     "IlpSolverOptions",
     "build_formulation",
-    "build_ilp_selector",
     "solve_by_enumeration",
 ]

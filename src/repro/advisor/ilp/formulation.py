@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+from repro.advisor.advisor import validate_tuning_limits
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
 from repro.inum.cache import InumCache
@@ -513,8 +514,6 @@ class IlpFormulation:
         space_budget_bytes: int,
     ) -> None:
         # The shared validation path of AdvisorOptions/RecommendRequest.
-        from repro.advisor.advisor import validate_tuning_limits
-
         validate_tuning_limits(space_budget_bytes=space_budget_bytes)
         self.programs = programs
         self.candidates = candidates

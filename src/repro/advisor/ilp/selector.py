@@ -1,6 +1,6 @@
 """The ``"ilp"`` selector: provably (near-)optimal index selection.
 
-Drop-in third selector next to the greedy loops -- same factory contract
+Drop-in third selector next to the greedy loops -- same contract
 (``select(candidates)`` returning :class:`~repro.advisor.greedy
 .SelectionStep`\\ s, ``statistics`` afterwards), different guarantee: the
 returned configuration minimizes the weighted workload cost (reads plus
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.advisor.advisor import validate_tuning_limits
 from repro.advisor.benefit import IncrementalWorkloadEvaluator, WorkloadCostModel
 from repro.advisor.greedy import SelectionStatistics, SelectionStep
 from repro.advisor.ilp.formulation import build_formulation
@@ -46,8 +47,6 @@ class IlpSelector:
         time_limit: Optional[float] = DEFAULT_TIME_LIMIT,
         max_nodes: int = 500_000,
     ) -> None:
-        from repro.advisor.advisor import validate_tuning_limits
-
         validate_tuning_limits(
             space_budget_bytes=space_budget_bytes,
             ilp_gap=gap,
@@ -162,33 +161,3 @@ class IlpSelector:
             current_cost = best_cost
             remaining = [c for c in remaining if c.key != best.key]
         return steps
-
-
-def build_ilp_selector(
-    catalog: Catalog,
-    cost_model: WorkloadCostModel,
-    space_budget_bytes: int,
-    min_relative_benefit: float = 1e-4,
-    options=None,
-) -> IlpSelector:
-    """Factory behind the ``"ilp"`` entry of
-    :data:`repro.api.registry.SELECTORS`.
-
-    ``options`` (an :class:`~repro.advisor.advisor.AdvisorOptions`, passed by
-    the session to factories that accept it) supplies ``ilp_gap`` and
-    ``ilp_time_limit``; without it the defaults prove optimality within 60
-    seconds of solving.
-    """
-    gap = DEFAULT_GAP
-    time_limit: Optional[float] = DEFAULT_TIME_LIMIT
-    if options is not None:
-        gap = getattr(options, "ilp_gap", gap)
-        time_limit = getattr(options, "ilp_time_limit", time_limit)
-    return IlpSelector(
-        catalog,
-        cost_model,
-        space_budget_bytes,
-        min_relative_benefit,
-        gap=gap,
-        time_limit=time_limit,
-    )

@@ -40,6 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.advisor.advisor import validate_tuning_limits
 from repro.advisor.ilp.formulation import IlpFormulation, iterate_bits
 from repro.catalog.index import Index
 from repro.util.errors import AdvisorError
@@ -61,8 +62,6 @@ class IlpSolverOptions:
 
     def __post_init__(self) -> None:
         # The shared validation path of AdvisorOptions/RecommendRequest.
-        from repro.advisor.advisor import validate_tuning_limits
-
         validate_tuning_limits(ilp_gap=self.gap, ilp_time_limit=self.time_limit)
         if self.max_nodes < 1:
             raise AdvisorError(f"ilp node limit must be >= 1, got {self.max_nodes}")

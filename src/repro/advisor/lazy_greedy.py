@@ -168,14 +168,3 @@ class LazyGreedySelector:
         span.set(rounds=stats.iterations, evaluations=stats.candidate_evaluations)
         stats.publish("lazy")
         return steps
-
-
-def build_lazy_selector(
-    catalog: Catalog,
-    cost_model: WorkloadCostModel,
-    space_budget_bytes: int,
-    min_relative_benefit: float = 1e-4,
-) -> LazyGreedySelector:
-    """Factory behind the ``"lazy"`` entry of
-    :data:`repro.api.registry.SELECTORS` (same picks, far fewer evaluations)."""
-    return LazyGreedySelector(catalog, cost_model, space_budget_bytes, min_relative_benefit)

@@ -1,12 +1,10 @@
-"""The service-oriented public API: sessions, typed messages, registries.
+"""The service-oriented public API: sessions, typed messages, servers.
 
 * :mod:`repro.api.session` -- :class:`TuningSession`, the long-lived tuning
   service (warm catalogs, caches and compiled arenas; incremental
   re-tuning).
 * :mod:`repro.api.requests` -- the typed request/response dataclasses the
   session speaks.
-* :mod:`repro.api.registry` -- plugin registries for cost models,
-  selectors, engines, cache builders and candidate policies.
 * :mod:`repro.api.serve` -- the newline-delimited-JSON ``repro serve``
   frontend (stdio, one client).
 * :mod:`repro.api.server` -- the concurrent asyncio TCP server
@@ -14,10 +12,10 @@
 * :mod:`repro.api.tier` -- the process-wide shared read-only cache tier
   concurrent sessions publish their builds into.
 
-Attributes resolve lazily (PEP 562): low-level modules import
-``repro.api.registry`` during their own initialisation, so this package
-must stay import-light and free of eager dependencies on the session
-machinery.
+Attributes resolve lazily (PEP 562), so importing one submodule -- the CLI
+wants the session and the stdio frontend -- does not load the asyncio
+server.  Nothing below this package imports it
+(``tests/test_layering.py``).
 """
 
 from __future__ import annotations
@@ -28,14 +26,6 @@ from typing import Any
 #: Public attribute -> defining submodule.  ``from repro.api import X``
 #: resolves through :func:`__getattr__` below.
 _EXPORTS = {
-    # registry
-    "Registry": "repro.api.registry",
-    "EngineSpec": "repro.api.registry",
-    "COST_MODELS": "repro.api.registry",
-    "SELECTORS": "repro.api.registry",
-    "ENGINES": "repro.api.registry",
-    "CACHE_BUILDERS": "repro.api.registry",
-    "CANDIDATE_POLICIES": "repro.api.registry",
     # requests / responses
     "UNSET": "repro.api.requests",
     "RecommendRequest": "repro.api.requests",

@@ -15,19 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.advisor.advisor import UNSET, _Unset, validate_tuning_limits
 from repro.catalog.index import Index
 from repro.util.errors import AdvisorError
-
-
-class _Unset:
-    """Sentinel for "the caller did not say" where ``None`` is meaningful."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "UNSET"
-
-
-#: The "inherit the session's setting" sentinel.
-UNSET = _Unset()
 
 
 def index_to_dict(index: Index) -> Dict[str, Any]:
@@ -105,8 +95,6 @@ class RecommendRequest:
         # Same validation AdvisorOptions applies, before any session work.
         # None means "inherit" for budget/gap, so only real values are
         # checked; ilp_time_limit speaks UNSET natively (None = no limit).
-        from repro.advisor.advisor import validate_tuning_limits
-
         validate_tuning_limits(
             space_budget_bytes=(
                 UNSET if self.space_budget_bytes is None else self.space_budget_bytes

@@ -63,30 +63,8 @@ from repro.api.session import TuningSession
 from repro.api.tier import SharedCacheTier
 from repro.obs import render_prometheus, snapshot
 from repro.query.parser import parse_statement
-from repro.util.errors import AdvisorError, ReproError
-from repro.workloads import builtin_catalog_factory
-
-#: Catalogs the frontend can serve (the CLI's built-ins).
-SERVABLE_CATALOGS = ("star", "tpch")
-
-
-def _load_catalog_and_workload(name: str, seed: int):
-    if name == "star":
-        from repro.workloads import StarSchemaWorkload
-
-        workload = StarSchemaWorkload(seed=seed)
-        return workload.catalog(), workload.queries()
-    if name == "tpch":
-        from repro.workloads.tpch_like import (
-            build_tpch_like_catalog,
-            tpch_q5_like_query,
-            tpch_small_join_query,
-        )
-
-        return build_tpch_like_catalog(), [tpch_q5_like_query(), tpch_small_join_query()]
-    raise AdvisorError(
-        f"unknown catalog {name!r} (servable: {', '.join(repr(c) for c in SERVABLE_CATALOGS)})"
-    )
+from repro.util.errors import AdvisorError, ReproError, validate_name
+from repro.workloads import BUILTIN_CATALOGS, builtin_catalog_factory, builtin_workload
 
 
 class ServeFrontend:
@@ -99,11 +77,7 @@ class ServeFrontend:
         options: Optional[AdvisorOptions] = None,
         shared_tier: Optional[SharedCacheTier] = None,
     ) -> None:
-        if default_catalog not in SERVABLE_CATALOGS:
-            raise AdvisorError(
-                f"unknown catalog {default_catalog!r} "
-                f"(servable: {', '.join(repr(c) for c in SERVABLE_CATALOGS)})"
-            )
+        validate_name("catalog", default_catalog, BUILTIN_CATALOGS)
         self._default_catalog = default_catalog
         self._default_seed = seed
         self._options = options or AdvisorOptions()
@@ -132,7 +106,7 @@ class ServeFrontend:
         key = (name, seed_value)
         session = self._sessions.get(key)
         if session is None:
-            catalog_object, workload = _load_catalog_and_workload(name, seed_value)
+            catalog_object, workload = builtin_workload(name, seed_value)
             session = TuningSession(
                 catalog_object,
                 workload,
@@ -147,6 +121,13 @@ class ServeFrontend:
     def session_count(self) -> int:
         """How many per-catalog sessions are alive."""
         return len(self._sessions)
+
+    def close(self) -> None:
+        """Stop every watcher and release its feed (the frontend is discarded)."""
+        for tuner in self._watchers.values():
+            tuner.stop()
+            tuner.source.close()
+        self._watchers.clear()
 
     # -- request handling --------------------------------------------------
 

@@ -186,7 +186,7 @@ class TuningServer:
 
     @property
     def session_count(self) -> int:
-        """Distinct ``session_id`` values served so far."""
+        """Sessions alive: every named one, plus the open anonymous connections'."""
         return len(self._frontends)
 
     @property
@@ -261,6 +261,12 @@ class TuningServer:
                 pass
             self._connections_active -= 1
             SERVE_CONNECTIONS.dec()
+            # The connection-default session dies with its connection (nobody
+            # can name it again); named sessions stay for reconnects.
+            self._locks.pop(default_session, None)
+            frontend = self._frontends.pop(default_session, None)
+            if frontend is not None:
+                frontend.close()
             if task is not None:
                 self._connection_tasks.discard(task)
 

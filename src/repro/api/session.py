@@ -31,8 +31,8 @@ is *incremental*: only queries whose (query, builder, candidate-set) key is
 new get caches built; everything else is answered from the session pool or
 the persistent store, and selection re-runs on the already-compiled arena.
 
-Two candidate policies (pluggable through
-:data:`~repro.api.registry.CANDIDATE_POLICIES`) control the delta behaviour:
+Two candidate policies (by name, through
+:data:`~repro.advisor.advisor.CANDIDATE_POLICIES`) control the delta behaviour:
 
 * ``"workload"`` -- the one-shot advisor's semantics: one workload-wide
   candidate pool, each query's cache built for the pool members touching its
@@ -49,16 +49,28 @@ Two candidate policies (pluggable through
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.advisor.advisor import AdvisorOptions, AdvisorResult, validate_tuning_limits
-from repro.advisor.benefit import CostModelRequest
-from repro.advisor.candidates import CandidateGenerator, prune_write_dominated
+from repro.advisor.advisor import (
+    CANDIDATE_POLICIES,
+    COST_MODELS,
+    SELECTORS,
+    AdvisorOptions,
+    AdvisorResult,
+    validate_tuning_limits,
+)
+from repro.advisor.benefit import CacheBackedWorkloadCostModel, OptimizerWorkloadCostModel
+from repro.advisor.candidates import (
+    CandidateGenerator,
+    CandidatePlan,
+    per_query_candidate_policy,  # noqa: F401 - re-exported from its old home
+    pooled_candidate_plan,
+    prune_write_dominated,
+    workload_candidate_policy,  # noqa: F401 - re-exported from its old home
+)
 from repro.advisor.greedy import SelectionStatistics
-from repro.api.registry import CANDIDATE_POLICIES, COST_MODELS, SELECTORS
 from repro.api.tier import (
     LocalPool,
     PlanCachePool,
@@ -98,114 +110,6 @@ from repro.util.errors import AdvisorError
 from repro.util.fingerprint import index_set_fingerprint, template_fingerprint
 from repro.util.timing import timed
 from repro.workloads.compress import compress_workload
-
-def _call_selector_factory(factory, catalog, cost_model, options: AdvisorOptions):
-    """Invoke a selector factory, passing ``options`` when it accepts them.
-
-    The registry's factory contract is positional ``(catalog, cost_model,
-    space_budget_bytes, min_relative_benefit)``; factories that declare an
-    ``options`` keyword (or ``**kwargs``) additionally receive the effective
-    :class:`AdvisorOptions`, which is how the ILP selector learns its
-    ``ilp_gap``/``ilp_time_limit`` without breaking third-party factories
-    registered against the original signature.
-    """
-    try:
-        parameters = inspect.signature(factory).parameters
-        accepts_options = "options" in parameters or any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters.values()
-        )
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        accepts_options = False
-    if accepts_options:
-        return factory(
-            catalog,
-            cost_model,
-            options.space_budget_bytes,
-            options.min_relative_benefit,
-            options=options,
-        )
-    return factory(
-        catalog,
-        cost_model,
-        options.space_budget_bytes,
-        options.min_relative_benefit,
-    )
-
-
-# -- candidate policies ------------------------------------------------------------
-
-
-@dataclass
-class CandidatePlan:
-    """What one recommend call selects over and what each cache must cover."""
-
-    #: The candidate set the greedy search runs over, in generation order.
-    pool: List[Index]
-    #: Per query (by name), the candidates its plan cache collects access
-    #: costs for -- the cache's fingerprint identity.
-    per_query: Dict[str, List[Index]]
-
-
-def pooled_candidate_plan(
-    pool: Sequence[Index],
-    queries: Sequence[Query],
-    max_candidates: Optional[int],
-) -> CandidatePlan:
-    """One candidate pool for the whole workload (generated or caller-supplied).
-
-    Each query's cache covers the pool members touching its tables, so
-    ``recommend``, ``repro cache-workload`` and an explicit-candidates
-    request over the same pool share pool, tier and store keys.
-    """
-    pool = list(pool if max_candidates is None else pool[:max_candidates])
-    per_query = {
-        query.name: [index for index in pool if index.table in query.tables]
-        for query in queries
-    }
-    return CandidatePlan(pool=pool, per_query=per_query)
-
-
-def workload_candidate_policy(
-    generator: CandidateGenerator,
-    queries: Sequence[Query],
-    max_candidates: Optional[int],
-) -> CandidatePlan:
-    """The one-shot advisor's policy: one workload-wide candidate pool."""
-    return pooled_candidate_plan(generator.for_workload(queries), queries, max_candidates)
-
-
-def per_query_candidate_policy(
-    generator: CandidateGenerator,
-    queries: Sequence[Query],
-    max_candidates: Optional[int],
-) -> CandidatePlan:
-    """The delta-friendly policy: each query's cache covers its own candidates.
-
-    A query's candidate set depends only on the query itself, so workload
-    mutations leave every other query's cache key untouched and re-tuning
-    builds exactly the delta.  The selection pool is the deduplicated union
-    in workload order (truncation applies to the pool only, never to the
-    per-query sets, so cache keys stay stable under ``max_candidates``).
-
-    DML statements participate like everything else: their cache identity
-    is their *shadow* query's own candidates, so workload mutations never
-    churn warm DML caches.  Their maintenance profile -- which must cover
-    every pool candidate on their table, not just their own -- is cheap
-    catalog arithmetic and is recomputed per recommend outside the cache
-    key (see ``TuningSession._cost_model``).
-    """
-    per_query = {query.name: generator.for_query(query) for query in queries}
-    pool: List[Index] = []
-    seen = set()
-    for query in queries:
-        for index in per_query[query.name]:
-            if index.key not in seen:
-                seen.add(index.key)
-                pool.append(index)
-    if max_candidates is not None:
-        pool = pool[:max_candidates]
-    return CandidatePlan(pool=pool, per_query=per_query)
 
 
 # -- session statistics ------------------------------------------------------------
@@ -632,13 +536,7 @@ class TuningSession:
             )
             build_span.set(queries=len(workload), candidates=len(plan.pool))
 
-        selector_factory = SELECTORS.get(options.selector)
-        selector = _call_selector_factory(
-            selector_factory,
-            self._catalog,
-            cost_model,
-            options,
-        )
+        selector = SELECTORS[options.selector](self._catalog, cost_model, options)
         with tracer.span("recommend.evaluate", phase="baseline"):
             per_query_before = cost_model.per_query_costs([])
             cost_before = cost_model.weighted_total(per_query_before)
@@ -924,13 +822,13 @@ class TuningSession:
         if candidates is not None:
             plan = pooled_candidate_plan(candidates, workload, options.max_candidates)
         else:
-            policy = CANDIDATE_POLICIES.get(options.candidate_policy)
+            policy = CANDIDATE_POLICIES[options.candidate_policy]
             plan = policy(self._generator, workload, options.max_candidates)
-        factory = COST_MODELS.get(options.cost_model)
-        builder = getattr(factory, "cache_builder", options.cost_model)
+        # The builder of this cost model's plan caches (None: it has none).
+        builder = COST_MODELS[options.cost_model]
         # Computed once per request: the signature, the pool lookup and the
         # arena identity all read this one mapping.
-        keys = cache_keys(workload, plan.per_query, builder)
+        keys = cache_keys(workload, plan.per_query, builder or options.cost_model)
         signature = (
             tuple(keys),
             options.cost_model,
@@ -943,7 +841,7 @@ class TuningSession:
             index_set_fingerprint(plan.pool),
             tuple(keys.values()),
         )
-        report = WorkloadBuildReport(builder=builder, jobs=options.jobs)
+        report = WorkloadBuildReport(builder=builder or options.cost_model, jobs=options.jobs)
         if reuse and signature == self._model_signature:
             return self._model, plan, report, {}
 
@@ -953,36 +851,42 @@ class TuningSession:
             plan.pool,
             whatif=self._call_cache,
         )
-        request = CostModelRequest(
-            optimizer=self._optimizer,
-            queries=list(workload),
-            candidates=plan.pool,
-            engine=options.engine,
-            weights=options.weight_map(),
-        )
-        if getattr(factory, "uses_plan_caches", False):
+        if builder is None:
+            self._model = OptimizerWorkloadCostModel(
+                self._optimizer,
+                workload,
+                whatif=self._call_cache,
+                cost_memo=self._whatif_cost_memo,
+                weights=options.weight_map(),
+            )
+        else:
             result = self._pool.acquire(
                 workload, plan.per_query, builder, jobs=options.jobs, keys=keys
             )
             report = result.report
-            request.caches = result.caches
-            request.cache_ids = {
+            caches = result.caches
+            cache_ids = {
                 name: ":".join(str(part) for part in key) for name, key in keys.items()
             }
             for name, profile in profiles.items():
                 # Pooled (possibly tier-shared) caches are never written: the
                 # pool-specific profile goes on a detached copy (entries and
                 # access costs stay shared).
-                request.caches[name] = request.caches[name].detached_copy()
-                request.caches[name].maintenance = profile
-                request.cache_ids[name] += f"|maint:{profile.digest()}"
-            request.preparation_optimizer_calls = report.optimizer_calls
-            request.preparation_seconds = report.wall_seconds
-            request.arena_cache = self._arena_pool
-        else:
-            request.call_cache = self._call_cache
-            request.cost_memo = self._whatif_cost_memo
-        self._model, self._model_signature = factory(request), signature
+                caches[name] = caches[name].detached_copy()
+                caches[name].maintenance = profile
+                cache_ids[name] += f"|maint:{profile.digest()}"
+            self._model = CacheBackedWorkloadCostModel(
+                workload,
+                caches,
+                builder,
+                options.engine,
+                preparation_optimizer_calls=report.optimizer_calls,
+                preparation_seconds=report.wall_seconds,
+                cache_ids=cache_ids,
+                weights=options.weight_map(),
+                arena_cache=self._arena_pool,
+            )
+        self._model_signature = signature
         return self._model, plan, report, profiles
 
     def _resolve_query(self, request: ExplainRequest) -> Query:

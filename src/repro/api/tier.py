@@ -141,7 +141,7 @@ class PublishedMap:
         self._snapshot: Dict[Hashable, object] = {}
         self.hits = 0
         self.promotions = 0
-        # Registry children resolved once: lookups sit on the recommend hot path.
+        # Metric children resolved once: lookups sit on the recommend hot path.
         self._hit = TIER_LOOKUPS.labels(kind=kind, result="hit")
         self._miss = TIER_LOOKUPS.labels(kind=kind, result="miss")
         self._promoted = TIER_PROMOTIONS.labels(kind=kind)

@@ -80,28 +80,23 @@ import json
 import sys
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.advisor import AdvisorOptions
+from repro.advisor.advisor import (
+    CANDIDATE_POLICIES,
+    COST_MODELS,
+    ENGINES,
+    SELECTORS,
+    AdvisorOptions,
+)
 from repro.advisor.candidates import DEFAULT_MAX_CANDIDATES
 from repro.api.serve import ServeFrontend
 from repro.api.session import TuningSession
 from repro.bench.harness import ExperimentTable
 from repro.inum.serialization import save_cache
+from repro.inum.workload_builder import CACHE_BUILDERS
 from repro.query import Query, parse_statement
 from repro.util.errors import AdvisorError, ReproError
 from repro.util.units import format_bytes, gigabytes
-from repro.workloads import StarSchemaWorkload, build_tpch_like_catalog, builtin_catalog_factory
-
-
-def _load_catalog(name: str, seed: int) -> tuple:
-    """Return ``(catalog, builtin workload queries)`` for a built-in catalog."""
-    if name == "star":
-        workload = StarSchemaWorkload(seed=seed)
-        return workload.catalog(), workload.queries()
-    if name == "tpch":
-        from repro.workloads.tpch_like import tpch_q5_like_query, tpch_small_join_query
-
-        return build_tpch_like_catalog(), [tpch_q5_like_query(), tpch_small_join_query()]
-    raise ReproError(f"unknown catalog {name!r} (expected 'star' or 'tpch')")
+from repro.workloads import BUILTIN_CATALOGS, builtin_catalog_factory, builtin_workload
 
 
 def _read_queries(args: argparse.Namespace, builtin: Sequence[Query]) -> List[Query]:
@@ -154,7 +149,7 @@ def _ilp_overrides(args: argparse.Namespace) -> dict:
 
 def _build_session(args: argparse.Namespace, options: AdvisorOptions) -> TuningSession:
     """A session over the requested catalog, loaded with the requested queries."""
-    catalog, builtin = _load_catalog(args.catalog, args.seed)
+    catalog, builtin = builtin_workload(args.catalog, args.seed)
     queries = _read_queries(args, builtin)
     return TuningSession(
         catalog,
@@ -358,7 +353,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     )
     # The daemon owns the workload: the session starts empty and receives
     # the window's templates at the first (bootstrap) tune.
-    catalog, _ = _load_catalog(args.catalog, args.seed)
+    catalog, _ = builtin_workload(args.catalog, args.seed)
     session = TuningSession(
         catalog,
         [],
@@ -505,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--catalog", choices=["star", "tpch"], default="star",
+        sub.add_argument("--catalog", choices=sorted(BUILTIN_CATALOGS), default="star",
                          help="built-in catalog to run against")
         sub.add_argument("--seed", type=int, default=7, help="workload generator seed")
         sub.add_argument("--sql", help="a single SQL query text")
@@ -516,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_tuning_options(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--budget-gb", type=float, default=5.0,
                          help="index space budget in GiB (paper: 5)")
-        sub.add_argument("--cost-model", choices=["pinum", "inum", "optimizer"],
+        sub.add_argument("--cost-model", choices=sorted(COST_MODELS),
                          default="pinum", help="benefit oracle for the greedy search")
         sub.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
                          help="cap on the candidate-index set (shared default with "
@@ -525,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="process-pool width for the per-query cache builds")
         sub.add_argument("--cache-dir",
                          help="persistent cache-store directory reused across runs")
-        sub.add_argument("--selector", choices=["exhaustive", "lazy", "ilp"],
+        sub.add_argument("--selector", choices=sorted(SELECTORS),
                          default="lazy",
                          help="index-selection search: the paper's exhaustive greedy "
                               "loop, the CELF-style lazy loop (identical picks, far "
@@ -539,13 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="wall-clock budget for the ilp solver; on expiry the "
                               "best selection found so far is returned with its "
                               "proven gap (default 60)")
-        sub.add_argument("--engine",
-                         choices=["auto", "arena", "numpy", "python", "scalar"],
-                         default="auto",
+        sub.add_argument("--engine", choices=sorted(ENGINES), default="auto",
                          help="evaluation backend: auto/arena = the workload arena "
                               "(numpy when available), numpy/python pin its backend, "
                               "scalar = the reference oracle's per-slot walk")
-        sub.add_argument("--candidate-policy", choices=["workload", "per_query"],
+        sub.add_argument("--candidate-policy", choices=sorted(CANDIDATE_POLICIES),
                          default="workload",
                          help="candidate generation: one workload-wide pool (the "
                               "paper's arrangement) or per-query candidate sets "
@@ -577,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = subparsers.add_parser("cache", help="build a plan cache and report statistics")
     add_common(cache)
-    cache.add_argument("--builder", choices=["pinum", "inum"], default="pinum",
+    cache.add_argument("--builder", choices=sorted(CACHE_BUILDERS), default="pinum",
                        help="which builder fills the cache")
     cache.add_argument("--save", help="path prefix for saving the cache(s) as JSON")
     cache.set_defaults(handler=_cmd_cache)
@@ -587,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="build every workload query's plan cache (parallel, memoized, persistent)",
     )
     add_common(workload)
-    workload.add_argument("--builder", choices=["pinum", "inum"], default="pinum",
+    workload.add_argument("--builder", choices=sorted(CACHE_BUILDERS), default="pinum",
                           help="which per-query builder fills the caches")
     workload.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
                           help="cap on the candidate-index set (shared default with "
@@ -604,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve tuning requests as newline-delimited JSON over stdin/stdout",
     )
-    serve.add_argument("--catalog", choices=["star", "tpch"], default="star",
+    serve.add_argument("--catalog", choices=sorted(BUILTIN_CATALOGS), default="star",
                        help="default catalog served (requests may name others)")
     serve.add_argument("--seed", type=int, default=7, help="workload generator seed")
     transport = serve.add_mutually_exclusive_group()
@@ -630,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         "watch",
         help="tail an NDJSON statement feed and re-tune on workload drift",
     )
-    watch.add_argument("--catalog", choices=["star", "tpch"], default="star",
+    watch.add_argument("--catalog", choices=sorted(BUILTIN_CATALOGS), default="star",
                        help="built-in catalog the feed's statements run against")
     watch.add_argument("--seed", type=int, default=7, help="workload generator seed")
     watch.add_argument("--follow", required=True, metavar="FILE",

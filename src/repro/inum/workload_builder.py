@@ -34,10 +34,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.registry import CACHE_BUILDERS
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
 from repro.inum.cache import CacheBuildStatistics, InumCache
+from repro.inum.cache_builder import InumCacheBuilder
 from repro.inum.dml import build_statement_cache
 from repro.inum.serialization import CacheStore, cache_from_dict, cache_to_dict
 from repro.obs.instruments import BUILD_QUERIES
@@ -45,20 +45,28 @@ from repro.obs.trace import get_tracer
 from repro.optimizer.interesting_orders import combination_count
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfCallCache
+from repro.pinum.cache_builder import PinumCacheBuilder
 from repro.query.ast import DmlStatement, Query
-from repro.util.errors import ReproError
+from repro.util.errors import ReproError, validate_name
 from repro.util.fingerprint import query_fingerprint
 from repro.util.timing import timed
+
+
+#: Per-query plan-cache builders by ``WorkloadBuilderOptions.builder`` name:
+#: classes constructed as ``builder(optimizer, options=None, call_cache=None)``
+#: with a ``build_cache(query, candidate_indexes)`` method.  A plain dict: a
+#: new builder is one assignment away.
+CACHE_BUILDERS = {"pinum": PinumCacheBuilder, "inum": InumCacheBuilder}
 
 
 @dataclass
 class WorkloadBuilderOptions:
     """Knobs of a workload-scale build.
 
-    ``builder`` selects the per-query builder (a
-    :data:`~repro.api.registry.CACHE_BUILDERS` name).  ``jobs`` is the
-    process-pool width; ``1`` builds serially in-process (with the benefit
-    of one shared what-if call cache across all queries).
+    ``builder`` selects the per-query builder (a :data:`CACHE_BUILDERS`
+    name, validated here).  ``jobs`` is the process-pool width; ``1`` builds
+    serially in-process (with the benefit of one shared what-if call cache
+    across all queries).
     ``use_call_cache`` toggles the memoizing what-if layer (off, a build
     reports the paper's un-memoised optimizer-call counts).
     """
@@ -68,10 +76,7 @@ class WorkloadBuilderOptions:
     use_call_cache: bool = True
 
     def __post_init__(self) -> None:
-        # Names resolve through the CACHE_BUILDERS registry, so external
-        # builders registered there are accepted here too; the error lists
-        # the registered choices (AdvisorError is a ReproError).
-        CACHE_BUILDERS.validate(self.builder)
+        validate_name("cache builder", self.builder, CACHE_BUILDERS)
         if self.jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -420,13 +425,13 @@ def _build_one_cache(
 ) -> InumCache:
     """Build a single statement's cache with the configured per-query builder.
 
-    The builder class resolves through the CACHE_BUILDERS registry and runs
-    with its default options.  DML statements build their *shadow* query
+    The builder class comes from :data:`CACHE_BUILDERS` and runs with its
+    default options.  DML statements build their *shadow* query
     through the same builder and carry a maintenance profile on top
     (:mod:`repro.inum.dml`); the shared what-if layer memoizes both kinds of
     probe.
     """
-    builder = CACHE_BUILDERS.get(options.builder)(optimizer, None, call_cache=call_cache)
+    builder = CACHE_BUILDERS[options.builder](optimizer, None, call_cache=call_cache)
     if isinstance(query, DmlStatement):
         return build_statement_cache(
             query,

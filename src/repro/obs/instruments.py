@@ -6,8 +6,8 @@ and means a bare ``repro metrics`` already exposes the full family list
 with HELP/TYPE headers -- values fill in as the process does work.
 
 Instrumented modules import their families from here and bump them at the
-same statements that feed the legacy ``*Statistics`` dataclasses, so the
-two surfaces can never disagree.
+same statements that feed the per-object ``*Statistics`` dataclasses
+(which responses and reports read), so the two surfaces can never disagree.
 """
 
 from __future__ import annotations

@@ -72,6 +72,11 @@ class OptimizationResult:
 class Optimizer:
     """PostgreSQL-style bottom-up query optimizer with PINUM hook points."""
 
+    #: Newest call records kept in :attr:`call_log`.  The log is for
+    #: inspection; the counters below are exact whatever its length, so a
+    #: long-lived serve process does not grow by one record per call.
+    MAX_CALL_LOG = 1024
+
     def __init__(self, catalog: Catalog, options: Optional[OptimizerOptions] = None) -> None:
         self.catalog = catalog
         self.options = options or OptimizerOptions()
@@ -79,6 +84,7 @@ class Optimizer:
         self._preprocessor = QueryPreprocessor(catalog)
         self.call_count = 0
         self.call_log: List[CallRecord] = []
+        self._total_seconds = 0.0
 
     # -- the optimizer call ----------------------------------------------------------
 
@@ -106,6 +112,9 @@ class Optimizer:
 
         elapsed = timer.seconds
         self.call_count += 1
+        self._total_seconds += elapsed
+        if len(self.call_log) >= self.MAX_CALL_LOG:
+            del self.call_log[0]
         self.call_log.append(
             CallRecord(
                 query_name=query.name,
@@ -132,8 +141,9 @@ class Optimizer:
         """Forget call counts and timings (used between experiment phases)."""
         self.call_count = 0
         self.call_log = []
+        self._total_seconds = 0.0
 
     @property
     def total_optimization_seconds(self) -> float:
         """Wall-clock seconds spent inside :meth:`optimize` since the last reset."""
-        return sum(record.elapsed_seconds for record in self.call_log)
+        return self._total_seconds

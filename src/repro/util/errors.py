@@ -31,3 +31,14 @@ class ExecutionError(ReproError):
 
 class AdvisorError(ReproError):
     """Raised by the index-selection tool for invalid budgets or inputs."""
+
+
+def validate_name(kind: str, name: object, table) -> None:
+    """Raise unless ``name`` is a key of ``table`` (a name -> implementation dict).
+
+    The one message every behaviour-name table answers a typo with; it lists
+    the known names, sorted.
+    """
+    if name not in table:
+        choices = ", ".join(repr(choice) for choice in sorted(table))
+        raise AdvisorError(f"unknown {kind} {name!r} (registered: {choices})")

@@ -1,76 +1,26 @@
-"""Tests for the plugin registries and eager option validation."""
+"""Tests for the behaviour-name tables and eager option validation."""
 
 import pytest
 
 from repro.advisor import AdvisorOptions
-from repro.api.registry import (
-    CACHE_BUILDERS,
-    CANDIDATE_POLICIES,
-    COST_MODELS,
-    ENGINES,
-    SELECTORS,
-    EngineSpec,
-    Registry,
-)
-from repro.inum.workload_builder import WorkloadBuilderOptions
-from repro.util.errors import AdvisorError, ReproError
+from repro.advisor.advisor import CANDIDATE_POLICIES, COST_MODELS, ENGINES, SELECTORS
+from repro.inum.workload_builder import CACHE_BUILDERS, WorkloadBuilderOptions
+from repro.util.errors import AdvisorError, ReproError, validate_name
 
 
 class TestRegistry:
     def test_builtin_names_are_listed(self):
-        assert set(COST_MODELS.names()) == {"pinum", "inum", "optimizer"}
-        assert set(SELECTORS.names()) == {"lazy", "exhaustive", "ilp"}
-        assert set(ENGINES.names()) == {"auto", "arena", "numpy", "python", "scalar"}
-        assert set(CACHE_BUILDERS.names()) == {"pinum", "inum"}
-        assert set(CANDIDATE_POLICIES.names()) == {"workload", "per_query"}
+        assert set(COST_MODELS) == {"pinum", "inum", "optimizer"}
+        assert set(SELECTORS) == {"lazy", "exhaustive", "ilp"}
+        assert set(ENGINES) == {"auto", "arena", "numpy", "python", "scalar"}
+        assert set(CACHE_BUILDERS) == {"pinum", "inum"}
+        assert set(CANDIDATE_POLICIES) == {"workload", "per_query"}
 
     def test_unknown_name_lists_registered_choices(self):
         with pytest.raises(
             AdvisorError, match=r"unknown selector 'random'.*'exhaustive', 'ilp', 'lazy'"
         ):
-            SELECTORS.validate("random")
-
-    def test_get_resolves_lazy_builtins(self):
-        from repro.advisor.lazy_greedy import build_lazy_selector
-        from repro.pinum.cache_builder import PinumCacheBuilder
-
-        assert SELECTORS.get("lazy") is build_lazy_selector
-        assert CACHE_BUILDERS.get("pinum") is PinumCacheBuilder
-
-    def test_register_and_unregister(self):
-        registry = Registry("demo")
-        registry.register("thing", 42)
-        assert registry.get("thing") == 42
-        assert "thing" in registry
-        registry.unregister("thing")
-        assert "thing" not in registry
-
-    def test_register_decorator_form(self):
-        registry = Registry("demo")
-
-        @registry.register("fn")
-        def factory():
-            return "built"
-
-        assert registry.get("fn") is factory
-
-    def test_duplicate_registration_rejected_without_replace(self):
-        registry = Registry("demo")
-        registry.register("name", 1)
-        with pytest.raises(AdvisorError, match="already registered"):
-            registry.register("name", 2)
-        registry.register("name", 2, replace=True)
-        assert registry.get("name") == 2
-
-    def test_builtin_cannot_be_shadowed_silently(self):
-        with pytest.raises(AdvisorError, match="already registered"):
-            SELECTORS.register("lazy", object())
-
-    def test_engine_spec_availability(self):
-        spec = EngineSpec("broken", availability=lambda: "not here")
-        with pytest.raises(AdvisorError, match="not here"):
-            spec.ensure_available()
-        EngineSpec("fine").ensure_available()
+            validate_name("selector", "random", SELECTORS)
 
 
 class TestEagerOptionValidation:
@@ -103,12 +53,9 @@ class TestEagerOptionValidation:
         with pytest.raises(ReproError, match=r"unknown cache builder 'magic'.*'inum', 'pinum'"):
             WorkloadBuilderOptions(builder="magic")
 
-    def test_registered_plugin_name_passes_validation(self):
-        COST_MODELS.register("custom-model", lambda request: None)
-        try:
-            options = AdvisorOptions(cost_model="custom-model")
-            assert options.cost_model == "custom-model"
-        finally:
-            COST_MODELS.unregister("custom-model")
-        with pytest.raises(AdvisorError):
-            AdvisorOptions(cost_model="custom-model")
+    def test_numpy_engine_without_numpy_fails_at_construction(self, monkeypatch):
+        """Availability is probed eagerly too, before any cache is built."""
+        monkeypatch.setattr("repro.advisor.benefit.numpy_available", lambda: False)
+        with pytest.raises(AdvisorError, match="numpy is not installed"):
+            AdvisorOptions(engine="numpy")
+        assert AdvisorOptions(engine="auto").engine == "auto"

@@ -173,6 +173,46 @@ class TestSessions:
         assert stats["result"]["sessions"] == 2
 
 
+    def test_anonymous_sessions_die_with_their_connection(self):
+        """A connection-default session (and its watcher) is dropped at close."""
+        async def settled(server):
+            # The server reaps a connection just after the client's close returns.
+            for _ in range(500):
+                if server.connections_active == 0:
+                    return
+                await asyncio.sleep(0.01)
+            raise AssertionError("connections did not close")
+
+        async def work(server):
+            watchers = []
+            for _ in range(3):
+                async with TuningClient("127.0.0.1", server.port) as anonymous:
+                    assert (await anonymous.call("ping"))["ok"]
+                    assert (await anonymous.call("watch_start"))["ok"]
+                    assert server.session_count == 1
+                    (frontend,) = server._frontends.values()
+                    watchers.extend(frontend._watchers.values())
+            await settled(server)
+            async with TuningClient("127.0.0.1", server.port) as probe:
+                after_anonymous = await probe.call("server_stats")
+            async with TuningClient(
+                "127.0.0.1", server.port, session_id="keeper"
+            ) as named:
+                await named.call("ping")
+            await settled(server)
+            async with TuningClient("127.0.0.1", server.port) as probe:
+                after_named = await probe.call("server_stats")
+            return watchers, after_anonymous, after_named, dict(server._locks)
+
+        watchers, after_anonymous, after_named, locks = run(_with_server(work))
+        assert len(watchers) == 3 and all(tuner._stopped for tuner in watchers)
+        assert after_anonymous["result"]["sessions"] == 0
+        assert after_anonymous["result"]["session_detail"] == {}
+        assert after_named["result"]["sessions"] == 1
+        assert list(after_named["result"]["session_detail"]) == ["keeper"]
+        assert list(locks) == ["keeper"]
+
+
 class TestDrainSemantics:
     def test_shutdown_during_pipelined_recommend_drains_first(self):
         """A shutdown racing a recommend never swallows the response."""

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from repro.advisor import AdvisorOptions, IndexAdvisor
-from repro.api.registry import SELECTORS
+from repro.advisor.advisor import SELECTORS
 from repro.api.requests import (
     EvaluateRequest,
     ExplainRequest,
@@ -449,10 +449,10 @@ class TestPluggableSelector:
         class FirstFitSelector:
             """Picks the first candidate that fits the budget, once."""
 
-            def __init__(self, catalog, cost_model, budget, min_benefit):
+            def __init__(self, catalog, cost_model, options):
                 self._catalog = catalog
                 self._cost_model = cost_model
-                self._budget = budget
+                self._budget = options.space_budget_bytes
                 from repro.advisor.greedy import SelectionStatistics
 
                 self.statistics = SelectionStatistics()
@@ -468,13 +468,13 @@ class TestPluggableSelector:
                                               self._catalog.index_size_bytes(candidate))]
                 return []
 
-        SELECTORS.register("first-fit", FirstFitSelector)
+        SELECTORS["first-fit"] = FirstFitSelector
         try:
             response = session.recommend(RecommendRequest(selector="first-fit"))
             assert len(response.result.selected_indexes) <= 1
             assert response.result.selector == "first-fit"
         finally:
-            SELECTORS.unregister("first-fit")
+            del SELECTORS["first-fit"]
 
 
 class TestConfigureAndRetuneAccounting:

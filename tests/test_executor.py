@@ -10,13 +10,26 @@ from repro.query import QueryBuilder
 from repro.storage.datagen import DataGenerator
 
 
-@pytest.fixture
-def database(small_catalog):
-    db = DataGenerator(small_catalog, seed=11).generate(
-        row_counts={"customers": 200, "products": 80, "sales": 2_000}
+def generate(catalog, customers, products, sales):
+    db = DataGenerator(catalog, seed=11).generate(
+        row_counts={"customers": customers, "products": products, "sales": sales}
     )
     db.analyze()
     return db
+
+
+@pytest.fixture
+def database(small_catalog):
+    return generate(small_catalog, customers=200, products=80, sales=2_000)
+
+
+@pytest.fixture
+def join_database(small_catalog):
+    """A smaller instance for the three-way joins: the brute-force reference
+    enumerates the cross product, and equality with it does not need scale.
+    All 80 products stay -- the only one in ``join_query``'s category range
+    is among the last -- which leaves 10 joined rows in 9 regions."""
+    return generate(small_catalog, customers=25, products=80, sales=500)
 
 
 def reference_join_rows(database, query):
@@ -111,11 +124,11 @@ class TestJoins:
         expected = reference_join_rows(database, query)
         assert result.row_count == len(expected)
 
-    def test_three_way_join_count(self, small_catalog, database, join_query):
+    def test_three_way_join_count(self, small_catalog, join_database, join_query):
         plan = Optimizer(small_catalog).optimize(join_query).plan
         # Strip the aggregation for the reference count by comparing group sums.
-        result = PlanExecutor(database, join_query).execute(plan)
-        expected_rows = reference_join_rows(database, join_query)
+        result = PlanExecutor(join_database, join_query).execute(plan)
+        expected_rows = reference_join_rows(join_database, join_query)
         # The executed plan aggregates by region; total group membership must match.
         regions = {}
         for row in expected_rows:
@@ -124,10 +137,10 @@ class TestJoins:
 
 
 class TestAggregationAndOrdering:
-    def test_group_sums_match_reference(self, small_catalog, database, join_query):
+    def test_group_sums_match_reference(self, small_catalog, join_database, join_query):
         plan = Optimizer(small_catalog).optimize(join_query).plan
-        result = PlanExecutor(database, join_query).execute(plan)
-        expected_rows = reference_join_rows(database, join_query)
+        result = PlanExecutor(join_database, join_query).execute(plan)
+        expected_rows = reference_join_rows(join_database, join_query)
         sums = {}
         for row in expected_rows:
             region = row[qualified("customers", "c_region")]

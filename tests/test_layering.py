@@ -1,0 +1,113 @@
+"""The import graph points downward: nothing below ``api/`` imports it.
+
+Behaviour names resolve through plain tables owned by the layer that
+implements their members (``repro.advisor.advisor``,
+``repro.inum.workload_builder``), so the lower layers never need the service
+layer -- and therefore need no function-local imports to dodge a cycle.
+This module pins that by walking the source with :mod:`ast`.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Iterator, List, Tuple
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "repro"
+
+#: The only function-local ``repro`` imports left in the lower layers, as
+#: (file, enclosing function): the one-shot facade over the session that is
+#: built on top of it, and the first-use import of the ILP package.
+ALLOWED_LOCAL_IMPORTS = {
+    ("advisor/advisor.py", "IndexAdvisor.recommend"),
+    ("advisor/advisor.py", "_ilp_selector"),
+}
+
+#: Where (b) applies; other local imports are other cycles or start-up choices.
+LOWER_LAYERS = ("advisor/", "inum/", "pinum/", "optimizer/", "api/requests.py")
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _imports(tree: ast.AST) -> Iterator[Tuple[str, str]]:
+    """``(imported module, enclosing function or "")`` for every runtime import."""
+
+    def walk(node: ast.AST, scope: Tuple[str, ...], in_function: bool) -> Iterator[Tuple[str, str]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and _is_type_checking(child.test):
+                for other in child.orelse:
+                    yield from walk(other, scope, in_function)
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                where = ".".join(scope) if in_function else ""
+                if isinstance(child, ast.Import):
+                    for alias in child.names:
+                        yield alias.name, where
+                elif child.level == 0 and child.module:
+                    yield child.module, where
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, scope + (child.name,), True)
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, scope + (child.name,), in_function)
+            else:
+                yield from walk(child, scope, in_function)
+
+    return walk(tree, (), False)
+
+
+def _modules() -> Iterator[Tuple[str, ast.AST]]:
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path.relative_to(PACKAGE).as_posix(), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _under(module: str, *packages: str) -> bool:
+    return any(module == package or module.startswith(package + ".") for package in packages)
+
+
+def test_nothing_below_the_service_layer_imports_it():
+    offenders: List[str] = []
+    for name, tree in _modules():
+        if name.startswith(("api/", "online/")) or name in ("cli.py", "__init__.py"):
+            continue
+        for module, where in _imports(tree):
+            if _under(module, "repro.api", "repro.online") and (
+                (name, where) not in ALLOWED_LOCAL_IMPORTS
+            ):
+                offenders.append(f"{name}: imports {module}" + (f" in {where}" if where else ""))
+    assert offenders == []
+
+
+def test_lower_layers_have_no_cycle_dodging_local_imports():
+    found = {
+        (name, where)
+        for name, tree in _modules()
+        if name.startswith(LOWER_LAYERS)
+        for module, where in _imports(tree)
+        if where and _under(module, "repro")
+    }
+    assert found == ALLOWED_LOCAL_IMPORTS
+
+
+def test_importing_the_cli_loads_neither_the_ilp_package_nor_the_tcp_server():
+    """``repro recommend`` must not pay for what only some runs use."""
+    code = (
+        "import sys, repro.cli\n"
+        "print([m for m in sys.modules\n"
+        "       if m.startswith('repro.advisor.ilp') or m == 'repro.api.server'])"
+    )
+    output = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout
+    assert output.strip() == "[]"

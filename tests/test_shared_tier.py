@@ -13,16 +13,16 @@ from __future__ import annotations
 import threading
 
 from repro.advisor.advisor import AdvisorOptions
-from repro.api.serve import _load_catalog_and_workload
 from repro.api.session import TuningSession
 from repro.api.tier import SharedCacheTier, TierNamespace
 from repro.inum.cache import InumCache
 from repro.inum.serialization import CacheStore, PageCache
 from repro.query.parser import parse_statement
+from repro.workloads import builtin_workload
 
 
 def _session(tier, catalog_name="tpch", seed=7, **options):
-    catalog, workload = _load_catalog_and_workload(catalog_name, seed)
+    catalog, workload = builtin_workload(catalog_name, seed)
     return TuningSession(
         catalog,
         workload,
@@ -206,7 +206,7 @@ class TestTierInternals:
 
     def test_store_page_cache_is_shared(self, tmp_path):
         """Two stores over one PageCache parse each saved file once."""
-        catalog, workload = _load_catalog_and_workload("tpch", 7)
+        catalog, workload = builtin_workload("tpch", 7)
         pages = PageCache()
         writer = CacheStore(tmp_path, catalog, page_cache=pages)
         reader = CacheStore(tmp_path, catalog, page_cache=pages)
@@ -225,7 +225,7 @@ class TestTierInternals:
 
     def test_store_for_returns_one_store_per_directory(self, tmp_path):
         tier = SharedCacheTier()
-        catalog, _ = _load_catalog_and_workload("tpch", 7)
+        catalog, _ = builtin_workload("tpch", 7)
         assert tier.store_for(tmp_path, catalog) is tier.store_for(tmp_path, catalog)
 
 
