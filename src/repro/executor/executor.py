@@ -9,21 +9,12 @@ faithful I/O accounting matter, raw throughput does not.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.executor.predicates import apply_predicates, qualified, qualify_row
 from repro.executor.stats import ExecutionResult, ExecutionStatistics
-from repro.optimizer.plan import (
-    AggregateNode,
-    HashJoinNode,
-    JoinNode,
-    MergeJoinNode,
-    NestLoopJoinNode,
-    PlanNode,
-    ScanNode,
-    SortNode,
-)
-from repro.query.ast import AggregateFunction, ColumnRef, Comparison, Query
+from repro.optimizer.plan import Operator, PlanNode
+from repro.query.ast import AggregateFunction, ColumnRef, Comparison, JoinPredicate, Query
 from repro.storage.datagen import Database
 from repro.util.errors import ExecutionError
 
@@ -50,25 +41,14 @@ class PlanExecutor:
     # -- dispatch -----------------------------------------------------------------
 
     def _run(self, node: PlanNode, stats: ExecutionStatistics) -> List[Row]:
-        if isinstance(node, ScanNode):
-            if node.parameterized:
-                raise ExecutionError(
-                    "parameterized scans are only valid as nested-loop inners"
-                )
-            return self._run_scan(node, stats)
-        if isinstance(node, SortNode):
-            return self._run_sort(node, stats)
-        if isinstance(node, NestLoopJoinNode):
-            return self._run_nested_loop(node, stats)
-        if isinstance(node, (HashJoinNode, MergeJoinNode)):
-            return self._run_symmetric_join(node, stats)
-        if isinstance(node, AggregateNode):
-            return self._run_aggregate(node, stats)
-        raise ExecutionError(f"cannot execute plan node of type {node.node_type!r}")
+        # One handler per operator; the table closes the class body.
+        return self._HANDLERS[node.op](self, node, stats)
 
     # -- scans ---------------------------------------------------------------------
 
-    def _run_scan(self, node: ScanNode, stats: ExecutionStatistics) -> List[Row]:
+    def _run_scan(self, node: PlanNode, stats: ExecutionStatistics) -> List[Row]:
+        if node.parameterized:
+            raise ExecutionError("parameterized scans are only valid as nested-loop inners")
         path = node.path
         relation = self._database.relation(path.table)
         filters = self._query.filters_on(path.table)
@@ -120,21 +100,24 @@ class PlanExecutor:
 
     # -- sort -----------------------------------------------------------------------
 
-    def _run_sort(self, node: SortNode, stats: ExecutionStatistics) -> List[Row]:
+    def _run_sort(self, node: PlanNode, stats: ExecutionStatistics) -> List[Row]:
         rows = self._run(node.children[0], stats)
         stats.charge_rows(len(rows))
-        keys = [qualified(ref.table, ref.column) for ref in node.sort_columns]
+        keys = [qualified(ref.table, ref.column) for ref in node.columns]
         return sorted(rows, key=lambda row: tuple(_sort_key(row.get(k)) for k in keys))
 
     # -- joins ---------------------------------------------------------------------
 
-    def _run_symmetric_join(self, node: JoinNode, stats: ExecutionStatistics) -> List[Row]:
-        """Hash and merge joins both reduce to an equality match on one key pair."""
-        outer_rows = self._run(node.outer, stats)
-        inner_rows = self._run(node.inner, stats)
+    def _run_symmetric_join(self, node: PlanNode, stats: ExecutionStatistics) -> List[Row]:
+        """Hash and merge joins both reduce to an equality match on the key
+        predicate, with the node's other predicates applied as a residual."""
+        outer, inner = node.children
+        outer_rows = self._run(outer, stats)
+        inner_rows = self._run(inner, stats)
         stats.charge_rows(len(outer_rows) + len(inner_rows))
 
         outer_key, inner_key = self._join_keys(node)
+        residual = node.predicates[1:]
         table: Dict[object, List[Row]] = {}
         for row in inner_rows:
             table.setdefault(row.get(inner_key), []).append(row)
@@ -143,23 +126,21 @@ class PlanExecutor:
             for match in table.get(row.get(outer_key), []):
                 combined = dict(row)
                 combined.update(match)
-                joined.append(combined)
-        if isinstance(node, MergeJoinNode):
+                if _satisfies(combined, residual):
+                    joined.append(combined)
+        if node.op is Operator.MERGEJOIN:
             joined.sort(key=lambda row: _sort_key(row.get(outer_key)))
         return joined
 
-    def _run_nested_loop(self, node: NestLoopJoinNode, stats: ExecutionStatistics) -> List[Row]:
-        outer_rows = self._run(node.outer, stats)
-        inner = node.inner
-        if not isinstance(inner, ScanNode) or not inner.parameterized or inner.path.index is None:
-            # Fall back to the generic equality join when the inner is not a
-            # parameterized index probe (should not happen for planner output).
-            return self._run_symmetric_join(node, stats)
+    def _run_nested_loop(self, node: PlanNode, stats: ExecutionStatistics) -> List[Row]:
+        outer, inner = node.children  # the inner is a parameterized index scan
+        outer_rows = self._run(outer, stats)
 
         index_data = self._database.build_index(inner.path.index)
         relation = self._database.relation(inner.path.table)
         inner_filters = self._query.filters_on(inner.path.table)
         outer_key, _ = self._join_keys(node)
+        residual = node.predicates[1:]
 
         joined: List[Row] = []
         for row in outer_rows:
@@ -174,13 +155,14 @@ class PlanExecutor:
             for match in apply_predicates(inner_filters, matches):
                 combined = dict(row)
                 combined.update(match)
-                joined.append(combined)
+                if _satisfies(combined, residual):
+                    joined.append(combined)
         return joined
 
-    def _join_keys(self, node: JoinNode) -> Tuple[str, str]:
-        """Qualified row keys of the join predicate's outer and inner sides."""
-        outer_tables = node.outer.tables
-        left, right = node.join.left, node.join.right
+    def _join_keys(self, node: PlanNode) -> Tuple[str, str]:
+        """Qualified row keys of the key predicate's outer and inner sides."""
+        outer_tables = node.children[0].tables
+        left, right = node.predicates[0].left, node.predicates[0].right
         if left.table in outer_tables:
             outer_ref, inner_ref = left, right
         else:
@@ -192,10 +174,10 @@ class PlanExecutor:
 
     # -- aggregation ------------------------------------------------------------------
 
-    def _run_aggregate(self, node: AggregateNode, stats: ExecutionStatistics) -> List[Row]:
+    def _run_aggregate(self, node: PlanNode, stats: ExecutionStatistics) -> List[Row]:
         rows = self._run(node.children[0], stats)
         stats.charge_rows(len(rows))
-        group_keys = [qualified(ref.table, ref.column) for ref in node.group_columns]
+        group_keys = [qualified(ref.table, ref.column) for ref in node.columns]
 
         groups: Dict[Tuple, List[Row]] = {}
         for row in rows:
@@ -216,9 +198,7 @@ class PlanExecutor:
 
     def _final_projection(self, plan: PlanNode, rows: List[Row]) -> List[Row]:
         """Project the root's rows onto the query's select list."""
-        if isinstance(plan, AggregateNode) or any(
-            isinstance(node, AggregateNode) for node in plan.walk()
-        ):
+        if any(node.op is Operator.AGGREGATE for node in plan.walk()):
             return rows
         wanted = [qualified(ref.table, ref.column) for ref in self._query.select_columns]
         if not wanted:
@@ -227,6 +207,24 @@ class PlanExecutor:
         for row in rows:
             projected.append({key: row.get(key) for key in wanted})
         return projected
+
+    _HANDLERS = {
+        Operator.SCAN: _run_scan,
+        Operator.SORT: _run_sort,
+        Operator.HASHJOIN: _run_symmetric_join,
+        Operator.MERGEJOIN: _run_symmetric_join,
+        Operator.NESTLOOP: _run_nested_loop,
+        Operator.AGGREGATE: _run_aggregate,
+    }
+
+
+def _satisfies(row: Row, predicates: Sequence[JoinPredicate]) -> bool:
+    """Whether ``row`` meets every equi-join predicate in ``predicates``."""
+    return all(
+        row.get(qualified(p.left.table, p.left.column))
+        == row.get(qualified(p.right.table, p.right.column))
+        for p in predicates
+    )
 
 
 def _evaluate_aggregate(

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.inum.access_costs import AccessCostTable
 from repro.optimizer.interesting_orders import InterestingOrderCombination
+from repro.optimizer.joinplanner import normalized_ioc
 from repro.optimizer.maintenance import MaintenanceProfile
 from repro.optimizer.plan import PlanNode, PlanSummary
 from repro.query.ast import Query
@@ -52,7 +53,6 @@ class CacheEntry:
     slots: Tuple[CachedSlot, ...]
     uses_nestloop: bool = False
     source: str = "inum"
-    plan: Optional[PlanNode] = None
     summary: Optional[PlanSummary] = None
 
     @classmethod
@@ -71,28 +71,21 @@ class CacheEntry:
         configurations but with identical structure therefore collapse onto
         the same entry -- the redundancy Section IV quantifies.
         """
-        slots = []
-        orders: Dict[str, Optional[str]] = {}
-        for slot in plan.leaf_slots():
-            provided = slot.path.provided_order
-            if provided is not None and provided not in orders_by_table.get(slot.table, []):
-                provided = None
-            orders[slot.table] = provided
-            slots.append(
-                CachedSlot(
-                    table=slot.table,
-                    required_order=provided,
-                    multiplier=slot.multiplier,
-                    parameterized=slot.parameterized,
-                )
-            )
+        ioc = normalized_ioc(plan, orders_by_table)
         return cls(
-            ioc=InterestingOrderCombination(orders),
+            ioc=ioc,
             internal_cost=plan.internal_cost(),
-            slots=tuple(slots),
-            uses_nestloop=plan.uses_nested_loop(),
+            slots=tuple(
+                CachedSlot(
+                    table=leaf.path.table,
+                    required_order=ioc.order_for(leaf.path.table),
+                    multiplier=leaf.multiplier,
+                    parameterized=leaf.parameterized,
+                )
+                for leaf in plan.leaves
+            ),
+            uses_nestloop=plan.uses_nested_loop,
             source=source,
-            plan=plan,
             summary=PlanSummary.of(plan),
         )
 

@@ -121,7 +121,7 @@ class InumCacheBuilder:
                         query, configuration.indexes, exclusive=True, enable_nestloop=True
                     )
                     probes += 1
-                    if nlj_result.plan.uses_nested_loop():
+                    if nlj_result.plan.uses_nested_loop:
                         cache.add_entry(
                             CacheEntry.from_plan(nlj_result.plan, orders_by_table, source="inum")
                         )

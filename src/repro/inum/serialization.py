@@ -8,10 +8,9 @@ the :class:`CacheStore` that manages a directory of such caches keyed by
 catalog and query fingerprints.
 
 Only the information the cost model needs is stored: per-entry internal
-costs, symbolic leaf slots and the access-cost table.  The original plan
-trees are not persisted (they are only useful for debugging); a round-tripped
-cache therefore answers `estimate()` identically but reports
-``unique_plan_count()`` from the preserved structural summaries.
+costs, symbolic leaf slots and the access-cost table.  A cache keeps no plan
+trees, only their structural summaries, so a round-tripped cache answers
+`estimate()` identically and reports the same ``unique_plan_count()``.
 """
 
 from __future__ import annotations
@@ -386,7 +385,6 @@ def _entry_from_dict(payload: Dict[str, Any]) -> CacheEntry:
         slots=slots,
         uses_nestloop=bool(payload.get("uses_nestloop", False)),
         source=str(payload.get("source", "unknown")),
-        plan=None,
         summary=_summary_from_dict(payload.get("summary")),
     )
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import List
 
 from repro.optimizer.cost_model import CostModel
-from repro.optimizer.plan import AggregateNode, PlanNode, SortNode
+from repro.optimizer.plan import PlanNode, aggregate, sort
 from repro.optimizer.selectivity import SelectivityEstimator
-from repro.query.ast import ColumnRef, Query
+from repro.query.ast import Query
 from repro.util.errors import PlanningError
 
 
@@ -60,13 +60,13 @@ class GroupingPlanner:
             cost = self._cost_model.aggregate_sorted(
                 plan.total_cost, plan.rows, 1.0, 0, num_aggs
             )
-            return AggregateNode(plan, "plain", (), cost, 1.0)
+            return aggregate(plan, "plain", (), cost, 1.0)
 
-        if self._order_satisfied(plan, group_columns[0]):
+        if group_columns[0] in plan.output_order:
             cost = self._cost_model.aggregate_sorted(
                 plan.total_cost, plan.rows, groups, len(group_columns), num_aggs
             )
-            return AggregateNode(plan, "sorted", group_columns, cost, groups)
+            return aggregate(plan, "sorted", group_columns, cost, groups)
 
         # The input is not ordered on the grouping key: choose the cheaper of
         # hash aggregation and sort-then-group aggregation.
@@ -79,21 +79,16 @@ class GroupingPlanner:
             sort_cost, plan.rows, groups, len(group_columns), num_aggs
         )
         if hashed_cost <= sorted_cost:
-            return AggregateNode(plan, "hashed", group_columns, hashed_cost, groups)
-        sorted_input = SortNode(plan, tuple(group_columns), sort_cost)
-        return AggregateNode(sorted_input, "sorted", group_columns, sorted_cost, groups)
+            return aggregate(plan, "hashed", group_columns, hashed_cost, groups)
+        sorted_input = sort(plan, group_columns, sort_cost)
+        return aggregate(sorted_input, "sorted", group_columns, sorted_cost, groups)
 
     # -- ordering -------------------------------------------------------------------
 
     def _ensure_ordering(self, query: Query, plan: PlanNode) -> PlanNode:
         order_columns = [item.column for item in query.order_by]
-        if self._order_satisfied(plan, order_columns[0]):
+        if order_columns[0] in plan.output_order:
             return plan
         width = self._selectivity.output_row_width(query, plan.tables)
         cost = self._cost_model.sort(plan.total_cost, plan.rows, width)
-        return SortNode(plan, tuple(order_columns), cost)
-
-    @staticmethod
-    def _order_satisfied(plan: PlanNode, column: ColumnRef) -> bool:
-        """Whether the plan's output is already sorted on ``column``."""
-        return column in plan.output_order
+        return sort(plan, order_columns, cost)

@@ -7,19 +7,19 @@ paper stresses that the changes are minimal ("requires only touching three
 files"); here they are a single options object the optimizer consults at the
 two existing decision points.
 
-The hooks also double as collection buffers: after an optimizer call the
-caller reads ``collected_access_paths`` and ``collected_plans`` (the
-"piggy-backed" intermediate results of Section IV).
+The hooks also double as the collection buffer of the access paths: after
+an optimizer call the caller reads ``collected_access_paths`` (the per-IOC
+plans, the other "piggy-backed" intermediate result of Section IV, come back
+as :attr:`~repro.optimizer.optimizer.OptimizationResult.ioc_plans`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, TYPE_CHECKING
+from typing import List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.optimizer.interesting_orders import InterestingOrderCombination
-    from repro.optimizer.plan import AccessPath, PlanNode
+    from repro.optimizer.plan import AccessPath
 
 
 @dataclass
@@ -53,14 +53,10 @@ class OptimizerHooks:
     #: Access paths exported by the Access Path Collector (one per visible
     #: index per table, plus the sequential-scan path).
     collected_access_paths: List["AccessPath"] = field(default_factory=list)
-    #: Finalised plans exported by the Grouping Planner, keyed by the
-    #: interesting-order combination their leaf access paths require.
-    collected_plans: Dict["InterestingOrderCombination", "PlanNode"] = field(default_factory=dict)
 
     def reset(self) -> None:
-        """Clear the collection buffers before a new optimizer call."""
+        """Clear the collection buffer before a new optimizer call."""
         self.collected_access_paths = []
-        self.collected_plans = {}
 
     @classmethod
     def pinum_defaults(cls) -> "OptimizerHooks":

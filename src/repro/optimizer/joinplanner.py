@@ -31,15 +31,7 @@ from repro.optimizer.interesting_orders import (
     InterestingOrderCombination,
     interesting_orders_by_table,
 )
-from repro.optimizer.plan import (
-    AccessPath,
-    HashJoinNode,
-    MergeJoinNode,
-    NestLoopJoinNode,
-    PlanNode,
-    ScanNode,
-    SortNode,
-)
+from repro.optimizer.plan import AccessPath, Operator, PlanNode, join, scan, sort
 from repro.optimizer.selectivity import SelectivityEstimator
 from repro.query.ast import ColumnRef, JoinPredicate, Query
 from repro.util.errors import PlanningError
@@ -81,17 +73,20 @@ class JoinPlanner:
         keep_all = hooks.keep_all_ioc_plans
         orders_by_table = interesting_orders_by_table(query)
 
+        # One scan node per access path: it is the level-1 plan and the inner
+        # side of every join onto its table (nodes are immutable, so sharing
+        # them between plans is safe).
+        scans: Dict[str, List[PlanNode]] = {}
         states: Dict[FrozenSet[str], Dict[Tuple, PlanNode]] = {}
         for table in query.tables:
             paths = access_paths.get(table)
             if not paths:
                 raise PlanningError(f"no access paths collected for table {table!r}")
-            subset = frozenset({table})
+            scans[table] = [scan(path) for path in paths]
             state: Dict[Tuple, PlanNode] = {}
-            for path in paths:
-                scan = ScanNode(path, filter_columns=[p.column.column for p in query.filters_on(table)])
-                self._add_plan(state, scan, keep_all, orders_by_table)
-            states[subset] = state
+            for leaf in scans[table]:
+                self._add_plan(state, leaf, keep_all, orders_by_table)
+            states[frozenset({table})] = state
 
         # Left-deep DP: each level joins one more table onto the previous level.
         for level in range(1, query.table_count):
@@ -109,9 +104,9 @@ class JoinPlanner:
                     target = next_states.setdefault(new_subset, {})
                     output_rows = self._selectivity.join_result_rows(query, new_subset)
                     for left_plan in state.values():
-                        for path in access_paths[table]:
+                        for inner_scan in scans[table]:
                             for plan in self._join_plans(
-                                query, left_plan, table, path, join_predicates, output_rows
+                                query, left_plan, table, inner_scan, join_predicates, output_rows
                             ):
                                 self._add_plan(target, plan, keep_all, orders_by_table)
             if keep_all and hooks.subsumption_pruning:
@@ -119,7 +114,7 @@ class JoinPlanner:
                 # *inside* the join planner keeps the per-IOC state small, so
                 # the single hooked call stays cheap.
                 for subset, state in next_states.items():
-                    next_states[subset] = self._prune_state_subsumed(state, orders_by_table)
+                    next_states[subset] = self._prune_state_subsumed(state)
             # Keep completed smaller subsets (they are no longer extended) out of
             # the working set to bound memory, but retain level-`level+1` states.
             states = {s: st for s, st in states.items() if len(s) != level}
@@ -135,7 +130,7 @@ class JoinPlanner:
 
         result = JoinPlannerResult(candidates=list(final_state.values()))
         if keep_all:
-            result.ioc_plans = self._collapse_per_ioc(final_state, orders_by_table)
+            result.ioc_plans = self._collapse_per_ioc(final_state)
             if hooks.subsumption_pruning:
                 result.ioc_plans = prune_subsumed_plans(result.ioc_plans)
         return result
@@ -172,11 +167,7 @@ class JoinPlanner:
                 del state[key]
         state[(plan.output_order,)] = plan
 
-    def _prune_state_subsumed(
-        self,
-        state: Dict[Tuple, PlanNode],
-        orders_by_table: Dict[str, List[str]],
-    ) -> Dict[Tuple, PlanNode]:
+    def _prune_state_subsumed(self, state: Dict[Tuple, PlanNode]) -> Dict[Tuple, PlanNode]:
         """Apply the Section V-D rule to one DP state (keep-all mode only).
 
         Within each interesting-order combination only plans that are not
@@ -185,10 +176,10 @@ class JoinPlanner:
         beaten by a cheaper plan requiring a *subset* of its orders is
         dropped entirely.
         """
-        # Group the state's plans by the IOC of their leaves.
+        # Group the state's plans by the IOC of their leaves (the key's first part).
         by_ioc: Dict[InterestingOrderCombination, List[Tuple[Tuple, PlanNode]]] = {}
         for key, plan in state.items():
-            by_ioc.setdefault(normalized_ioc(plan, orders_by_table), []).append((key, plan))
+            by_ioc.setdefault(key[0], []).append((key, plan))
 
         cheapest: Dict[InterestingOrderCombination, float] = {
             ioc: min(plan.total_cost for _, plan in plans) for ioc, plans in by_ioc.items()
@@ -220,14 +211,11 @@ class JoinPlanner:
         return pruned
 
     def _collapse_per_ioc(
-        self,
-        state: Dict[Tuple, PlanNode],
-        orders_by_table: Dict[str, List[str]],
+        self, state: Dict[Tuple, PlanNode]
     ) -> Dict[InterestingOrderCombination, PlanNode]:
         """Cheapest plan per interesting-order combination at the top level."""
         best: Dict[InterestingOrderCombination, PlanNode] = {}
-        for plan in state.values():
-            ioc = normalized_ioc(plan, orders_by_table)
+        for (ioc, _), plan in state.items():
             incumbent = best.get(ioc)
             if incumbent is None or plan.total_cost < incumbent.total_cost:
                 best[ioc] = plan
@@ -238,45 +226,45 @@ class JoinPlanner:
     @staticmethod
     def _connecting_predicates(
         query: Query, subset: FrozenSet[str], table: str
-    ) -> List[JoinPredicate]:
+    ) -> Tuple[JoinPredicate, ...]:
         """Join predicates linking ``table`` to any member of ``subset``."""
-        predicates = []
-        for join in query.joins_involving(table):
-            other = next(iter(join.tables - {table}))
-            if other in subset:
-                predicates.append(join)
-        return predicates
+        return tuple(
+            predicate
+            for predicate in query.joins_involving(table)
+            if next(iter(predicate.tables - {table})) in subset
+        )
 
     def _join_plans(
         self,
         query: Query,
         outer: PlanNode,
         table: str,
-        path: AccessPath,
-        join_predicates: List[JoinPredicate],
+        inner_scan: PlanNode,
+        join_predicates: Tuple[JoinPredicate, ...],
         output_rows: float,
     ) -> List[PlanNode]:
-        """All join operators applicable to ``outer JOIN table(path)``."""
-        plans: List[PlanNode] = []
-        join = join_predicates[0]
-        inner_column = join.column_for(table)
-        outer_column = join.other(table)
+        """All join operators applicable to ``outer JOIN table(inner_scan)``.
 
-        inner_scan = ScanNode(
-            path, filter_columns=[p.column.column for p in query.filters_on(table)]
-        )
+        Every plan applies all of ``join_predicates``; the first one is the
+        key the operator matches on.
+        """
+        plans: List[PlanNode] = []
+        key = join_predicates[0]
+        inner_column = key.column_for(table)
+        outer_column = key.other(table)
 
         plans.extend(
-            self._hash_join_plans(outer, inner_scan, join, output_rows)
+            self._hash_join_plans(outer, inner_scan, join_predicates, output_rows)
         )
         plans.append(
             self._merge_join_plan(
-                query, outer, inner_scan, join, outer_column, inner_column, output_rows
+                query, outer, inner_scan, join_predicates, outer_column, inner_column,
+                output_rows,
             )
         )
         if self._enable_nestloop:
             nested = self._nested_loop_plan(
-                outer, path, join, inner_column, output_rows, query
+                outer, inner_scan.path, join_predicates, inner_column, output_rows
             )
             if nested is not None:
                 plans.append(nested)
@@ -285,8 +273,8 @@ class JoinPlanner:
     def _hash_join_plans(
         self,
         outer: PlanNode,
-        inner_scan: ScanNode,
-        join: JoinPredicate,
+        inner_scan: PlanNode,
+        predicates: Tuple[JoinPredicate, ...],
         output_rows: float,
     ) -> List[PlanNode]:
         """Hash joins with the build side on either input."""
@@ -305,20 +293,20 @@ class JoinPlanner:
             output_rows=output_rows,
         )
         plans = [
-            HashJoinNode(outer, inner_scan, join, cost_build_inner, output_rows, frozenset()),
+            join(Operator.HASHJOIN, outer, inner_scan, predicates, cost_build_inner, output_rows),
         ]
         if cost_build_outer < cost_build_inner:
-            plans.append(
-                HashJoinNode(inner_scan, outer, join, cost_build_outer, output_rows, frozenset())
-            )
+            plans.append(join(
+                Operator.HASHJOIN, inner_scan, outer, predicates, cost_build_outer, output_rows
+            ))
         return plans
 
     def _merge_join_plan(
         self,
         query: Query,
         outer: PlanNode,
-        inner_scan: ScanNode,
-        join: JoinPredicate,
+        inner_scan: PlanNode,
+        predicates: Tuple[JoinPredicate, ...],
         outer_column: ColumnRef,
         inner_column: ColumnRef,
         output_rows: float,
@@ -328,13 +316,13 @@ class JoinPlanner:
         if outer_column not in outer.output_order:
             width = self._selectivity.output_row_width(query, outer.tables)
             sort_cost = self._cost_model.sort(outer.total_cost, outer.rows, width)
-            outer_node = SortNode(outer, (outer_column,), sort_cost)
+            outer_node = sort(outer, (outer_column,), sort_cost)
 
-        inner_node: PlanNode = inner_scan
+        inner_node = inner_scan
         if inner_scan.path.provided_order != inner_column.column:
             width = self._selectivity.output_row_width(query, {inner_column.table})
             sort_cost = self._cost_model.sort(inner_scan.total_cost, inner_scan.rows, width)
-            inner_node = SortNode(inner_scan, (inner_column,), sort_cost)
+            inner_node = sort(inner_scan, (inner_column,), sort_cost)
 
         cost = self._cost_model.merge_join(
             outer_cost_sorted=outer_node.total_cost,
@@ -344,28 +332,24 @@ class JoinPlanner:
             output_rows=output_rows,
         )
         output_order = frozenset({outer_column, inner_column})
-        return MergeJoinNode(outer_node, inner_node, join, cost, output_rows, output_order)
+        return join(
+            Operator.MERGEJOIN, outer_node, inner_node, predicates, cost, output_rows, output_order
+        )
 
     def _nested_loop_plan(
         self,
         outer: PlanNode,
         path: AccessPath,
-        join: JoinPredicate,
+        predicates: Tuple[JoinPredicate, ...],
         inner_column: ColumnRef,
         output_rows: float,
-        query: Query,
     ) -> Optional[PlanNode]:
         """Parameterized nested-loop join (index probe on the join column)."""
         if not path.supports_probe or path.index is None:
             return None
         if path.index.leading_column != inner_column.column:
             return None
-        inner = ScanNode(
-            path,
-            multiplier=max(1.0, outer.rows),
-            parameterized=True,
-            filter_columns=[p.column.column for p in query.filters_on(inner_column.table)],
-        )
+        inner = scan(path, multiplier=max(1.0, outer.rows), parameterized=True)
         cost = self._cost_model.nested_loop_join(
             outer_cost=outer.total_cost,
             outer_rows=outer.rows,
@@ -373,7 +357,9 @@ class JoinPlanner:
             output_rows=output_rows,
         )
         # A nested loop preserves the outer input's ordering.
-        return NestLoopJoinNode(outer, inner, join, cost, output_rows, outer.output_order)
+        return join(
+            Operator.NESTLOOP, outer, inner, predicates, cost, output_rows, outer.output_order
+        )
 
 
 # -- helpers shared with PINUM ----------------------------------------------------------
@@ -390,11 +376,11 @@ def normalized_ioc(
     for cache-keying purposes it is equivalent to the empty order Phi.
     """
     orders: Dict[str, Optional[str]] = {}
-    for slot in plan.leaf_slots():
-        provided = slot.path.provided_order
-        if provided is not None and provided not in orders_by_table.get(slot.table, []):
+    for leaf in plan.leaves:
+        table, provided = leaf.path.table, leaf.path.provided_order
+        if provided is not None and provided not in orders_by_table.get(table, []):
             provided = None
-        orders[slot.table] = provided
+        orders[table] = provided
     return InterestingOrderCombination(orders)
 
 

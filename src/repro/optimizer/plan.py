@@ -1,30 +1,43 @@
-"""Plan trees: access paths, operator nodes and the INUM cost decomposition.
+"""Plan trees: access paths, one operator node and the INUM cost decomposition.
 
-A plan is a tree whose internal nodes are join/sort/aggregate operators and
-whose leaves are *access paths* (sequential scan or index scan of one table).
-Besides the usual cost/cardinality annotations, every plan can report
+A plan is a tree of immutable :class:`PlanNode` objects.  Every node has an
+:class:`Operator`, children, a total cost, a row estimate and an output
+order; the other fields belong to the operator, whose constructor sets them:
 
-* the interesting-order combination its leaf access paths provide
-  (:meth:`PlanNode.required_ioc`) -- the cache key INUM and PINUM use, and
-* its *internal cost* (:meth:`PlanNode.internal_cost`): total cost minus the
-  leaf access costs.  INUM's observation 1 (Section II) is that for plans
-  containing only hash and merge joins this internal cost is independent of
-  how the leaf data is accessed, so the total cost of the same plan under a
-  different index configuration is ``internal + sum of new access costs``.
+* ``scan`` (:func:`scan`): ``path``, ``multiplier`` and ``parameterized``;
+* ``sort`` (:func:`sort`): ``columns``, the sort keys;
+* ``hashjoin``, ``mergejoin``, ``nestloop`` (:func:`join`): ``predicates``,
+  every predicate connecting the two inputs.  The first is the key the
+  operator matches on; the executor applies the rest as a residual filter;
+* ``aggregate`` (:func:`aggregate`): ``strategy`` and ``columns``, the
+  grouping keys.
 
-Nested-loop joins break the "accessed once" assumption: their inner side is
-re-probed once per outer row.  Leaf slots therefore carry a multiplier and a
-per-probe cost so the decomposition stays exact (and the cache can re-cost
-NLJ plans, the part of INUM that needs extra optimizer calls).
+Because neither a node nor its children can change, what consumers need about
+a subtree is fixed once, when the node is built: :attr:`PlanNode.leaves` (the
+scan nodes below it in depth-first child order -- a scan is its own leaf and
+carries the table, access path and execution count INUM and PINUM read),
+``uses_nested_loop`` (whether a nested-loop join is at or below it) and
+``predicates``.  ``tables``, :meth:`PlanNode.access_cost` and
+:meth:`PlanNode.internal_cost` are loops over ``leaves``.
+
+The *internal cost* is the total cost minus the leaf access costs.  INUM's
+observation 1 (Section II) is that for plans containing only hash and merge
+joins it is independent of how the leaf data is accessed, so the total cost
+of the same plan under a different index configuration is ``internal + sum of
+new access costs``.  Nested-loop joins break the "accessed once" assumption:
+their inner side is re-probed once per outer row, so a parameterized leaf
+contributes its multiplier times the path's per-probe cost and the
+decomposition stays exact (the cache can re-cost NLJ plans, the part of INUM
+that needs extra optimizer calls).
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.catalog.index import Index
-from repro.optimizer.interesting_orders import InterestingOrderCombination
 from repro.query.ast import ColumnRef, JoinPredicate
 from repro.util.errors import PlanningError
 
@@ -75,71 +88,102 @@ class AccessPath:
         )
 
 
-@dataclass(frozen=True)
-class LeafSlot:
-    """One leaf of a plan together with how often it is executed.
+class Operator(enum.Enum):
+    """What a plan node does; the values are the names serialized caches use."""
 
-    ``multiplier`` is 1 for leaves read once; for the inner side of a
-    nested-loop join it is the number of outer rows and ``parameterized`` is
-    True, in which case the per-execution cost is the path's ``rescan_cost``.
-    """
+    SCAN = "scan"
+    SORT = "sort"
+    HASHJOIN = "hashjoin"
+    MERGEJOIN = "mergejoin"
+    NESTLOOP = "nestloop"
+    AGGREGATE = "aggregate"
 
-    table: str
-    path: AccessPath
-    multiplier: float = 1.0
-    parameterized: bool = False
 
-    @property
-    def contribution(self) -> float:
-        """Total access cost this leaf contributes to the plan."""
-        if self.parameterized:
-            if self.path.rescan_cost is None:
-                raise PlanningError(
-                    f"leaf on {self.table!r} is parameterized but has no rescan cost"
-                )
-            return self.multiplier * self.path.rescan_cost
-        return self.path.cost
+JOIN_OPERATORS = frozenset({Operator.HASHJOIN, Operator.MERGEJOIN, Operator.NESTLOOP})
 
 
 class PlanNode:
-    """Base class of all plan operators."""
+    """One immutable plan operator; build it with :func:`scan`, :func:`sort`,
+    :func:`join` or :func:`aggregate`.
 
-    node_type: str = "abstract"
+    ``output_order`` is the set of (equivalent) columns the output is sorted
+    on, empty when the order is unspecified.  Fields that do not belong to the
+    node's operator hold their defaults (``None``, ``()``, ``1.0``, ``False``).
+    """
+
+    __slots__ = (
+        "op",
+        "children",
+        "total_cost",
+        "rows",
+        "output_order",
+        "uses_nested_loop",
+        "predicates",
+        "path",
+        "multiplier",
+        "parameterized",
+        "columns",
+        "strategy",
+        "_leaves",
+    )
 
     def __init__(
         self,
-        children: Sequence["PlanNode"],
+        op: Operator,
+        children: Tuple["PlanNode", ...],
         total_cost: float,
         rows: float,
         output_order: FrozenSet[ColumnRef] = frozenset(),
+        *,
+        predicates: Tuple[JoinPredicate, ...] = (),
+        path: Optional[AccessPath] = None,
+        multiplier: float = 1.0,
+        parameterized: bool = False,
+        columns: Tuple[ColumnRef, ...] = (),
+        strategy: Optional[str] = None,
     ) -> None:
         if total_cost < 0:
-            raise PlanningError(f"{self.node_type} node has negative cost {total_cost}")
+            raise PlanningError(f"{op.value} node has negative cost {total_cost}")
         if rows < 0:
-            raise PlanningError(f"{self.node_type} node has negative row estimate {rows}")
-        self.children: Tuple["PlanNode", ...] = tuple(children)
-        self.total_cost = float(total_cost)
-        self.rows = float(rows)
-        #: Columns (an equivalence set) the output is sorted on; empty when
-        #: the output order is unspecified.
-        self.output_order = frozenset(output_order)
+            raise PlanningError(f"{op.value} node has negative row estimate {rows}")
+        init = object.__setattr__
+        init(self, "op", op)
+        init(self, "children", children)
+        init(self, "total_cost", float(total_cost))
+        init(self, "rows", float(rows))
+        init(self, "output_order", frozenset(output_order))
+        init(self, "predicates", predicates)
+        init(self, "path", path)
+        init(self, "multiplier", multiplier)
+        init(self, "parameterized", parameterized)
+        init(self, "columns", columns)
+        init(self, "strategy", strategy)
+        # A unary node shares its child's leaf tuple; a scan stores none (its
+        # leaf is itself, and storing ``(self,)`` would make a reference cycle).
+        init(self, "_leaves", children[0].leaves if len(children) == 1 else tuple(
+            leaf for child in children for leaf in child.leaves
+        ))
+        init(self, "uses_nested_loop", op is Operator.NESTLOOP or any(
+            child.uses_nested_loop for child in children
+        ))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"plan nodes are immutable (cannot set {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"plan nodes are immutable (cannot delete {name!r})")
 
     # -- structure -------------------------------------------------------------
 
     @property
+    def leaves(self) -> Tuple["PlanNode", ...]:
+        """The scan nodes under this node, in depth-first child order."""
+        return self._leaves or (self,)
+
+    @property
     def tables(self) -> FrozenSet[str]:
         """Every base table appearing under this node."""
-        result: set = set()
-        for child in self.children:
-            result |= child.tables
-        return frozenset(result)
-
-    def leaf_slots(self) -> List[LeafSlot]:
-        """The leaf access paths under this node with their multipliers."""
-        slots: List[LeafSlot] = []
-        for child in self.children:
-            slots.extend(child.leaf_slots())
-        return slots
+        return frozenset(leaf.path.table for leaf in self.leaves)
 
     def walk(self) -> List["PlanNode"]:
         """Pre-order traversal of the plan tree."""
@@ -152,33 +196,31 @@ class PlanNode:
 
     def access_cost(self) -> float:
         """Sum of the leaf access-cost contributions."""
-        return sum(slot.contribution for slot in self.leaf_slots())
+        return sum(
+            leaf.multiplier * leaf.path.rescan_cost if leaf.parameterized else leaf.path.cost
+            for leaf in self.leaves
+        )
 
     def internal_cost(self) -> float:
         """Join/sort/aggregation cost independent of the leaf access paths."""
         return max(0.0, self.total_cost - self.access_cost())
 
-    def required_ioc(self) -> InterestingOrderCombination:
-        """The interesting-order combination the plan's leaves provide."""
-        orders: Dict[str, Optional[str]] = {}
-        for slot in self.leaf_slots():
-            orders[slot.table] = slot.path.provided_order
-        if not orders:
-            raise PlanningError("plan has no leaf access paths")
-        return InterestingOrderCombination(orders)
-
-    def uses_nested_loop(self) -> bool:
-        """Whether any node of the tree is a nested-loop join."""
-        return any(node.node_type == "nestloop" for node in self.walk())
-
-    def indexes_used(self) -> List[Index]:
-        """Every index referenced by a leaf of the plan."""
-        return [slot.path.index for slot in self.leaf_slots() if slot.path.index is not None]
-
     # -- rendering -----------------------------------------------------------------
 
     def _label(self) -> str:
-        return f"{self.node_type} (cost={self.total_cost:.2f} rows={self.rows:.0f})"
+        op = self.op
+        if op is Operator.SCAN:
+            suffix = " (parameterized)" if self.parameterized else ""
+            return f"{self.path.describe()}{suffix}"
+        estimate = f"(cost={self.total_cost:.2f} rows={self.rows:.0f})"
+        if op is Operator.SORT:
+            columns = ", ".join(str(c) for c in self.columns)
+            return f"Sort [{columns}] {estimate}"
+        if op is Operator.AGGREGATE:
+            columns = ", ".join(str(c) for c in self.columns) or "*"
+            return f"Aggregate[{self.strategy}] by [{columns}] {estimate}"
+        on = " AND ".join(str(predicate) for predicate in self.predicates)
+        return f"{op.value.title()} on {on} {estimate}"
 
     def explain(self, indent: int = 0) -> str:
         """EXPLAIN-style indented textual rendering of the plan."""
@@ -188,138 +230,80 @@ class PlanNode:
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{self.__class__.__name__} cost={self.total_cost:.2f} rows={self.rows:.0f}>"
+        return f"<PlanNode {self.op.value} cost={self.total_cost:.2f} rows={self.rows:.0f}>"
 
 
-class ScanNode(PlanNode):
-    """A leaf: one access path, possibly parameterized by an outer join key."""
-
-    node_type = "scan"
-
-    def __init__(
-        self,
-        path: AccessPath,
-        multiplier: float = 1.0,
-        parameterized: bool = False,
-        filter_columns: Sequence[str] = (),
-    ) -> None:
-        if parameterized and path.rescan_cost is None:
-            raise PlanningError("cannot parameterize a path without a rescan cost")
-        cost = multiplier * path.rescan_cost if parameterized else path.cost
-        rows = path.rows_per_probe if parameterized else path.rows
-        order = (
-            frozenset({ColumnRef(path.table, path.provided_order)})
-            if path.provided_order is not None
-            else frozenset()
-        )
-        super().__init__((), cost, rows, order)
-        self.path = path
-        self.multiplier = multiplier
-        self.parameterized = parameterized
-        self.filter_columns = tuple(filter_columns)
-
-    @property
-    def tables(self) -> FrozenSet[str]:
-        return frozenset({self.path.table})
-
-    def leaf_slots(self) -> List[LeafSlot]:
-        return [LeafSlot(self.path.table, self.path, self.multiplier, self.parameterized)]
-
-    def _label(self) -> str:
-        suffix = " (parameterized)" if self.parameterized else ""
-        return f"{self.path.describe()}{suffix}"
+def scan(path: AccessPath, multiplier: float = 1.0, parameterized: bool = False) -> PlanNode:
+    """A leaf reading ``path``; a parameterized leaf is a nested-loop inner
+    probed ``multiplier`` times (once per outer row)."""
+    if parameterized and path.rescan_cost is None:
+        raise PlanningError("cannot parameterize a path without a rescan cost")
+    order = (
+        frozenset({ColumnRef(path.table, path.provided_order)})
+        if path.provided_order is not None
+        else frozenset()
+    )
+    return PlanNode(
+        Operator.SCAN,
+        (),
+        multiplier * path.rescan_cost if parameterized else path.cost,
+        path.rows_per_probe if parameterized else path.rows,
+        order,
+        path=path,
+        multiplier=multiplier,
+        parameterized=parameterized,
+    )
 
 
-class SortNode(PlanNode):
-    """Explicit sort of its single child on ``sort_columns``."""
-
-    node_type = "sort"
-
-    def __init__(self, child: PlanNode, sort_columns: Sequence[ColumnRef], total_cost: float) -> None:
-        super().__init__((child,), total_cost, child.rows, frozenset(sort_columns))
-        self.sort_columns = tuple(sort_columns)
-
-    def _label(self) -> str:
-        columns = ", ".join(str(c) for c in self.sort_columns)
-        return f"Sort [{columns}] (cost={self.total_cost:.2f} rows={self.rows:.0f})"
+def sort(child: PlanNode, columns: Sequence[ColumnRef], total_cost: float) -> PlanNode:
+    """Explicit sort of ``child`` on ``columns``."""
+    columns = tuple(columns)
+    return PlanNode(
+        Operator.SORT, (child,), total_cost, child.rows, frozenset(columns), columns=columns
+    )
 
 
-class JoinNode(PlanNode):
-    """Common base for binary join operators."""
-
-    def __init__(
-        self,
-        outer: PlanNode,
-        inner: PlanNode,
-        join: JoinPredicate,
-        total_cost: float,
-        rows: float,
-        output_order: FrozenSet[ColumnRef] = frozenset(),
-    ) -> None:
-        super().__init__((outer, inner), total_cost, rows, output_order)
-        self.join = join
-
-    @property
-    def outer(self) -> PlanNode:
-        return self.children[0]
-
-    @property
-    def inner(self) -> PlanNode:
-        return self.children[1]
-
-    def _label(self) -> str:
-        return (
-            f"{self.node_type.replace('_', ' ').title()} on {self.join} "
-            f"(cost={self.total_cost:.2f} rows={self.rows:.0f})"
-        )
+def join(
+    op: Operator,
+    outer: PlanNode,
+    inner: PlanNode,
+    predicates: Sequence[JoinPredicate],
+    total_cost: float,
+    rows: float,
+    output_order: FrozenSet[ColumnRef] = frozenset(),
+) -> PlanNode:
+    """A binary join applying every predicate in ``predicates``; the first is
+    the key the operator matches on (hash/merge key, nested-loop probe).  A
+    nested loop's inner is a parameterized index scan probed on that key."""
+    if op not in JOIN_OPERATORS:
+        raise PlanningError(f"{op.value} is not a join operator")
+    if not predicates:
+        raise PlanningError("a join needs at least one predicate")
+    if op is Operator.NESTLOOP and (not inner.parameterized or inner.path.index is None):
+        raise PlanningError("a nested loop's inner must be a parameterized index scan")
+    return PlanNode(
+        op, (outer, inner), total_cost, rows, output_order, predicates=tuple(predicates)
+    )
 
 
-class HashJoinNode(JoinNode):
-    """Hash join (build on inner, probe with outer); output order is lost."""
-
-    node_type = "hashjoin"
-
-
-class MergeJoinNode(JoinNode):
-    """Merge join of two inputs sorted on the join keys."""
-
-    node_type = "mergejoin"
-
-
-class NestLoopJoinNode(JoinNode):
-    """Nested-loop join; the inner child is typically a parameterized scan."""
-
-    node_type = "nestloop"
-
-
-class AggregateNode(PlanNode):
-    """Grouping/aggregation over its single child ('hashed' or 'sorted')."""
-
-    node_type = "aggregate"
-
-    def __init__(
-        self,
-        child: PlanNode,
-        strategy: str,
-        group_columns: Sequence[ColumnRef],
-        total_cost: float,
-        rows: float,
-    ) -> None:
-        if strategy not in ("hashed", "sorted", "plain"):
-            raise PlanningError(f"unknown aggregation strategy {strategy!r}")
-        order = child.output_order if strategy == "sorted" else frozenset(group_columns)
-        if strategy == "hashed":
-            order = frozenset()
-        super().__init__((child,), total_cost, rows, order)
-        self.strategy = strategy
-        self.group_columns = tuple(group_columns)
-
-    def _label(self) -> str:
-        columns = ", ".join(str(c) for c in self.group_columns) or "*"
-        return (
-            f"Aggregate[{self.strategy}] by [{columns}] "
-            f"(cost={self.total_cost:.2f} rows={self.rows:.0f})"
-        )
+def aggregate(
+    child: PlanNode,
+    strategy: str,
+    group_columns: Sequence[ColumnRef],
+    total_cost: float,
+    rows: float,
+) -> PlanNode:
+    """Grouping/aggregation over ``child`` ('hashed', 'sorted' or 'plain')."""
+    if strategy not in ("hashed", "sorted", "plain"):
+        raise PlanningError(f"unknown aggregation strategy {strategy!r}")
+    group_columns = tuple(group_columns)
+    order = child.output_order if strategy == "sorted" else frozenset(group_columns)
+    if strategy == "hashed":
+        order = frozenset()
+    return PlanNode(
+        Operator.AGGREGATE, (child,), total_cost, rows, order,
+        columns=group_columns, strategy=strategy,
+    )
 
 
 @dataclass
@@ -338,11 +322,11 @@ class PlanSummary:
 
     @classmethod
     def of(cls, plan: PlanNode) -> "PlanSummary":
-        operators = tuple(node.node_type for node in plan.walk() if node.node_type != "scan")
+        operators = tuple(node.op.value for node in plan.walk() if node.op is not Operator.SCAN)
         leaves = tuple(
-            (slot.table, slot.path.method,
-             slot.path.index.name if slot.path.index else None)
-            for slot in sorted(plan.leaf_slots(), key=lambda s: s.table)
+            (leaf.path.table, leaf.path.method,
+             leaf.path.index.name if leaf.path.index else None)
+            for leaf in sorted(plan.leaves, key=lambda leaf: leaf.path.table)
         )
         return cls(operators=operators, leaves=leaves, internal_cost=plan.internal_cost())
 

@@ -55,18 +55,7 @@ class SubqueryPlanner:
         if hooks.keep_all_ioc_plans:
             for ioc, plan in join_result.ioc_plans.items():
                 ioc_plans[ioc] = self._grouping_planner.finalize(query, plan)
-            hooks.collected_plans.update(ioc_plans)
         return SubqueryPlan(best_plan=best_plan, ioc_plans=ioc_plans)
-
-    @property
-    def grouping_planner(self) -> GroupingPlanner:
-        """The grouping planner (exposed for PINUM's cache builder)."""
-        return self._grouping_planner
-
-    @property
-    def collector(self) -> AccessPathCollector:
-        """The access-path collector (exposed for PINUM's access-cost lookup)."""
-        return self._collector
 
 
 class SubqueryPlan:

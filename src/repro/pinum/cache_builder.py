@@ -127,7 +127,7 @@ class PinumCacheBuilder:
                 )
                 calls += 1
                 for plan in nlj_result.ioc_plans.values():
-                    if plan.uses_nested_loop():
+                    if plan.uses_nested_loop:
                         cache.add_entry(
                             CacheEntry.from_plan(plan, orders_by_table, source="pinum")
                         )

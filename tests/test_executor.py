@@ -6,8 +6,10 @@ from repro.catalog.index import Index
 from repro.executor import PlanExecutor
 from repro.executor.predicates import qualified
 from repro.optimizer import Optimizer, OptimizerOptions
+from repro.optimizer.plan import AccessPath, Operator, join, scan
 from repro.query import QueryBuilder
 from repro.storage.datagen import DataGenerator
+from repro.workloads.tpch_like import build_tpch_like_catalog, tpch_q5_like_query
 
 
 def generate(catalog, customers, products, sales):
@@ -44,9 +46,9 @@ def reference_join_rows(database, query):
         for part in combo:
             merged.update(part)
         ok = True
-        for join in query.joins:
-            if merged[f"{join.left.table}.{join.left.column}"] != merged[
-                f"{join.right.table}.{join.right.column}"
+        for predicate in query.joins:
+            if merged[f"{predicate.left.table}.{predicate.left.column}"] != merged[
+                f"{predicate.right.table}.{predicate.right.column}"
             ]:
                 ok = False
                 break
@@ -90,7 +92,6 @@ class TestScans:
         from repro.optimizer.access_paths import AccessPathCollector
         from repro.optimizer.cost_model import CostModel
         from repro.optimizer.selectivity import SelectivityEstimator
-        from repro.optimizer.plan import ScanNode
 
         index = Index("products", ["p_category", "p_price"])
         collector = AccessPathCollector(
@@ -99,7 +100,7 @@ class TestScans:
         with small_catalog.only_indexes([index]):
             paths = collector.all_paths_for_table(query, "products")
         index_path = next(p for p in paths if p.index is not None)
-        indexed = PlanExecutor(database, query).execute(ScanNode(index_path))
+        indexed = PlanExecutor(database, query).execute(scan(index_path))
 
         assert indexed.row_count == plain.row_count
         key = qualified("products", "p_category")
@@ -134,6 +135,68 @@ class TestJoins:
         for row in expected_rows:
             regions.setdefault(row[qualified("customers", "c_region")], 0)
         assert result.row_count == len(regions)
+
+
+@pytest.fixture(scope="module")
+def q5_cycle():
+    """TPC-H Q5's join graph (customer-orders-lineitem-supplier-nation closes
+    a cycle) without its date filter or grouping, over a small instance: the
+    join that adds the last table of the cycle connects two predicates."""
+    catalog = build_tpch_like_catalog()
+    database = DataGenerator(catalog, seed=3).generate(row_counts={
+        "region": 5, "nation": 25, "customer": 300, "orders": 1_500,
+        "lineitem": 6_000, "supplier": 20,
+    })
+    database.analyze()
+    shape = tpch_q5_like_query()
+    builder = QueryBuilder("q5_cycle").select(*sorted(
+        {str(side) for predicate in shape.joins for side in (predicate.left, predicate.right)}
+    ))
+    for predicate in shape.joins:
+        builder.join(str(predicate.left), str(predicate.right))
+    query = builder.where("region.r_regionkey", "=", 2).build()
+    return database, query, Optimizer(catalog).optimize(query).plan
+
+
+def join_violations(rows, predicates):
+    return [
+        (row, predicate) for row in rows for predicate in predicates
+        if row[str(predicate.left)] != row[str(predicate.right)]
+    ]
+
+
+class TestCyclicJoins:
+    def test_every_join_predicate_holds(self, q5_cycle):
+        database, query, plan = q5_cycle
+        assert any(len(node.predicates) > 1 for node in plan.walk())
+        result = PlanExecutor(database, query).execute(plan)
+        assert result.row_count > 0
+        assert join_violations(result.rows, query.joins) == []
+
+    def test_nested_loop_applies_the_residual_predicates(self, q5_cycle):
+        """The same multi-predicate join as an index nested loop probing on
+        its first predicate returns exactly the hash join's rows."""
+        database, query, plan = q5_cycle
+        multi = next(node for node in plan.walk() if len(node.predicates) > 1)
+        probed = next(child for child in multi.children if child.op is Operator.SCAN)
+        outer = next(child for child in multi.children if child is not probed)
+        table = probed.path.table
+        column = multi.predicates[0].column_for(table).column
+        path = AccessPath(
+            table=table, method="indexscan", cost=1.0, rows=1.0,
+            index=Index(table, [column]), provided_order=column,
+            rescan_cost=1.0, rows_per_probe=1.0,
+        )
+        nested = join(
+            Operator.NESTLOOP, outer, scan(path, multiplier=outer.rows, parameterized=True),
+            multi.predicates, multi.total_cost, multi.rows,
+        )
+        executor = PlanExecutor(database, query)
+        expected = executor.execute(multi).rows
+        produced = executor.execute(nested).rows
+        assert len(produced) == len(expected) > 0
+        inside = [p for p in query.joins if p.tables <= nested.tables]
+        assert join_violations(produced, inside) == []
 
 
 class TestAggregationAndOrdering:

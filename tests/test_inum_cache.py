@@ -35,8 +35,9 @@ class TestCacheEntry:
         small_catalog.add_index(Index("customers", ["c_id"]))
         small_catalog.add_index(Index("products", ["p_id"]))
         optimizer = Optimizer(small_catalog)
-        entry = entry_from_best_plan(optimizer, join_query, nestloop=True)
-        assert entry.uses_nestloop == entry.plan.uses_nested_loop()
+        plan = optimizer.optimize(join_query, enable_nestloop=True).plan
+        entry = CacheEntry.from_plan(plan, interesting_orders_by_table(join_query), source="test")
+        assert entry.uses_nestloop == plan.uses_nested_loop
 
 
 class TestInumCache:
@@ -57,7 +58,6 @@ class TestInumCache:
             slots=entry.slots,
             uses_nestloop=entry.uses_nestloop,
             source="test",
-            plan=entry.plan,
             summary=entry.summary,
         )
         cache.add_entry(entry)

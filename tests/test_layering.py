@@ -4,7 +4,10 @@ Behaviour names resolve through plain tables owned by the layer that
 implements their members (``repro.advisor.advisor``,
 ``repro.inum.workload_builder``), so the lower layers never need the service
 layer -- and therefore need no function-local imports to dodge a cycle.
-This module pins that by walking the source with :mod:`ast`.
+Likewise a plan is one ``PlanNode`` class whose consumers read ``node.op``,
+so nothing outside ``optimizer/plan.py`` names a node subclass or asks
+``isinstance(..., PlanNode)``.  This module pins both by walking the source
+with :mod:`ast`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import sys
 from pathlib import Path
 from typing import Iterator, List, Tuple
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 
 #: The only function-local ``repro`` imports left in the lower layers, as
@@ -29,6 +33,12 @@ ALLOWED_LOCAL_IMPORTS = {
 
 #: Where (b) applies; other local imports are other cycles or start-up choices.
 LOWER_LAYERS = ("advisor/", "inum/", "pinum/", "optimizer/", "api/requests.py")
+
+#: The plan-node classes that became ``PlanNode`` + ``Operator``.
+REMOVED_PLAN_NAMES = frozenset({
+    "ScanNode", "SortNode", "JoinNode", "HashJoinNode", "MergeJoinNode",
+    "NestLoopJoinNode", "AggregateNode", "LeafSlot",
+})
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -111,3 +121,33 @@ def test_importing_the_cli_loads_neither_the_ilp_package_nor_the_tcp_server():
         check=True,
     ).stdout
     assert output.strip() == "[]"
+
+
+def _names(node: ast.AST) -> Iterator[str]:
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def test_plan_consumers_dispatch_on_the_operator():
+    offenders: List[str] = []
+    for folder in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            name = path.relative_to(ROOT).as_posix()
+            if name == "src/repro/optimizer/plan.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    removed = REMOVED_PLAN_NAMES & {alias.name for alias in node.names}
+                    offenders += [f"{name}:{node.lineno} imports {n}" for n in sorted(removed)]
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and len(node.args) == 2
+                    and "PlanNode" in set(_names(node.args[1]))
+                ):
+                    offenders.append(f"{name}:{node.lineno} isinstance(..., PlanNode)")
+    assert offenders == []

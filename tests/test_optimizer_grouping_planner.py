@@ -4,14 +4,14 @@ import pytest
 
 from repro.catalog.index import Index
 from repro.optimizer import Optimizer
-from repro.optimizer.plan import AggregateNode, SortNode
+from repro.optimizer.plan import Operator
 from repro.query import QueryBuilder
 
 
 class TestAggregation:
     def test_group_by_query_gets_aggregate_node(self, optimizer, join_query):
         plan = optimizer.optimize(join_query).plan
-        assert any(isinstance(node, AggregateNode) for node in plan.walk())
+        assert any(node.op is Operator.AGGREGATE for node in plan.walk())
 
     def test_scalar_aggregate_produces_single_row(self, small_catalog):
         query = (
@@ -22,20 +22,20 @@ class TestAggregation:
         )
         plan = Optimizer(small_catalog).optimize(query).plan
         root = plan
-        assert isinstance(root, AggregateNode)
+        assert root.op is Operator.AGGREGATE
         assert root.rows == 1.0
         assert root.strategy == "plain"
 
     def test_group_count_not_exceeding_input(self, optimizer, join_query):
         plan = optimizer.optimize(join_query).plan
-        aggregate = next(node for node in plan.walk() if isinstance(node, AggregateNode))
+        aggregate = next(node for node in plan.walk() if node.op is Operator.AGGREGATE)
         assert aggregate.rows <= aggregate.children[0].rows
 
 
 class TestOrdering:
     def test_order_by_adds_sort_when_needed(self, small_catalog, simple_query):
         plan = Optimizer(small_catalog).optimize(simple_query).plan
-        assert isinstance(plan, SortNode)
+        assert plan.op is Operator.SORT
 
     def test_order_by_satisfied_by_index_skips_sort(self, small_catalog):
         """An index providing the requested order removes the top-level sort."""
@@ -48,7 +48,7 @@ class TestOrdering:
             .build()
         )
         plan = Optimizer(small_catalog).optimize(query).plan
-        assert not isinstance(plan, SortNode)
+        assert plan.op is not Operator.SORT
 
     def test_sorted_plan_costs_no_more_than_unsorted_plus_sort(self, small_catalog):
         query = (

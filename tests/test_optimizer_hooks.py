@@ -18,17 +18,14 @@ class TestDefaults:
     def test_buffers_start_empty(self):
         hooks = OptimizerHooks()
         assert hooks.collected_access_paths == []
-        assert hooks.collected_plans == {}
 
 
 class TestReset:
     def test_reset_clears_buffers(self):
         hooks = OptimizerHooks.pinum_defaults()
         hooks.collected_access_paths.append(object())
-        hooks.collected_plans["x"] = object()
         hooks.reset()
         assert hooks.collected_access_paths == []
-        assert hooks.collected_plans == {}
 
     def test_reset_preserves_switches(self):
         hooks = OptimizerHooks(keep_all_access_paths=True, keep_all_ioc_plans=True,

@@ -64,7 +64,7 @@ class TestJoinMethods:
         small_catalog.add_index(Index("products", ["p_id"]))
         planner, collector = make_planner(small_catalog, enable_nestloop=False)
         result = planner.plan(join_query, collector.collect(join_query))
-        assert all(not plan.uses_nested_loop() for plan in result.candidates)
+        assert all(not plan.uses_nested_loop for plan in result.candidates)
 
     def test_nestloop_used_when_beneficial(self, small_catalog):
         """A selective outer and an index on the inner join column favour NLJ."""
@@ -79,7 +79,7 @@ class TestJoinMethods:
         planner, collector = make_planner(small_catalog, enable_nestloop=True)
         result = planner.plan(query, collector.collect(query))
         best = min(result.candidates, key=lambda p: p.total_cost)
-        assert best.uses_nested_loop()
+        assert best.uses_nested_loop
 
     def test_enabling_nestloop_never_hurts(self, small_catalog, join_query):
         small_catalog.add_index(Index("sales", ["s_customer"]))

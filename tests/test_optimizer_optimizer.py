@@ -67,13 +67,13 @@ class TestOptions:
         small_catalog.add_index(Index("customers", ["c_id"]))
         no_nlj = Optimizer(small_catalog, OptimizerOptions(enable_nestloop=False))
         result = no_nlj.optimize(join_query)
-        assert not result.plan.uses_nested_loop()
+        assert not result.plan.uses_nested_loop
 
     def test_per_call_override_beats_option(self, small_catalog, join_query):
         small_catalog.add_index(Index("customers", ["c_id"]))
         optimizer = Optimizer(small_catalog, OptimizerOptions(enable_nestloop=True))
         result = optimizer.optimize(join_query, enable_nestloop=False)
-        assert not result.plan.uses_nested_loop()
+        assert not result.plan.uses_nested_loop
 
     def test_custom_cost_parameters_change_costs(self, small_catalog, join_query):
         default = Optimizer(small_catalog).optimize(join_query).cost

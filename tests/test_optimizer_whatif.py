@@ -47,7 +47,7 @@ class TestConfigurationProbing:
         result = whatif.optimize_with_configuration(
             join_query, [index], enable_nestloop=False
         )
-        assert not result.plan.uses_nested_loop()
+        assert not result.plan.uses_nested_loop
 
     def test_whatif_and_materialized_costs_close(self, whatif, join_query):
         """Section VI-B: what-if indexes track real index costs within ~1%."""

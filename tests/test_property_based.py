@@ -13,7 +13,7 @@ from repro.catalog.index import Index
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.interesting_orders import InterestingOrderCombination
 from repro.optimizer.joinplanner import prune_subsumed_plans
-from repro.optimizer.plan import AccessPath, HashJoinNode, ScanNode
+from repro.optimizer.plan import AccessPath, Operator, join, scan
 from repro.query.ast import ColumnRef, JoinPredicate
 from repro.storage import pages
 
@@ -190,16 +190,16 @@ class TestCostModelProperties:
 
 
 def _plan_with_costs(seq_cost: float, idx_cost: float, join_cost_extra: float):
-    outer = ScanNode(AccessPath(table="t1", method="seqscan", cost=seq_cost, rows=100, covering=True))
-    inner = ScanNode(
+    outer = scan(AccessPath(table="t1", method="seqscan", cost=seq_cost, rows=100, covering=True))
+    inner = scan(
         AccessPath(
             table="t2", method="indexscan", cost=idx_cost, rows=100,
             index=Index("t2", ["a"]), provided_order="a",
         )
     )
-    join = JoinPredicate(ColumnRef("t1", "x"), ColumnRef("t2", "a"))
+    predicate = JoinPredicate(ColumnRef("t1", "x"), ColumnRef("t2", "a"))
     total = seq_cost + idx_cost + join_cost_extra
-    return HashJoinNode(outer, inner, join, total, 100)
+    return join(Operator.HASHJOIN, outer, inner, [predicate], total, 100)
 
 
 class TestPlanProperties:
@@ -222,16 +222,16 @@ class TestPlanProperties:
         for i in range(n):
             order = data.draw(st.sampled_from(["a", "b", None]), label=f"order{i}")
             cost = data.draw(st.floats(min_value=1, max_value=1e6), label=f"cost{i}")
-            outer = ScanNode(AccessPath(table="t1", method="seqscan", cost=cost / 2, rows=10, covering=True))
+            outer = scan(AccessPath(table="t1", method="seqscan", cost=cost / 2, rows=10, covering=True))
             inner_path = (
                 AccessPath(table="t2", method="seqscan", cost=cost / 2, rows=10, covering=True)
                 if order is None
                 else AccessPath(table="t2", method="indexscan", cost=cost / 2, rows=10,
                                 index=Index("t2", [order]), provided_order=order)
             )
-            inner = ScanNode(inner_path)
-            join = JoinPredicate(ColumnRef("t1", "x"), ColumnRef("t2", order or "y"))
-            plan = HashJoinNode(outer, inner, join, cost, 10)
+            inner = scan(inner_path)
+            predicate = JoinPredicate(ColumnRef("t1", "x"), ColumnRef("t2", order or "y"))
+            plan = join(Operator.HASHJOIN, outer, inner, [predicate], cost, 10)
             ioc = InterestingOrderCombination({"t1": None, "t2": order})
             incumbent = plans.get(ioc)
             if incumbent is None or plan.total_cost < incumbent.total_cost:
