@@ -107,7 +107,11 @@ from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfCallCache
 from repro.query.ast import DmlStatement, Query, Statement
 from repro.util.errors import AdvisorError
-from repro.util.fingerprint import index_set_fingerprint, template_fingerprint
+from repro.util.fingerprint import (
+    index_set_fingerprint,
+    query_fingerprint,
+    template_fingerprint,
+)
 from repro.util.timing import timed
 from repro.workloads.compress import compress_workload
 
@@ -395,7 +399,12 @@ class TuningSession:
         """Remove queries by name; returns the removed names.
 
         The removed queries' caches stay in the session pool, so re-adding a
-        query later is free.
+        query later is free.  Their memoised optimizer answers do not: the
+        what-if layer forgets every answer about a removed statement's read
+        query (the query itself, or a DML statement's shadow query) unless a
+        remaining statement reads the same SQL.  So the answers behind a
+        delta re-tune live as long as the statement that asked for them; the
+        shared tier's copies are untouched.
         """
         targets = [str(name) for name in names]
         # Validate the whole batch before touching the workload (atomic, as
@@ -408,8 +417,12 @@ class TuningSession:
                 )
             if name in targets[:position]:
                 raise AdvisorError(f"query {name!r} is named twice in one remove_queries call")
-        for name in targets:
-            del self._queries[name]
+        removed = [self._queries.pop(name) for name in targets]
+        kept = {query_fingerprint(read) for read in map(_read_query, self._queries.values())
+                if read is not None}
+        for read in map(_read_query, removed):
+            if read is not None and query_fingerprint(read) not in kept:
+                self._call_cache.forget(read)
         # Weights die with their statement: a future statement re-using the
         # name must not silently inherit the old frequency.
         weights = self._options.weight_map()
@@ -903,3 +916,11 @@ class TuningSession:
         from repro.query.parser import parse_statement
 
         return parse_statement(request.sql, name="adhoc")
+
+
+def _read_query(statement: Statement) -> Optional[Query]:
+    """The query the optimizer is asked about for ``statement``: the query
+    itself, a DML statement's shadow query, or ``None`` (no read phase)."""
+    if isinstance(statement, DmlStatement):
+        return statement.shadow_query()
+    return statement

@@ -58,10 +58,6 @@ class AccessPathCollector:
             result[table] = self._filter_paths(paths)
         return result
 
-    def all_paths_for_table(self, query: Query, table: str) -> List[AccessPath]:
-        """Unfiltered access paths of one table (used directly by PINUM)."""
-        return self._paths_for_table(query, table)
-
     # -- path generation ----------------------------------------------------------
 
     def _paths_for_table(self, query: Query, table: str) -> List[AccessPath]:

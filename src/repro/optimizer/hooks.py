@@ -7,6 +7,9 @@ paper stresses that the changes are minimal ("requires only touching three
 files"); here they are a single options object the optimizer consults at the
 two existing decision points.
 
+A third switch, ``access_paths_only``, is a stop rather than an export: it
+ends the call once the access paths are collected.
+
 The hooks also double as the collection buffer of the access paths: after
 an optimizer call the caller reads ``collected_access_paths`` (the per-IOC
 plans, the other "piggy-backed" intermediate result of Section IV, come back
@@ -44,11 +47,22 @@ class OptimizerHooks:
         S_A, plan B requires S_B, S_A is a subset of S_B and A is cheaper,
         then B can never be the best choice for any configuration, so it is
         dropped.  Only meaningful together with ``keep_all_ioc_plans``.
+
+    ``access_paths_only``
+        Stop the call right after the Access Path Collector: no join DP, no
+        grouping, and the result carries no plan (its ``plan`` is ``None``
+        and its ``cost`` raises).  Section V-C's access-cost call needs the
+        exported paths, which exist before the first join level, so
+        PINUM's collector sets this together with ``keep_all_access_paths``.
+        The stopped call still counts as one optimizer call everywhere.
+        INUM's classic builder leaves it off: its plan-phase probes are
+        answered from its full access-cost calls.
     """
 
     keep_all_access_paths: bool = False
     keep_all_ioc_plans: bool = False
     subsumption_pruning: bool = True
+    access_paths_only: bool = False
 
     #: Access paths exported by the Access Path Collector (one per visible
     #: index per table, plus the sequential-scan path).
@@ -57,11 +71,6 @@ class OptimizerHooks:
     def reset(self) -> None:
         """Clear the collection buffer before a new optimizer call."""
         self.collected_access_paths = []
-
-    @classmethod
-    def pinum_defaults(cls) -> "OptimizerHooks":
-        """The hook configuration PINUM uses for its single cache-filling call."""
-        return cls(keep_all_access_paths=True, keep_all_ioc_plans=True, subsumption_pruning=True)
 
     @classmethod
     def disabled(cls) -> "OptimizerHooks":

@@ -18,6 +18,11 @@ The state key is what distinguishes stock behaviour from PINUM behaviour:
   level retains the best plan for every IOC.  The optional subsumption rule
   of Section V-D then removes IOCs that can never win: if plan A requires a
   subset of plan B's orders and is cheaper, B is dropped.
+
+Most candidate joins lose to the incumbent of their state, so the planner
+prices a candidate -- cost, output order and, in PINUM mode, its IOC (the
+outer plan's IOC, read from its state key, plus the inner leaf's order) --
+and builds its nodes only once it has won.
 """
 
 from __future__ import annotations
@@ -85,7 +90,10 @@ class JoinPlanner:
             scans[table] = [scan(path) for path in paths]
             state: Dict[Tuple, PlanNode] = {}
             for leaf in scans[table]:
-                self._add_plan(state, leaf, keep_all, orders_by_table)
+                ioc = normalized_ioc(leaf, orders_by_table) if keep_all else None
+                key = _state_key(ioc, leaf.output_order)
+                if _admits(state, key, leaf.total_cost, leaf.output_order, keep_all):
+                    _insert(state, key, leaf, keep_all)
             states[frozenset({table})] = state
 
         # Left-deep DP: each level joins one more table onto the previous level.
@@ -100,15 +108,16 @@ class JoinPlanner:
                     join_predicates = self._connecting_predicates(query, subset, table)
                     if not join_predicates:
                         continue
-                    new_subset = subset | {table}
-                    target = next_states.setdefault(new_subset, {})
-                    output_rows = self._selectivity.join_result_rows(query, new_subset)
-                    for left_plan in state.values():
-                        for inner_scan in scans[table]:
-                            for plan in self._join_plans(
-                                query, left_plan, table, inner_scan, join_predicates, output_rows
-                            ):
-                                self._add_plan(target, plan, keep_all, orders_by_table)
+                    self._join_onto(
+                        next_states.setdefault(subset | {table}, {}),
+                        query,
+                        subset,
+                        state,
+                        scans[table],
+                        join_predicates,
+                        orders_by_table.get(table, []),
+                        keep_all,
+                    )
             if keep_all and hooks.subsumption_pruning:
                 # The paper's Section V-D point: applying the subsumption rule
                 # *inside* the join planner keeps the per-IOC state small, so
@@ -137,36 +146,6 @@ class JoinPlanner:
 
     # -- DP bookkeeping ------------------------------------------------------------
 
-    def _add_plan(
-        self,
-        state: Dict[Tuple, PlanNode],
-        plan: PlanNode,
-        keep_all: bool,
-        orders_by_table: Dict[str, List[str]],
-    ) -> None:
-        """PostgreSQL's ``add_path``: insert ``plan`` unless dominated."""
-        if keep_all:
-            ioc = normalized_ioc(plan, orders_by_table)
-            key = (ioc, plan.output_order)
-            incumbent = state.get(key)
-            if incumbent is None or plan.total_cost < incumbent.total_cost:
-                state[key] = plan
-            return
-
-        # Stock mode: dominance pruning across output orders.
-        for key, incumbent in list(state.items()):
-            if (
-                incumbent.total_cost <= plan.total_cost
-                and incumbent.output_order >= plan.output_order
-            ):
-                return  # dominated: a cheaper plan provides at least the same order
-            if (
-                plan.total_cost <= incumbent.total_cost
-                and plan.output_order >= incumbent.output_order
-            ):
-                del state[key]
-        state[(plan.output_order,)] = plan
-
     def _prune_state_subsumed(self, state: Dict[Tuple, PlanNode]) -> Dict[Tuple, PlanNode]:
         """Apply the Section V-D rule to one DP state (keep-all mode only).
 
@@ -184,12 +163,15 @@ class JoinPlanner:
         cheapest: Dict[InterestingOrderCombination, float] = {
             ioc: min(plan.total_cost for _, plan in plans) for ioc, plans in by_ioc.items()
         }
+        # ``is_subset_of`` compares these sets; derive each once, not per pair.
+        orders = {ioc: ioc.non_empty_orders for ioc in by_ioc}
         pruned: Dict[Tuple, PlanNode] = {}
         for ioc, plans in by_ioc.items():
+            bound, required = cheapest[ioc], orders[ioc]
             subsumed = any(
-                other.is_subset_of(ioc) and cost < cheapest[ioc]
+                cost < bound and orders[other] <= required
                 for other, cost in cheapest.items()
-                if other != ioc
+                if other is not ioc
             )
             if subsumed:
                 continue
@@ -234,132 +216,158 @@ class JoinPlanner:
             if next(iter(predicate.tables - {table})) in subset
         )
 
-    def _join_plans(
+    def _join_onto(
         self,
+        target: Dict[Tuple, PlanNode],
         query: Query,
-        outer: PlanNode,
-        table: str,
-        inner_scan: PlanNode,
-        join_predicates: Tuple[JoinPredicate, ...],
-        output_rows: float,
-    ) -> List[PlanNode]:
-        """All join operators applicable to ``outer JOIN table(inner_scan)``.
+        subset: FrozenSet[str],
+        state: Dict[Tuple, PlanNode],
+        inner_scans: List[PlanNode],
+        predicates: Tuple[JoinPredicate, ...],
+        inner_orders: List[str],
+        keep_all: bool,
+    ) -> None:
+        """Offer ``target`` every join of a ``subset`` plan with one of ``inner_scans``.
 
-        Every plan applies all of ``join_predicates``; the first one is the
-        key the operator matches on.
+        Every join applies all of ``predicates``; the first is the key the
+        operator matches on.  Per (outer, inner) pair the candidates are a
+        hash join building on the cheaper side (the other side could only
+        lose to it under the same key), a merge join with sorts on whichever
+        inputs need them and, with nested loops on, a nested loop probing
+        the inner's index on the key.  Each is priced first and built only
+        if :func:`_admits` lets it into ``target``.  In PINUM mode all three
+        share one IOC: the outer's, plus the inner leaf's interesting order.
         """
-        plans: List[PlanNode] = []
-        key = join_predicates[0]
-        inner_column = key.column_for(table)
-        outer_column = key.other(table)
+        cost_model = self._cost_model
+        table = inner_scans[0].path.table
+        new_subset = subset | {table}
+        output_rows = self._selectivity.join_result_rows(query, new_subset)
+        outer_width = self._selectivity.output_row_width(query, subset)
+        inner_width = self._selectivity.output_row_width(query, (table,))
+        key_predicate = predicates[0]
+        inner_column = key_predicate.column_for(table)
+        outer_column = key_predicate.other(table)
+        merge_order = frozenset({outer_column, inner_column})
 
-        plans.extend(
-            self._hash_join_plans(outer, inner_scan, join_predicates, output_rows)
-        )
-        plans.append(
-            self._merge_join_plan(
-                query, outer, inner_scan, join_predicates, outer_column, inner_column,
-                output_rows,
-            )
-        )
-        if self._enable_nestloop:
-            nested = self._nested_loop_plan(
-                outer, inner_scan.path, join_predicates, inner_column, output_rows
-            )
-            if nested is not None:
-                plans.append(nested)
-        return plans
-
-    def _hash_join_plans(
-        self,
-        outer: PlanNode,
-        inner_scan: PlanNode,
-        predicates: Tuple[JoinPredicate, ...],
-        output_rows: float,
-    ) -> List[PlanNode]:
-        """Hash joins with the build side on either input."""
-        cost_build_inner = self._cost_model.hash_join(
-            outer_cost=outer.total_cost,
-            inner_cost=inner_scan.total_cost,
-            outer_rows=outer.rows,
-            inner_rows=inner_scan.rows,
-            output_rows=output_rows,
-        )
-        cost_build_outer = self._cost_model.hash_join(
-            outer_cost=inner_scan.total_cost,
-            inner_cost=outer.total_cost,
-            outer_rows=inner_scan.rows,
-            inner_rows=outer.rows,
-            output_rows=output_rows,
-        )
-        plans = [
-            join(Operator.HASHJOIN, outer, inner_scan, predicates, cost_build_inner, output_rows),
-        ]
-        if cost_build_outer < cost_build_inner:
-            plans.append(join(
-                Operator.HASHJOIN, inner_scan, outer, predicates, cost_build_outer, output_rows
+        # What depends on the inner leaf alone: its cost sorted on the key,
+        # its interesting order and whether a nested loop can probe it.
+        inners = []
+        for inner in inner_scans:
+            path = inner.path
+            presorted = path.provided_order == inner_column.column
+            inners.append((
+                inner,
+                presorted,
+                inner.total_cost if presorted else cost_model.sort(
+                    inner.total_cost, inner.rows, inner_width
+                ),
+                path.provided_order if path.provided_order in inner_orders else None,
+                self._enable_nestloop
+                and path.supports_probe
+                and path.index is not None
+                and path.index.leading_column == inner_column.column,
             ))
-        return plans
 
-    def _merge_join_plan(
-        self,
-        query: Query,
-        outer: PlanNode,
-        inner_scan: PlanNode,
-        predicates: Tuple[JoinPredicate, ...],
-        outer_column: ColumnRef,
-        inner_column: ColumnRef,
-        output_rows: float,
-    ) -> PlanNode:
-        """Merge join, adding explicit sorts on whichever inputs need them."""
-        outer_node = outer
-        if outer_column not in outer.output_order:
-            width = self._selectivity.output_row_width(query, outer.tables)
-            sort_cost = self._cost_model.sort(outer.total_cost, outer.rows, width)
-            outer_node = sort(outer, (outer_column,), sort_cost)
+        for outer_key, outer in state.items():
+            outer_cost, outer_rows, outer_order = outer.total_cost, outer.rows, outer.output_order
+            outer_presorted = outer_column in outer_order
+            outer_sorted_cost = outer_cost if outer_presorted else cost_model.sort(
+                outer_cost, outer_rows, outer_width
+            )
+            outer_orders = outer_key[0].as_dict() if keep_all else None
+            for inner, presorted, inner_sorted_cost, leaf_order, probes in inners:
+                ioc = None
+                if keep_all:
+                    ioc = InterestingOrderCombination({**outer_orders, table: leaf_order})
 
-        inner_node = inner_scan
-        if inner_scan.path.provided_order != inner_column.column:
-            width = self._selectivity.output_row_width(query, {inner_column.table})
-            sort_cost = self._cost_model.sort(inner_scan.total_cost, inner_scan.rows, width)
-            inner_node = sort(inner_scan, (inner_column,), sort_cost)
+                key = _state_key(ioc, _UNORDERED)
+                cost = cost_model.hash_join(
+                    outer_cost, inner.total_cost, outer_rows, inner.rows, output_rows
+                )
+                probe_side, build_side = outer, inner
+                build_on_outer = cost_model.hash_join(
+                    inner.total_cost, outer_cost, inner.rows, outer_rows, output_rows
+                )
+                if build_on_outer < cost:
+                    cost, probe_side, build_side = build_on_outer, inner, outer
+                if _admits(target, key, cost, _UNORDERED, keep_all):
+                    _insert(target, key, join(
+                        Operator.HASHJOIN, probe_side, build_side, predicates, cost, output_rows
+                    ), keep_all)
 
-        cost = self._cost_model.merge_join(
-            outer_cost_sorted=outer_node.total_cost,
-            inner_cost_sorted=inner_node.total_cost,
-            outer_rows=outer.rows,
-            inner_rows=inner_scan.rows,
-            output_rows=output_rows,
-        )
-        output_order = frozenset({outer_column, inner_column})
-        return join(
-            Operator.MERGEJOIN, outer_node, inner_node, predicates, cost, output_rows, output_order
-        )
+                key = _state_key(ioc, merge_order)
+                cost = cost_model.merge_join(
+                    outer_sorted_cost, inner_sorted_cost, outer_rows, inner.rows, output_rows
+                )
+                if _admits(target, key, cost, merge_order, keep_all):
+                    _insert(target, key, join(
+                        Operator.MERGEJOIN,
+                        outer if outer_presorted else sort(
+                            outer, (outer_column,), outer_sorted_cost
+                        ),
+                        inner if presorted else sort(inner, (inner_column,), inner_sorted_cost),
+                        predicates, cost, output_rows, merge_order,
+                    ), keep_all)
 
-    def _nested_loop_plan(
-        self,
-        outer: PlanNode,
-        path: AccessPath,
-        predicates: Tuple[JoinPredicate, ...],
-        inner_column: ColumnRef,
-        output_rows: float,
-    ) -> Optional[PlanNode]:
-        """Parameterized nested-loop join (index probe on the join column)."""
-        if not path.supports_probe or path.index is None:
-            return None
-        if path.index.leading_column != inner_column.column:
-            return None
-        inner = scan(path, multiplier=max(1.0, outer.rows), parameterized=True)
-        cost = self._cost_model.nested_loop_join(
-            outer_cost=outer.total_cost,
-            outer_rows=outer.rows,
-            inner_rescan_cost=path.rescan_cost or 0.0,
-            output_rows=output_rows,
-        )
-        # A nested loop preserves the outer input's ordering.
-        return join(
-            Operator.NESTLOOP, outer, inner, predicates, cost, output_rows, outer.output_order
-        )
+                if probes:
+                    # A nested loop preserves the outer input's ordering.
+                    key = _state_key(ioc, outer_order)
+                    cost = cost_model.nested_loop_join(
+                        outer_cost, outer_rows, inner.path.rescan_cost, output_rows
+                    )
+                    if _admits(target, key, cost, outer_order, keep_all):
+                        probe = scan(
+                            inner.path, multiplier=max(1.0, outer_rows), parameterized=True
+                        )
+                        _insert(target, key, join(
+                            Operator.NESTLOOP, outer, probe, predicates, cost, output_rows,
+                            outer_order,
+                        ), keep_all)
+
+
+# -- DP state entries -------------------------------------------------------------------
+
+_UNORDERED: FrozenSet[ColumnRef] = frozenset()
+
+
+def _state_key(ioc: Optional[InterestingOrderCombination], order: FrozenSet[ColumnRef]) -> Tuple:
+    """A plan's DP state key: its output order, preceded in PINUM mode by its IOC."""
+    return (order,) if ioc is None else (ioc, order)
+
+
+def _admits(
+    state: Dict[Tuple, PlanNode],
+    key: Tuple,
+    cost: float,
+    order: FrozenSet[ColumnRef],
+    keep_all: bool,
+) -> bool:
+    """PostgreSQL's ``add_path`` test, made before the plan is built.
+
+    PINUM mode keeps the cheapest plan per key.  Stock mode rejects a plan
+    that a plan at most as expensive with an equal-or-stronger output order
+    dominates.
+    """
+    if keep_all:
+        incumbent = state.get(key)
+        return incumbent is None or cost < incumbent.total_cost
+    return not any(
+        incumbent.total_cost <= cost and incumbent.output_order >= order
+        for incumbent in state.values()
+    )
+
+
+def _insert(state: Dict[Tuple, PlanNode], key: Tuple, plan: PlanNode, keep_all: bool) -> None:
+    """Put an admitted ``plan`` under ``key``; stock mode first drops every
+    plan it dominates."""
+    if not keep_all:
+        for stale in [
+            other for other, incumbent in state.items()
+            if plan.total_cost <= incumbent.total_cost
+            and plan.output_order >= incumbent.output_order
+        ]:
+            del state[stale]
+    state[key] = plan
 
 
 # -- helpers shared with PINUM ----------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.optimizer.hooks import OptimizerHooks
 from repro.optimizer.interesting_orders import InterestingOrderCombination
 from repro.optimizer.plan import AccessPath, PlanNode
 from repro.optimizer.subquery_planner import SubqueryPlanner
+from repro.util.errors import PlanningError
 from repro.util.timing import timed
 from repro.query.ast import Query
 from repro.query.preprocessor import QueryPreprocessor
@@ -54,11 +55,13 @@ class OptimizationResult:
 
     ``plan``/``cost`` are the classic outputs.  ``ioc_plans`` and
     ``access_paths`` are only populated when the corresponding PINUM hooks
-    were enabled for the call (the dashed/dotted flows of Figure 3).
+    were enabled for the call (the dashed/dotted flows of Figure 3).  A call
+    stopped by ``access_paths_only`` has no plan: ``plan`` is ``None`` and
+    ``cost`` raises.
     """
 
     query: Query
-    plan: PlanNode
+    plan: Optional[PlanNode]
     ioc_plans: Dict[InterestingOrderCombination, PlanNode] = field(default_factory=dict)
     access_paths: List[AccessPath] = field(default_factory=list)
     elapsed_seconds: float = 0.0
@@ -66,6 +69,11 @@ class OptimizationResult:
     @property
     def cost(self) -> float:
         """Estimated total cost of the chosen plan."""
+        if self.plan is None:
+            raise PlanningError(
+                f"the optimizer call for {self.query.name!r} stopped after collecting "
+                "access paths and has no plan"
+            )
         return self.plan.total_cost
 
 

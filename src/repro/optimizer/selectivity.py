@@ -6,23 +6,42 @@ independence assumptions, the same simplifications a textbook System-R style
 optimizer makes.  Join selectivity uses the classic ``1 / max(ndv_l, ndv_r)``
 formula.  All estimates are clamped so downstream cost formulas never see
 negative or zero cardinalities where that would be meaningless.
+
+Products over a set of tables multiply in the query's table order, never in
+set-iteration order: a float product's last bit depends on its order, and set
+order follows the process's hash seed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable
+from typing import Dict, FrozenSet, Iterable, Optional
 
 from repro.catalog.catalog import Catalog
-from repro.catalog.statistics import TableStatistics
 from repro.query.ast import Comparison, JoinPredicate, Predicate, Query
 from repro.util.errors import PlanningError
 
 
 class SelectivityEstimator:
-    """Estimate predicate selectivities and intermediate result sizes."""
+    """Estimate predicate selectivities and intermediate result sizes.
+
+    The per-table filtered row count and row width are memoised for one
+    query at a time: the join planner asks for them thousands of times per
+    call, and neither can change while the catalog and the query stay the
+    same.  The optimizer builds one estimator per call, so no entry outlives
+    the call; a different query object clears the memo.
+    """
 
     def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
+        self._memo_query: Optional[Query] = None
+        self._rows: Dict[str, float] = {}
+        self._widths: Dict[str, int] = {}
+
+    def _memo_for(self, query: Query) -> None:
+        if query is not self._memo_query:
+            self._memo_query = query
+            self._rows = {}
+            self._widths = {}
 
     # -- single-table predicates ---------------------------------------------
 
@@ -53,8 +72,14 @@ class SelectivityEstimator:
 
     def table_rows(self, query: Query, table: str) -> float:
         """Estimated rows of ``table`` surviving the query's filters."""
-        stats = self._catalog.statistics(table)
-        return max(1.0, stats.row_count * self.table_selectivity(query, table))
+        self._memo_for(query)
+        rows = self._rows.get(table)
+        if rows is None:
+            stats = self._catalog.statistics(table)
+            rows = self._rows[table] = max(
+                1.0, stats.row_count * self.table_selectivity(query, table)
+            )
+        return rows
 
     # -- joins ----------------------------------------------------------------
 
@@ -75,8 +100,9 @@ class SelectivityEstimator:
         subset -- the standard System-R formula.
         """
         rows = 1.0
-        for table in tables:
-            rows *= self.table_rows(query, table)
+        for table in query.tables:
+            if table in tables:
+                rows *= self.table_rows(query, table)
         for join in query.joins:
             if join.tables <= tables:
                 rows *= self.join_selectivity(join)
@@ -99,23 +125,17 @@ class SelectivityEstimator:
 
     def output_row_width(self, query: Query, tables: Iterable[str]) -> int:
         """Approximate width in bytes of a joined row over ``tables``."""
+        self._memo_for(query)
+        widths = self._widths
         width = 0
         for table in tables:
-            stats = self._catalog.statistics(table)
-            columns = query.columns_of(table)
-            if columns:
-                width += stats.tuple_width(columns)
-            else:
-                width += stats.tuple_width([stats.table.columns[0].name])
+            table_width = widths.get(table)
+            if table_width is None:
+                stats = self._catalog.statistics(table)
+                columns = query.columns_of(table) or [stats.table.columns[0].name]
+                table_width = widths[table] = stats.tuple_width(columns)
+            width += table_width
         return max(8, width)
-
-    def statistics(self, table: str) -> TableStatistics:
-        """Convenience pass-through used by the access-path collector."""
-        return self._catalog.statistics(table)
-
-    def filtered_rows_by_table(self, query: Query) -> Dict[str, float]:
-        """Filtered cardinality of every table in the query (for diagnostics)."""
-        return {table: self.table_rows(query, table) for table in query.tables}
 
 
 def _clamp_selectivity(value: float) -> float:

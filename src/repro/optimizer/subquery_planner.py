@@ -45,9 +45,15 @@ class SubqueryPlanner:
         query: Query,
         hooks: Optional[OptimizerHooks] = None,
     ) -> "SubqueryPlan":
-        """Plan ``query`` and return the best plan plus any hook exports."""
+        """Plan ``query`` and return the best plan plus any hook exports.
+
+        With ``hooks.access_paths_only`` the call ends after the collector
+        (the exported paths are in ``hooks``) and the plan is ``None``.
+        """
         hooks = hooks or OptimizerHooks.disabled()
         access_paths = self._collector.collect(query, hooks)
+        if hooks.access_paths_only:
+            return SubqueryPlan(best_plan=None, ioc_plans={})
         join_result = self._join_planner.plan(query, access_paths, hooks)
         best_plan = self._grouping_planner.choose_best(query, join_result.candidates)
 
@@ -63,13 +69,8 @@ class SubqueryPlan:
 
     def __init__(
         self,
-        best_plan: PlanNode,
+        best_plan: Optional[PlanNode],
         ioc_plans: Dict[InterestingOrderCombination, PlanNode],
     ) -> None:
         self.best_plan = best_plan
         self.ioc_plans = ioc_plans
-
-    @property
-    def cost(self) -> float:
-        """Total cost of the best plan."""
-        return self.best_plan.total_cost

@@ -173,10 +173,10 @@ class WhatIfCallStatistics:
         return self.hits / self.requests
 
 
-#: Hook signature: ``None`` for a plain call, otherwise the three switches
+#: Hook signature: ``None`` for a plain call, otherwise the four switches
 #: (``subsumption_pruning`` is normalised away when ``keep_all_ioc_plans`` is
 #: off, where it has no effect).
-HooksSignature = Optional[Tuple[bool, bool, Optional[bool]]]
+HooksSignature = Optional[Tuple[bool, bool, Optional[bool], bool]]
 
 
 def _hooks_signature(hooks: Optional[OptimizerHooks]) -> HooksSignature:
@@ -186,6 +186,7 @@ def _hooks_signature(hooks: Optional[OptimizerHooks]) -> HooksSignature:
         hooks.keep_all_access_paths,
         hooks.keep_all_ioc_plans,
         hooks.subsumption_pruning if hooks.keep_all_ioc_plans else None,
+        hooks.access_paths_only,
     )
 
 
@@ -207,6 +208,11 @@ class SharedWhatIfResults:
     Results are safe to share because an :class:`OptimizationResult` is never
     mutated after construction and the fingerprint keys already capture
     everything (query, configuration, flags) that could change the answer.
+
+    Only *plain* answers (no hooks) are shared.  A hooked answer exists to
+    fill a plan cache, and the tier already shares the caches built from
+    them; publishing the answers too would hold every build's per-IOC plans
+    for the server's lifetime.
     """
 
     def __init__(self, max_entries: int = 65536, publish_interval: int = 64) -> None:
@@ -214,10 +220,10 @@ class SharedWhatIfResults:
         self._max_entries = max_entries
         self._publish_interval = max(1, publish_interval)
         #: Published immutable snapshots (replaced wholesale, never mutated).
-        self._snapshot: Dict[tuple, List[Tuple[HooksSignature, OptimizationResult]]] = {}
+        self._snapshot: Dict[tuple, OptimizationResult] = {}
         self._maintenance_snapshot: Dict[tuple, float] = {}
         #: Pending promotions, folded into the snapshots under the lock.
-        self._pending: Dict[tuple, List[Tuple[HooksSignature, OptimizationResult]]] = {}
+        self._pending: Dict[tuple, OptimizationResult] = {}
         self._maintenance_pending: Dict[tuple, float] = {}
         self.hits = 0
         self.promotions = 0
@@ -225,13 +231,12 @@ class SharedWhatIfResults:
     def __len__(self) -> int:
         return len(self._snapshot) + len(self._pending)
 
-    def lookup(self, key: tuple) -> Optional[List[Tuple[HooksSignature, OptimizationResult]]]:
-        """The published results for ``key`` (lock-free; may lag promotions).
-
-        The caller counts a hit (:meth:`count_hit`) only when one of the
-        returned results actually satisfies its hook signature.
-        """
-        return self._snapshot.get(key)
+    def lookup(self, key: tuple) -> Optional[OptimizationResult]:
+        """The published plain answer for ``key`` (lock-free; may lag promotions)."""
+        result = self._snapshot.get(key)
+        if result is not None:
+            self.hits += 1
+        return result
 
     def lookup_maintenance(self, key: tuple) -> Optional[float]:
         """The published maintenance cost for ``key`` (lock-free)."""
@@ -240,16 +245,10 @@ class SharedWhatIfResults:
             self.hits += 1
         return cost
 
-    def count_hit(self) -> None:
-        """Record that a published result satisfied a session's probe."""
-        self.hits += 1
-
-    def promote(
-        self, key: tuple, signature: HooksSignature, result: OptimizationResult
-    ) -> None:
-        """Queue one fresh result for publication (single-writer path)."""
+    def promote(self, key: tuple, result: OptimizationResult) -> None:
+        """Queue one fresh plain answer for publication (single-writer path)."""
         with self._lock:
-            self._pending.setdefault(key, []).append((signature, result))
+            self._pending[key] = result
             self.promotions += 1
             if len(self._pending) >= self._publish_interval:
                 self._publish_locked()
@@ -270,9 +269,7 @@ class SharedWhatIfResults:
     def _publish_locked(self) -> None:
         if self._pending:
             merged = dict(self._snapshot)
-            for key, results in self._pending.items():
-                existing = merged.get(key)
-                merged[key] = (list(existing) + results) if existing else results
+            merged.update(self._pending)
             if len(merged) > self._max_entries:
                 # Age out the oldest insertions (dicts preserve order); the
                 # evicted answers are merely recomputed on next sight.
@@ -304,7 +301,14 @@ class WhatIfCallCache:
     Requests *with* hooks still require a result collected under the same
     hook signature, because a hook-less result lacks the exported data, and
     ``keep_all_ioc_plans`` results are never reused for hook-less requests
-    (the DP keeps extra states in that mode, so plan tie-breaking can differ).
+    (the DP keeps extra states in that mode, so plan tie-breaking can differ),
+    nor are ``access_paths_only`` results, which carry no plan at all.
+
+    What it keeps, and for how long: every answer it computed or adopted
+    from the shared store, until :meth:`forget` drops the answers about one
+    query (a session calls it when it removes the last statement reading
+    that query) or :meth:`clear` drops them all.  Maintenance costs are a
+    few floats per (statement, index) and are kept for the cache's lifetime.
     """
 
     def __init__(
@@ -317,8 +321,8 @@ class WhatIfCallCache:
         self._whatif = whatif
         self._entries: Dict[tuple, List[Tuple[HooksSignature, OptimizationResult]]] = {}
         self._maintenance_memo: Dict[tuple, float] = {}
-        #: Optional cross-session result store: local misses consult its
-        #: published snapshot, local computations are promoted into it.
+        #: Optional cross-session store of plain answers: a plain local miss
+        #: consults its published snapshot, a plain computation is promoted.
         self._shared = shared
         self.statistics = WhatIfCallStatistics()
 
@@ -345,6 +349,16 @@ class WhatIfCallCache:
         self._entries.clear()
         self._maintenance_memo.clear()
 
+    def forget(self, query: Query) -> None:
+        """Drop every memoized optimizer answer about ``query``.
+
+        Answers are keyed by fingerprint, so this forgets them for every
+        query with the same SQL.  The shared store is not touched.
+        """
+        fingerprint = query_fingerprint(query)
+        for key in [key for key in self._entries if key[0] == fingerprint]:
+            del self._entries[key]
+
     def optimize_with_configuration(
         self,
         query: Query,
@@ -367,17 +381,15 @@ class WhatIfCallCache:
             self.statistics.record_hit()
             tracer.add("whatif.memo_hits")
             return cached
-        if self._shared is not None:
-            results = self._shared.lookup(key)
-            if results is not None:
-                shared_hit = _select_result(results, signature)
-                if shared_hit is not None:
-                    # Adopt locally so later probes skip the snapshot walk.
-                    self._entries.setdefault(key, []).append((signature, shared_hit))
-                    self._shared.count_hit()
-                    self.statistics.record_hit(shared=True)
-                    tracer.add("whatif.memo_hits")
-                    return shared_hit
+        share = self._shared is not None and signature is None
+        if share:
+            shared_hit = self._shared.lookup(key)
+            if shared_hit is not None:
+                # Adopt locally so later probes skip the snapshot walk.
+                self._entries.setdefault(key, []).append((signature, shared_hit))
+                self.statistics.record_hit(shared=True)
+                tracer.add("whatif.memo_hits")
+                return shared_hit
         with tracer.span("whatif.optimize", query_fp=key[0][:12]):
             with timed(WHATIF_SECONDS):
                 result = self._whatif.optimize_with_configuration(
@@ -389,8 +401,8 @@ class WhatIfCallCache:
                 )
         self.statistics.record_miss()
         self._entries.setdefault(key, []).append((signature, result))
-        if self._shared is not None:
-            self._shared.promote(key, signature, result)
+        if share:
+            self._shared.promote(key, result)
         return result
 
     def cost_with_configuration(
@@ -501,28 +513,18 @@ class WhatIfCallCache:
         return statistics.hits - baseline
 
     def _lookup(self, key: tuple, signature: HooksSignature) -> Optional[OptimizationResult]:
-        results = self._entries.get(key)
-        if not results:
-            return None
-        return _select_result(results, signature)
-
-
-def _select_result(
-    results: Sequence[Tuple[HooksSignature, OptimizationResult]],
-    signature: HooksSignature,
-) -> Optional[OptimizationResult]:
-    """The stored result compatible with ``signature``, if any.
-
-    Shared between the local entries and the cross-session snapshots so both
-    apply identical hook-compatibility rules.
-    """
-    for stored_signature, result in results:
-        if stored_signature == signature:
-            return result
-    if signature is None:
-        # Serve a plain request from an access-path-export result: the
-        # exported paths are extra payload, the plan is identical.
+        """The stored result under ``key`` compatible with ``signature``, if any."""
+        results = self._entries.get(key, ())
         for stored_signature, result in results:
-            if stored_signature is not None and not stored_signature[1]:
+            if stored_signature == signature:
                 return result
-    return None
+        if signature is None:
+            # Serve a plain request from an access-path-export result: the
+            # exported paths are extra payload, the plan is identical.  A call
+            # stopped before the join DP has no plan to serve.
+            for stored_signature, result in results:
+                if stored_signature is not None and not (
+                    stored_signature[1] or stored_signature[3]
+                ):
+                    return result
+        return None

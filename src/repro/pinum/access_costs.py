@@ -6,6 +6,11 @@ index anyway, but keeps only the cheapest per interesting order.  With the
 access cost of an arbitrarily large candidate-index set is obtained with one
 optimizer call -- versus one call per index for the classic approach, the
 "5 times faster for finding the index access costs" half of Figure 4.
+
+The paths exist before the first join level, so the call also sets the
+``access_paths_only`` stop: it runs no join DP and returns no plan, and it
+is still counted as one optimizer call (in ``Optimizer.call_count``, the
+what-if statistics and ``optimizer_calls_access_costs``).
 """
 
 from __future__ import annotations
@@ -49,11 +54,12 @@ class PinumAccessCostCollector:
         The single call is made with *all* candidate indexes visible at once
         and ``keep_all_access_paths`` enabled; the exported paths include the
         sequential-scan path of every table, so heap costs come for free.
+        It stops before the join DP (``access_paths_only``).
         """
         candidates = self._candidates(query, candidate_indexes)
         baseline = WhatIfCallCache.hit_baseline(self._whatif)
         with timed(BUILD_SECONDS, builder="pinum", phase="access_costs") as timer:
-            hooks = OptimizerHooks(keep_all_access_paths=True)
+            hooks = OptimizerHooks(keep_all_access_paths=True, access_paths_only=True)
             result = self._whatif.optimize_with_configuration(
                 query, candidates, exclusive=True, enable_nestloop=False, hooks=hooks
             )

@@ -91,15 +91,17 @@ class TestScans:
         # produce identical rows through the index path).
         from repro.optimizer.access_paths import AccessPathCollector
         from repro.optimizer.cost_model import CostModel
+        from repro.optimizer.hooks import OptimizerHooks
         from repro.optimizer.selectivity import SelectivityEstimator
 
         index = Index("products", ["p_category", "p_price"])
         collector = AccessPathCollector(
             small_catalog, CostModel(), SelectivityEstimator(small_catalog)
         )
+        hooks = OptimizerHooks(keep_all_access_paths=True)
         with small_catalog.only_indexes([index]):
-            paths = collector.all_paths_for_table(query, "products")
-        index_path = next(p for p in paths if p.index is not None)
+            collector.collect(query, hooks)
+        index_path = next(p for p in hooks.collected_access_paths if p.index is not None)
         indexed = PlanExecutor(database, query).execute(scan(index_path))
 
         assert indexed.row_count == plain.row_count

@@ -8,12 +8,7 @@ class TestDefaults:
         hooks = OptimizerHooks.disabled()
         assert not hooks.keep_all_access_paths
         assert not hooks.keep_all_ioc_plans
-
-    def test_pinum_defaults_factory(self):
-        hooks = OptimizerHooks.pinum_defaults()
-        assert hooks.keep_all_access_paths
-        assert hooks.keep_all_ioc_plans
-        assert hooks.subsumption_pruning
+        assert not hooks.access_paths_only
 
     def test_buffers_start_empty(self):
         hooks = OptimizerHooks()
@@ -22,7 +17,7 @@ class TestDefaults:
 
 class TestReset:
     def test_reset_clears_buffers(self):
-        hooks = OptimizerHooks.pinum_defaults()
+        hooks = OptimizerHooks(keep_all_access_paths=True, keep_all_ioc_plans=True)
         hooks.collected_access_paths.append(object())
         hooks.reset()
         assert hooks.collected_access_paths == []

@@ -123,6 +123,19 @@ class TestKeepAllIocPlans:
         for ioc, plan in result.ioc_plans.items():
             assert normalized_ioc(plan, orders) == ioc
 
+    def test_uninteresting_leaf_orders_are_keyed_as_no_order(self, small_catalog, join_query):
+        # p_category is only filtered on: an index on it provides an order no
+        # merge join or grouping can use, so a plan reading it competes under
+        # the IOC of a plan reading products unordered.
+        small_catalog.add_index(Index("products", ["p_category"]))
+        small_catalog.add_index(Index("sales", ["s_customer"]))
+        planner, collector = make_planner(small_catalog)
+        result = planner.plan(join_query, collector.collect(join_query), self._hooked())
+        orders = interesting_orders_by_table(join_query)
+        assert set(result.ioc_plans) <= set(enumerate_combinations(join_query))
+        for ioc, plan in result.ioc_plans.items():
+            assert normalized_ioc(plan, orders) == ioc
+
     def test_best_plan_unchanged_by_hook(self, small_catalog, join_query):
         """Keeping extra plans must not change which plan is cheapest."""
         small_catalog.add_index(Index("sales", ["s_customer"]))

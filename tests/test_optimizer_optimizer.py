@@ -89,7 +89,7 @@ class TestHooks:
         small_catalog.add_index(Index("sales", ["s_customer"]))
         small_catalog.add_index(Index("customers", ["c_id"]))
         optimizer = Optimizer(small_catalog)
-        hooks = OptimizerHooks.pinum_defaults()
+        hooks = OptimizerHooks(keep_all_access_paths=True, keep_all_ioc_plans=True)
         result = optimizer.optimize(join_query, hooks=hooks)
         assert result.ioc_plans
         assert result.access_paths
@@ -101,7 +101,7 @@ class TestHooks:
     def test_hooks_reset_between_calls(self, small_catalog, join_query, simple_query):
         small_catalog.add_index(Index("sales", ["s_customer"]))
         optimizer = Optimizer(small_catalog)
-        hooks = OptimizerHooks.pinum_defaults()
+        hooks = OptimizerHooks(keep_all_access_paths=True, keep_all_ioc_plans=True)
         optimizer.optimize(join_query, hooks=hooks)
         first_paths = len(hooks.collected_access_paths)
         optimizer.optimize(simple_query, hooks=hooks)
@@ -119,5 +119,6 @@ class TestHooks:
         small_catalog.add_index(Index("customers", ["c_id"]))
         optimizer = Optimizer(small_catalog)
         plain = optimizer.optimize(join_query).cost
-        hooked = optimizer.optimize(join_query, hooks=OptimizerHooks.pinum_defaults()).cost
+        hooks = OptimizerHooks(keep_all_access_paths=True, keep_all_ioc_plans=True)
+        hooked = optimizer.optimize(join_query, hooks=hooks).cost
         assert hooked == pytest.approx(plain, rel=1e-9)

@@ -101,6 +101,22 @@ class TestGroupsAndWidths:
     def test_output_row_width_positive(self, estimator, join_query):
         assert estimator.output_row_width(join_query, join_query.tables) >= 8
 
-    def test_filtered_rows_by_table_has_all_tables(self, estimator, join_query):
-        rows = estimator.filtered_rows_by_table(join_query)
-        assert set(rows) == set(join_query.tables)
+
+
+class TestPerQueryMemo:
+    def test_a_new_query_is_not_answered_from_the_previous_one(
+        self, small_catalog, estimator, join_query, simple_query
+    ):
+        # ``sales`` is in both queries with different filters and columns.
+        estimator.table_rows(join_query, "sales")
+        estimator.output_row_width(join_query, ["sales"])
+        fresh = SelectivityEstimator(small_catalog)
+        assert estimator.table_rows(simple_query, "sales") == fresh.table_rows(
+            simple_query, "sales"
+        )
+        assert estimator.output_row_width(simple_query, ["sales"]) == fresh.output_row_width(
+            simple_query, ["sales"]
+        )
+        assert estimator.table_rows(simple_query, "sales") != fresh.table_rows(
+            join_query, "sales"
+        )

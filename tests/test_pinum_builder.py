@@ -4,10 +4,12 @@ import pytest
 
 from repro.catalog.index import Index
 from repro.inum import AtomicConfiguration, InumCacheBuilder, InumCostModel
-from repro.optimizer import Optimizer
+from repro.optimizer import Optimizer, OptimizerHooks, WhatIfCallCache
 from repro.optimizer.interesting_orders import combination_count
+from repro.optimizer.joinplanner import JoinPlanner
 from repro.pinum import PinumBuilderOptions, PinumCacheBuilder, PinumCostModel
 from repro.pinum.cache_builder import probing_index_set
+from repro.util.errors import PlanningError
 
 
 @pytest.fixture
@@ -50,6 +52,38 @@ class TestCallCounts:
         optimizer = Optimizer(small_catalog)
         cache = PinumCacheBuilder(optimizer).build_cache(join_query, candidates)
         assert cache.build_stats.optimizer_calls_total == 3
+
+    def test_access_cost_call_runs_no_join_dp_but_counts(
+        self, monkeypatch, small_catalog, join_query, candidates
+    ):
+        plans = []
+        original = JoinPlanner.plan
+
+        def counting_plan(self, *arguments, **keywords):
+            plans.append(arguments[0].name)
+            return original(self, *arguments, **keywords)
+
+        monkeypatch.setattr(JoinPlanner, "plan", counting_plan)
+        optimizer = Optimizer(small_catalog)
+        call_cache = WhatIfCallCache(optimizer)
+        cache = PinumCacheBuilder(optimizer, call_cache=call_cache).build_cache(
+            join_query, candidates
+        )
+        assert len(plans) == 2  # the two plan-harvesting calls only
+        assert optimizer.call_count == 3
+        assert call_cache.statistics.misses == 3
+        assert cache.build_stats.optimizer_calls_access_costs == 1
+        assert cache.build_stats.optimizer_calls_total == 3
+        assert len(cache.access_costs) > 0
+
+    def test_a_stopped_call_has_no_plan(self, small_catalog, join_query):
+        result = Optimizer(small_catalog).optimize(
+            join_query, hooks=OptimizerHooks(keep_all_access_paths=True, access_paths_only=True)
+        )
+        assert result.plan is None and result.ioc_plans == {}
+        assert {path.table for path in result.access_paths} == set(join_query.tables)
+        with pytest.raises(PlanningError):
+            result.cost
 
     def test_access_cost_collection_optional(self, small_catalog, join_query):
         optimizer = Optimizer(small_catalog)

@@ -5,7 +5,7 @@ import pytest
 from repro.advisor import CandidateGenerator
 from repro.inum import InumCacheBuilder, InumCostModel
 from repro.optimizer import Optimizer, OptimizerHooks, WhatIfCallCache
-from repro.optimizer.whatif import WhatIfOptimizer
+from repro.optimizer.whatif import SharedWhatIfResults, WhatIfOptimizer
 from repro.pinum import PinumCacheBuilder
 
 
@@ -71,10 +71,57 @@ class TestWhatIfCallCache:
     ):
         cache = WhatIfCallCache(Optimizer(small_catalog))
         cache.optimize_with_configuration(
-            join_query, [sample_index], hooks=OptimizerHooks.pinum_defaults()
+            join_query, [sample_index],
+            hooks=OptimizerHooks(keep_all_access_paths=True, keep_all_ioc_plans=True),
         )
         cache.optimize_with_configuration(join_query, [sample_index])
         assert cache.statistics.misses == 2
+
+    def test_plain_request_not_served_from_access_paths_only_result(
+        self, small_catalog, join_query, sample_index
+    ):
+        cache = WhatIfCallCache(Optimizer(small_catalog))
+        stopped = cache.optimize_with_configuration(
+            join_query, [sample_index],
+            hooks=OptimizerHooks(keep_all_access_paths=True, access_paths_only=True),
+        )
+        assert stopped.plan is None and stopped.access_paths
+        plain = cache.optimize_with_configuration(join_query, [sample_index])
+        assert cache.statistics.misses == 2
+        assert plain.plan is not None
+        # The full export call and the stopped one are different answers too.
+        full = cache.optimize_with_configuration(
+            join_query, [sample_index], hooks=OptimizerHooks(keep_all_access_paths=True)
+        )
+        assert cache.statistics.misses == 3
+        assert full.plan is not None
+
+    def test_only_plain_answers_reach_the_shared_store(
+        self, small_catalog, join_query, sample_index
+    ):
+        shared = SharedWhatIfResults()
+        first = WhatIfCallCache(Optimizer(small_catalog), shared=shared)
+        hooks = OptimizerHooks(keep_all_access_paths=True)
+        first.optimize_with_configuration(join_query, [sample_index], hooks=hooks)
+        first.optimize_with_configuration(join_query, [])
+        shared.publish()
+        assert len(shared) == 1
+        second = WhatIfCallCache(Optimizer(small_catalog), shared=shared)
+        second.optimize_with_configuration(join_query, [])
+        second.optimize_with_configuration(join_query, [sample_index], hooks=hooks)
+        assert (second.statistics.hits, second.statistics.misses) == (1, 1)
+
+    def test_forget_drops_one_querys_answers(
+        self, small_catalog, join_query, simple_query, sample_index
+    ):
+        cache = WhatIfCallCache(Optimizer(small_catalog))
+        cache.optimize_with_configuration(join_query, [sample_index])
+        cache.optimize_with_configuration(join_query, [])
+        cache.optimize_with_configuration(simple_query, [sample_index])
+        cache.forget(join_query)
+        assert len(cache) == 1
+        cache.optimize_with_configuration(simple_query, [sample_index])
+        assert cache.statistics.hits == 1
 
     def test_clear_keeps_statistics(self, small_catalog, join_query, sample_index):
         cache = WhatIfCallCache(Optimizer(small_catalog))
