@@ -91,9 +91,8 @@ def _required_speedup(quick: bool) -> float:
 def _speedup_asserted() -> bool:
     """Only hosts with >= 3 cores can overlap sessions meaningfully.
 
-    Same convention as the parallel-construction benchmark: on 1-2 core
-    hosts the GIL serializes the CPU-bound work, so the speedup is
-    reported but not asserted.
+    On 1-2 core hosts the GIL serializes the CPU-bound work, so the
+    speedup is reported but not asserted.
     """
     return (os.cpu_count() or 1) >= 3
 

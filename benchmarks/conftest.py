@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables or figures (see the
-experiment index in DESIGN.md) and prints an ``ExperimentTable`` that can be
-pasted into EXPERIMENTS.md.  The heavyweight workload objects are session
-scoped so the figures share one catalog and one query set.
+Every benchmark regenerates one of the paper's tables or figures (the
+README's "Benchmarks" section lists them) and prints an ``ExperimentTable``
+with the numbers.  The heavyweight workload objects are session scoped so
+the figures share one catalog and one query set.
 
 Environment knobs (all optional):
 
@@ -11,8 +11,6 @@ Environment knobs (all optional):
   cost-accuracy experiment (default 60; the paper used 1000).
 * ``REPRO_BENCH_QUERIES``  -- how many of the ten workload queries the
   heavier benchmarks use (default: all ten).
-* ``REPRO_BENCH_JOBS``     -- process-pool width for the parallel
-  construction benchmark (default 4).
 * ``REPRO_BENCH_METRICS``  -- path for a JSON snapshot of the process
   metrics registry written when the benchmark session finishes (default
   ``BENCH_metrics.json``; empty string disables).  CI uploads it next to
@@ -41,11 +39,6 @@ def bench_config_count() -> int:
 def bench_query_count() -> int:
     """Number of workload queries heavier benchmarks should cover."""
     return int(os.environ.get("REPRO_BENCH_QUERIES", "10"))
-
-
-def bench_job_count() -> int:
-    """Process-pool width the parallel construction benchmark fans out to."""
-    return int(os.environ.get("REPRO_BENCH_JOBS", "4"))
 
 
 def pytest_sessionfinish(session, exitstatus):

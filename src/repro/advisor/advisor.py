@@ -195,9 +195,7 @@ class AdvisorOptions:
     ``max_candidates`` optionally truncates the candidate set (keeping the
     generation order) to bound experiment running times.
 
-    ``jobs`` fans the cache-backed oracles' per-query cache builds across a
-    process pool (needs a picklable ``catalog_factory`` handed to the
-    :class:`IndexAdvisor` or session).  ``cache_dir`` points at a persistent
+    ``cache_dir`` points at a persistent
     :class:`~repro.inum.serialization.CacheStore` directory so caches are
     reused across advisor runs and invalidated when the catalog changes.
 
@@ -234,7 +232,6 @@ class AdvisorOptions:
     cost_model: str = "pinum"
     max_candidates: Optional[int] = None
     min_relative_benefit: float = 1e-4
-    jobs: int = 1
     cache_dir: Optional[str] = None
     selector: str = "lazy"
     engine: str = "auto"
@@ -397,14 +394,12 @@ class IndexAdvisor:
         catalog: Catalog,
         optimizer: Optimizer,
         options: Optional[AdvisorOptions] = None,
-        catalog_factory: Optional[Callable[[], Catalog]] = None,
     ) -> None:
         self._catalog = catalog
         self._optimizer = optimizer
         # AdvisorOptions validates its names in __post_init__, so a default
         # construction here is already checked.
         self._options = options or AdvisorOptions()
-        self._catalog_factory = catalog_factory
 
     def recommend(
         self,
@@ -426,6 +421,5 @@ class IndexAdvisor:
             workload,
             options=self._options,
             optimizer=self._optimizer,
-            catalog_factory=self._catalog_factory,
         )
         return session.recommend(RecommendRequest(candidates=candidates)).result

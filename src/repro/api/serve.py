@@ -39,7 +39,6 @@ an in-memory source that ``watch_stats`` pushes ``statements`` into),
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from typing import Any, Dict, IO, Optional, Tuple
@@ -64,7 +63,7 @@ from repro.api.tier import SharedCacheTier
 from repro.obs import render_prometheus, snapshot
 from repro.query.parser import parse_statement
 from repro.util.errors import AdvisorError, ReproError, validate_name
-from repro.workloads import BUILTIN_CATALOGS, builtin_catalog_factory, builtin_workload
+from repro.workloads import BUILTIN_CATALOGS, builtin_workload
 
 
 class ServeFrontend:
@@ -111,7 +110,6 @@ class ServeFrontend:
                 catalog_object,
                 workload,
                 options=self._options,
-                catalog_factory=functools.partial(builtin_catalog_factory, name, seed_value),
                 shared_tier=self._shared_tier,
             )
             self._sessions[key] = session

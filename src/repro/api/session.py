@@ -51,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.advisor.advisor import (
     CANDIDATE_POLICIES,
@@ -162,10 +162,9 @@ class TuningSession:
     """A long-lived index-tuning service over one catalog.
 
     ``options`` carries the session defaults (budget, cost model, selector,
-    engine, candidate policy, jobs, cache_dir); individual
+    engine, candidate policy, cache_dir); individual
     :class:`~repro.api.requests.RecommendRequest` fields override them per
-    call.  ``catalog_factory`` enables parallel cache builds exactly as for
-    the one-shot advisor.
+    call.
     """
 
     #: Cap on pooled plan caches (least recently used goes first), so a
@@ -190,7 +189,6 @@ class TuningSession:
         *,
         options: Optional[AdvisorOptions] = None,
         optimizer: Optional[Optimizer] = None,
-        catalog_factory: Optional[Callable[[], Catalog]] = None,
         generator: Optional[CandidateGenerator] = None,
         max_pooled_caches: int = DEFAULT_MAX_POOLED_CACHES,
         shared_tier: Optional[SharedCacheTier] = None,
@@ -228,7 +226,6 @@ class TuningSession:
             capacity=max_pooled_caches,
             namespace=namespace,
             store=store,
-            catalog_factory=catalog_factory,
         )
         #: Compiled workload arenas, keyed by arena fingerprint.  Tier-backed
         #: sessions adopt arenas other tenants compiled (the namespace is
@@ -684,7 +681,6 @@ class TuningSession:
         self,
         builder: str = "pinum",
         *,
-        jobs: Optional[int] = None,
         candidates: Optional[Sequence[Index]] = None,
         max_candidates: object = UNSET,
         use_call_cache: bool = True,
@@ -694,7 +690,7 @@ class TuningSession:
         This is the ``repro cache-workload`` path: the same lookup chain as
         :meth:`recommend` (:meth:`~repro.api.tier.PlanCachePool.acquire`:
         session pool, shared tier, then one builder pass with the store
-        consulted, identical SQL deduplicated and ``jobs`` fanning out) over
+        consulted and identical SQL deduplicated) over
         the ``"workload"`` policy's candidate plan, so a following
         :meth:`recommend` with that policy reuses every cache.  The report
         has one row per statement whatever its source.
@@ -706,11 +702,7 @@ class TuningSession:
             self._options.max_candidates if max_candidates is UNSET else max_candidates,
         )
         return self._pool.acquire(
-            workload,
-            plan.per_query,
-            builder,
-            jobs=jobs if jobs is not None else self._options.jobs,
-            use_call_cache=use_call_cache,
+            workload, plan.per_query, builder, use_call_cache=use_call_cache
         )
 
     def build_query_cache(
@@ -854,7 +846,7 @@ class TuningSession:
             index_set_fingerprint(plan.pool),
             tuple(keys.values()),
         )
-        report = WorkloadBuildReport(builder=builder or options.cost_model, jobs=options.jobs)
+        report = WorkloadBuildReport(builder=builder or options.cost_model)
         if reuse and signature == self._model_signature:
             return self._model, plan, report, {}
 
@@ -873,9 +865,7 @@ class TuningSession:
                 weights=options.weight_map(),
             )
         else:
-            result = self._pool.acquire(
-                workload, plan.per_query, builder, jobs=options.jobs, keys=keys
-            )
+            result = self._pool.acquire(workload, plan.per_query, builder, keys=keys)
             report = result.report
             caches = result.caches
             cache_ids = {

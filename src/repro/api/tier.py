@@ -15,7 +15,7 @@ all call it -- and it walks one chain:
    :class:`~repro.inum.workload_builder.WorkloadCacheBuilder` pass: the
    persistent :class:`~repro.inum.serialization.CacheStore`
    (``from_store``), identical-SQL siblings (``deduplicated``), then a
-   serial or process-pool build (``built``, saved back to the store),
+   fresh build (``built``, saved back to the store),
 4. pool insert, tier promotion, what-if publication and source accounting.
 
 A concurrent server multiplies the caching economy only if the warm state is
@@ -56,7 +56,6 @@ from collections import Counter, OrderedDict
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Hashable,
     List,
@@ -270,13 +269,11 @@ class PlanCachePool:
         capacity: int,
         namespace: Optional[TierNamespace] = None,
         store: Optional[CacheStore] = None,
-        catalog_factory: Optional[Callable[[], "Catalog"]] = None,
     ) -> None:
         self._catalog = catalog
         self._optimizer = optimizer
         self._call_cache = call_cache
         self._statistics = statistics
-        self._catalog_factory = catalog_factory
         self.namespace = namespace
         self.store = store
         self._caches = LocalPool(
@@ -296,7 +293,6 @@ class PlanCachePool:
         per_query_candidates: Mapping[str, Optional[List["Index"]]],
         builder: str,
         *,
-        jobs: int = 1,
         use_call_cache: bool = True,
         keys: Optional[Mapping[str, CacheKey]] = None,
     ) -> WorkloadBuildResult:
@@ -331,10 +327,7 @@ class PlanCachePool:
         if missing:
             built = WorkloadCacheBuilder(
                 self._catalog,
-                WorkloadBuilderOptions(
-                    builder=builder, jobs=jobs, use_call_cache=use_call_cache
-                ),
-                catalog_factory=self._catalog_factory,
+                WorkloadBuilderOptions(builder=builder, use_call_cache=use_call_cache),
                 store=self.store,
                 optimizer=self._optimizer,
                 call_cache=self._call_cache if use_call_cache else None,
@@ -351,7 +344,6 @@ class PlanCachePool:
 
         report = WorkloadBuildReport(
             builder=builder,
-            jobs=jobs,
             outcomes=[outcomes[statement.name] for statement in statements],
             wall_seconds=wall_seconds,
         )

@@ -14,10 +14,9 @@ implementation:
   per-slot walk),
 * ``cache``          -- build the INUM/PINUM plan cache for a query and
   report its statistics (optionally saving it to JSON),
-* ``cache-workload`` -- build the plan caches of a whole workload at once:
-  ``--jobs N`` fans the per-query builds across a process pool, the
-  memoizing what-if layer deduplicates identical optimizer probes, and
-  ``--cache-dir`` persists the caches for later runs (``cache``,
+* ``cache-workload`` -- build the plan caches of a whole workload in one
+  pass: the memoizing what-if layer deduplicates identical optimizer
+  probes, and ``--cache-dir`` persists the caches for later runs (``cache``,
   ``cache-workload`` and ``recommend`` all get their caches from the
   session's one lookup chain,
   :meth:`repro.api.tier.PlanCachePool.acquire`, so they share cache keys),
@@ -47,7 +46,7 @@ Examples::
 
     python -m repro recommend --catalog star --budget-gb 5 --max-candidates 120
     python -m repro cache --catalog star --query-number 4 --builder pinum
-    python -m repro cache-workload --catalog star --jobs 4 --cache-dir .inum-cache
+    python -m repro cache-workload --catalog star --cache-dir .inum-cache
     echo '{"op": "recommend"}' | python -m repro serve --catalog tpch
     python -m repro watch --catalog star --follow trace.ndjson --idle-exit 5
 
@@ -65,7 +64,7 @@ Changing the schema, refreshing statistics or changing the candidate set
 makes the affected caches stale, so they are rebuilt instead of reused; a
 second run of the *same* command against an unchanged catalog loads every
 cache and spends zero optimizer calls.  ``recommend`` accepts the same
-``--jobs``/``--cache-dir`` flags for its cache-backed cost models;
+``--cache-dir`` flag for its cache-backed cost models;
 ``recommend`` and ``cache-workload`` share one ``--max-candidates`` default
 (:data:`~repro.advisor.candidates.DEFAULT_MAX_CANDIDATES`), so with the same
 ``--cache-dir`` they hit the same persistent cache keys out of the box.
@@ -75,7 +74,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import sys
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -96,7 +94,7 @@ from repro.inum.workload_builder import CACHE_BUILDERS
 from repro.query import Query, parse_statement
 from repro.util.errors import AdvisorError, ReproError
 from repro.util.units import format_bytes, gigabytes
-from repro.workloads import BUILTIN_CATALOGS, builtin_catalog_factory, builtin_workload
+from repro.workloads import BUILTIN_CATALOGS, builtin_workload
 
 
 def _read_queries(args: argparse.Namespace, builtin: Sequence[Query]) -> List[Query]:
@@ -150,13 +148,7 @@ def _ilp_overrides(args: argparse.Namespace) -> dict:
 def _build_session(args: argparse.Namespace, options: AdvisorOptions) -> TuningSession:
     """A session over the requested catalog, loaded with the requested queries."""
     catalog, builtin = builtin_workload(args.catalog, args.seed)
-    queries = _read_queries(args, builtin)
-    return TuningSession(
-        catalog,
-        queries,
-        options=options,
-        catalog_factory=functools.partial(builtin_catalog_factory, args.catalog, args.seed),
-    )
+    return TuningSession(catalog, _read_queries(args, builtin), options=options)
 
 
 @contextlib.contextmanager
@@ -207,7 +199,6 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
             space_budget_bytes=gigabytes(args.budget_gb),
             cost_model=args.cost_model,
             max_candidates=args.max_candidates,
-            jobs=args.jobs,
             cache_dir=args.cache_dir,
             selector=args.selector,
             engine=args.engine,
@@ -287,11 +278,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_cache_workload(args: argparse.Namespace) -> int:
     session = _build_session(
         args,
-        AdvisorOptions(
-            max_candidates=args.max_candidates,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-        ),
+        AdvisorOptions(max_candidates=args.max_candidates, cache_dir=args.cache_dir),
     )
     queries = session.queries
     result = session.build_workload_caches(
@@ -300,7 +287,7 @@ def _cmd_cache_workload(args: argparse.Namespace) -> int:
     report = result.report
 
     table = ExperimentTable(
-        f"Workload cache construction ({args.builder}, jobs={args.jobs})",
+        f"Workload cache construction ({args.builder})",
         ["query", "source", "optimizer calls", "what-if hits",
          "cached plans", "access costs", "build (ms)"],
     )
@@ -344,7 +331,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         space_budget_bytes=gigabytes(args.budget_gb),
         cost_model=args.cost_model,
         max_candidates=args.max_candidates,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         selector=args.selector,
         engine=args.engine,
@@ -354,12 +340,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     # The daemon owns the workload: the session starts empty and receives
     # the window's templates at the first (bootstrap) tune.
     catalog, _ = builtin_workload(args.catalog, args.seed)
-    session = TuningSession(
-        catalog,
-        [],
-        options=options,
-        catalog_factory=functools.partial(builtin_catalog_factory, args.catalog, args.seed),
-    )
+    session = TuningSession(catalog, [], options=options)
     overrides = {
         key: value
         for key, value in (
@@ -411,7 +392,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         space_budget_bytes=gigabytes(args.budget_gb),
         cost_model=args.cost_model,
         max_candidates=args.max_candidates,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         selector=args.selector,
         engine=args.engine,
@@ -516,8 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
                          help="cap on the candidate-index set (shared default with "
                               "cache-workload so both hit the same cache-store keys)")
-        sub.add_argument("--jobs", type=int, default=1,
-                         help="process-pool width for the per-query cache builds")
         sub.add_argument("--cache-dir",
                          help="persistent cache-store directory reused across runs")
         sub.add_argument("--selector", choices=sorted(SELECTORS),
@@ -577,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     workload = subparsers.add_parser(
         "cache-workload",
-        help="build every workload query's plan cache (parallel, memoized, persistent)",
+        help="build every workload query's plan cache (memoized, persistent)",
     )
     add_common(workload)
     workload.add_argument("--builder", choices=sorted(CACHE_BUILDERS), default="pinum",
@@ -585,8 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
                           help="cap on the candidate-index set (shared default with "
                                "recommend so both hit the same cache-store keys)")
-    workload.add_argument("--jobs", type=int, default=1,
-                          help="process-pool width (1 = serial with a shared what-if cache)")
     workload.add_argument("--cache-dir",
                           help="persistent cache-store directory reused across runs")
     workload.add_argument("--no-call-cache", action="store_true",

@@ -3,15 +3,13 @@
 The per-query builders (:class:`~repro.inum.cache_builder.InumCacheBuilder`,
 :class:`~repro.pinum.cache_builder.PinumCacheBuilder`) answer "how cheaply
 can *one* cache be filled?".  A physical-design tool needs caches for a whole
-workload, so this module scales the construction out along three axes:
+workload, so this module builds them in one serial in-process pass that
+saves work along two axes:
 
 * **memoization** -- every what-if probe is routed through one shared
   :class:`~repro.optimizer.whatif.WhatIfCallCache`, and queries with
   identical SQL (a fixture of real workloads, where the same template
-  arrives over and over) are fingerprint-deduplicated and built once,
-* **parallelism** -- with ``jobs > 1`` the per-query builds fan out across a
-  ``concurrent.futures`` process pool, longest query first so the pool
-  drains evenly, and
+  arrives over and over) are fingerprint-deduplicated and built once, and
 * **persistence** -- with a :class:`~repro.inum.serialization.CacheStore`
   attached, caches built by a previous run are loaded instead of rebuilt
   (and freshly built ones are saved), making construction a one-time cost
@@ -30,9 +28,8 @@ neither the session pool nor the shared tier could answer.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
@@ -42,7 +39,6 @@ from repro.inum.dml import build_statement_cache
 from repro.inum.serialization import CacheStore, cache_from_dict, cache_to_dict
 from repro.obs.instruments import BUILD_QUERIES
 from repro.obs.trace import get_tracer
-from repro.optimizer.interesting_orders import combination_count
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfCallCache
 from repro.pinum.cache_builder import PinumCacheBuilder
@@ -64,21 +60,16 @@ class WorkloadBuilderOptions:
     """Knobs of a workload-scale build.
 
     ``builder`` selects the per-query builder (a :data:`CACHE_BUILDERS`
-    name, validated here).  ``jobs`` is the process-pool width; ``1`` builds
-    serially in-process (with the benefit of one shared what-if call cache
-    across all queries).
-    ``use_call_cache`` toggles the memoizing what-if layer (off, a build
-    reports the paper's un-memoised optimizer-call counts).
+    name, validated here).  ``use_call_cache`` toggles the memoizing what-if
+    layer shared by every query of the build (off, a build reports the
+    paper's un-memoised optimizer-call counts).
     """
 
     builder: str = "pinum"
-    jobs: int = 1
     use_call_cache: bool = True
 
     def __post_init__(self) -> None:
         validate_name("cache builder", self.builder, CACHE_BUILDERS)
-        if self.jobs < 1:
-            raise ReproError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass
@@ -101,9 +92,8 @@ class WorkloadBuildReport:
     """Workload-level merge of the per-query build statistics."""
 
     builder: str
-    jobs: int
     outcomes: List[QueryBuildOutcome] = field(default_factory=list)
-    #: Wall-clock seconds of the whole build (parallel time, not CPU time).
+    #: Wall-clock seconds of the whole build, store lookups included.
     wall_seconds: float = 0.0
 
     def outcome_for(self, query_name: str) -> Optional[QueryBuildOutcome]:
@@ -147,7 +137,7 @@ class WorkloadBuildReport:
 
     @property
     def build_seconds(self) -> float:
-        """Summed per-query build seconds (CPU-ish; exceeds wall when parallel)."""
+        """Summed per-query build seconds of the fresh builds."""
         return sum(outcome.stats.seconds_total for outcome in self._built())
 
     @property
@@ -182,13 +172,9 @@ class WorkloadBuildResult:
 class WorkloadCacheBuilder:
     """Builds the plan caches of an entire workload.
 
-    ``catalog`` is enough for serial builds; parallel builds (``jobs > 1``)
-    additionally need a *picklable* ``catalog_factory`` (a module-level
-    function or :func:`functools.partial` over one, e.g.
-    ``partial(repro.workloads.builtin_catalog_factory, "star", 7)``) because
-    each worker process reconstructs the catalog and its optimizer once.
-    ``store`` attaches a persistent :class:`CacheStore` consulted before and
-    updated after every build.
+    It needs a ``catalog`` or an ``optimizer`` (whose catalog it then
+    uses).  ``store`` attaches a persistent :class:`CacheStore` consulted
+    before and updated after every build.
     """
 
     def __init__(
@@ -196,26 +182,19 @@ class WorkloadCacheBuilder:
         catalog: Optional[Catalog] = None,
         options: Optional[WorkloadBuilderOptions] = None,
         *,
-        catalog_factory: Optional[Callable[[], Catalog]] = None,
         store: Optional[CacheStore] = None,
         optimizer: Optional[Optimizer] = None,
         call_cache: Optional[WhatIfCallCache] = None,
     ) -> None:
-        if catalog is None and catalog_factory is None and optimizer is None:
-            raise ReproError("WorkloadCacheBuilder needs a catalog or a catalog_factory")
-        if catalog is None:
-            self._catalog = optimizer.catalog if optimizer is not None else catalog_factory()
-        else:
-            self._catalog = catalog
-        self._catalog_factory = catalog_factory
-        #: Serial builds reuse this optimizer when given (so session options
-        #: and call counters stay with the caller); workers always build
-        #: their own from the factory.
+        if catalog is None and optimizer is None:
+            raise ReproError("WorkloadCacheBuilder needs a catalog or an optimizer")
+        self._catalog = catalog if catalog is not None else optimizer.catalog
+        #: Builds reuse this optimizer when given (so session options and
+        #: call counters stay with the caller).
         self._optimizer = optimizer
-        #: Serial builds route their what-if probes through this cache when
-        #: given (e.g. a session-lifetime cache warmed by earlier builds)
-        #: instead of a fresh per-build one.  Ignored by parallel builds,
-        #: whose workers keep per-process caches.
+        #: Builds route their what-if probes through this cache when given
+        #: (e.g. a session-lifetime cache warmed by earlier builds) instead
+        #: of a fresh per-build one.
         self._call_cache = call_cache
         self.options = options or WorkloadBuilderOptions()
         self.store = store
@@ -248,7 +227,6 @@ class WorkloadCacheBuilder:
         with get_tracer().span(
             "inum.build_workload",
             builder=opts.builder,
-            jobs=opts.jobs,
             queries=len(queries),
         ) as span, timed() as wall:
             result = self._build(list(queries), candidate_indexes, per_query_candidates, wall)
@@ -305,13 +283,17 @@ class WorkloadCacheBuilder:
             else:
                 to_build.append(query)
 
-        # 2. Fresh builds, fanned out when a pool is requested.
-        if opts.jobs > 1 and len(to_build) > 1:
-            built = self._build_parallel(to_build, per_query_candidates)
-        else:
-            built = self._build_serial(to_build, per_query_candidates)
+        # 2. Fresh builds, one shared optimizer and what-if cache.
+        optimizer = self._optimizer if self._optimizer is not None else Optimizer(self._catalog)
+        call_cache = None
+        if opts.use_call_cache:
+            call_cache = (
+                self._call_cache if self._call_cache is not None else WhatIfCallCache(optimizer)
+            )
         for query in to_build:
-            cache = built[query.name]
+            cache = _build_one_cache(
+                optimizer, call_cache, opts, query, per_query_candidates[query.name]
+            )
             caches[query.name] = cache
             outcomes[query.name] = QueryBuildOutcome(
                 query.name, opts.builder, "built", cache.build_stats
@@ -331,7 +313,6 @@ class WorkloadCacheBuilder:
 
         report = WorkloadBuildReport(
             builder=opts.builder,
-            jobs=opts.jobs,
             outcomes=[outcomes[query.name] for query in queries],
             wall_seconds=wall.elapsed(),
         )
@@ -363,58 +344,6 @@ class WorkloadCacheBuilder:
             return None
         return [index for index in candidates if index.table in query.tables]
 
-    def _build_serial(
-        self,
-        queries: Sequence[Query],
-        per_query_candidates: Dict[str, Optional[List[Index]]],
-    ) -> Dict[str, InumCache]:
-        optimizer = self._optimizer if self._optimizer is not None else Optimizer(self._catalog)
-        call_cache = None
-        if self.options.use_call_cache:
-            call_cache = (
-                self._call_cache if self._call_cache is not None else WhatIfCallCache(optimizer)
-            )
-        return {
-            query.name: _build_one_cache(
-                optimizer, call_cache, self.options, query, per_query_candidates[query.name]
-            )
-            for query in queries
-        }
-
-    def _build_parallel(
-        self,
-        queries: Sequence[Query],
-        per_query_candidates: Dict[str, Optional[List[Index]]],
-    ) -> Dict[str, InumCache]:
-        if self._catalog_factory is None:
-            raise ReproError(
-                "parallel workload builds (jobs > 1) need a picklable catalog_factory"
-            )
-        # Longest first: interesting-order combinations dominate build time,
-        # so scheduling wide joins early keeps the pool evenly loaded.
-        ordered = sorted(queries, key=_build_complexity, reverse=True)
-        workers = min(self.options.jobs, len(ordered))
-        caches: Dict[str, InumCache] = {}
-        tracer = get_tracer()
-        # Workers cannot see this process's spans, so when a trace is active
-        # each worker records its build under a root span of its own and
-        # ships the finished subtree home with the cache; adopt() re-parents
-        # it under the caller's span as if the work had happened in-process.
-        traced = tracer.active
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_initialize,
-            initargs=(self._catalog_factory, self.options),
-        ) as pool:
-            tasks = [
-                (query, per_query_candidates[query.name], traced) for query in ordered
-            ]
-            for query, payload in zip(ordered, pool.map(_worker_build, tasks)):
-                caches[query.name] = cache_from_dict(payload["cache"], query)
-                if payload.get("span") is not None:
-                    tracer.adopt(payload["span"])
-        return caches
-
 
 def _build_one_cache(
     optimizer: Optimizer,
@@ -441,64 +370,6 @@ def _build_one_cache(
             whatif=call_cache,
         )
     return builder.build_cache(query, candidates)
-
-
-def _build_complexity(query: Query) -> int:
-    """Sort key for parallel scheduling: interesting-order combinations."""
-    if isinstance(query, DmlStatement):
-        shadow = query.shadow_query()
-        return 0 if shadow is None else combination_count(shadow)
-    return combination_count(query)
-
-
-# -- process-pool workers ----------------------------------------------------------
-
-#: Per-worker-process state: (optimizer, call cache, options).  Populated by
-#: the pool initializer so the catalog is constructed once per worker, not
-#: once per task.
-_WORKER_STATE: dict = {}
-
-
-def _worker_initialize(
-    catalog_factory: Callable[[], Catalog], options: WorkloadBuilderOptions
-) -> None:
-    catalog = catalog_factory()
-    optimizer = Optimizer(catalog)
-    call_cache = WhatIfCallCache(optimizer) if options.use_call_cache else None
-    _WORKER_STATE["optimizer"] = optimizer
-    _WORKER_STATE["call_cache"] = call_cache
-    _WORKER_STATE["options"] = options
-
-
-def _worker_build(task: Tuple[Query, Optional[List[Index]], bool]) -> Dict:
-    query, candidates, traced = task
-    span = None
-    if traced:
-        # The parent holds an active span, so record this build under a
-        # local root span; the finished subtree travels back in the payload
-        # and the parent re-parents it with ``Tracer.adopt``.
-        with get_tracer().span("inum.build_worker", root=True, query=query.name) as span:
-            cache = _build_one_cache(
-                _WORKER_STATE["optimizer"],
-                _WORKER_STATE["call_cache"],
-                _WORKER_STATE["options"],
-                query,
-                candidates,
-            )
-    else:
-        cache = _build_one_cache(
-            _WORKER_STATE["optimizer"],
-            _WORKER_STATE["call_cache"],
-            _WORKER_STATE["options"],
-            query,
-            candidates,
-        )
-    # Plan caches cross the process boundary in their JSON form: it is
-    # compact, picklable and already the persistence format.
-    return {
-        "cache": cache_to_dict(cache),
-        "span": span.to_dict() if span is not None else None,
-    }
 
 
 def rename_cache(cache: InumCache, query: Query) -> InumCache:

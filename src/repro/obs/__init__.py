@@ -12,8 +12,7 @@ package is the one coherent layer those numbers flow through:
 * :mod:`repro.obs.trace` -- a :class:`Tracer` producing hierarchical spans
   with monotonic timings and per-span attributes.  Context propagates
   through :mod:`contextvars`, so spans survive the serve thread-pool
-  dispatch; process-pool workers return serialized subtrees that re-parent
-  under the caller's span (:meth:`Tracer.adopt`).
+  dispatch.
 * :mod:`repro.obs.export` -- Prometheus text exposition and a JSON snapshot
   of the registry, plus NDJSON span export, surfaced as the serve op
   ``metrics``, the CLI ``repro metrics``, and ``--trace-out`` on

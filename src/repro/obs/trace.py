@@ -14,16 +14,10 @@ request, the online daemon per poll when configured.  When a root span
 closes, it is handed to the tracer's *sinks* (``--trace-out`` registers one
 that appends NDJSON) and then dropped, so tracing never accumulates memory.
 
-Two boundaries need help:
-
-* **Thread pools** -- ``ContextVar`` values don't follow work submitted to an
-  executor; callers wrap the callable with ``contextvars.copy_context().run``
-  (see ``api/server.py``), after which spans opened on the worker thread
-  parent correctly.
-* **Process pools** -- workers can't share objects at all, so a worker opens
-  its own root span, ships ``span.to_dict()`` home in its result payload,
-  and the parent re-parents the subtree under its own current span with
-  :meth:`Tracer.adopt` (see ``inum/workload_builder.py``).
+One boundary needs help: ``ContextVar`` values don't follow work submitted to
+a thread pool, so callers wrap the callable with
+``contextvars.copy_context().run`` (see ``api/server.py``), after which spans
+opened on the worker thread parent correctly.
 """
 
 from __future__ import annotations
@@ -105,21 +99,6 @@ class Span:
             "attributes": dict(self.attributes),
             "children": [child.to_dict() for child in self.children],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Span":
-        """Rebuild a subtree serialized by :meth:`to_dict`."""
-        span = cls.__new__(cls)
-        span.name = str(payload.get("name", ""))
-        span.trace_id = str(payload.get("trace_id", ""))
-        span.span_id = str(payload.get("span_id") or _new_span_id())
-        span.parent_id = payload.get("parent_id")
-        span.start_time = float(payload.get("start_time", 0.0))
-        span.duration_seconds = float(payload.get("duration_ms", 0.0)) / 1000.0
-        span.attributes = dict(payload.get("attributes") or {})
-        span.children = [cls.from_dict(child) for child in payload.get("children") or []]
-        span._started_monotonic = 0.0
-        return span
 
     def flatten(self) -> List[dict]:
         """Depth-first list of single-span dicts (no nesting) for NDJSON."""
@@ -270,33 +249,6 @@ class Tracer:
         span = self._var.get()
         if span is not None:
             span.add(key, amount)
-
-    # -- cross-process re-parenting ---------------------------------------
-
-    def adopt(self, payload: Optional[dict]) -> Optional[Span]:
-        """Attach a serialized span subtree under the current span.
-
-        ``payload`` is a worker-side root's :meth:`Span.to_dict`.  The
-        subtree is rewritten onto the caller's trace (trace id recursively,
-        the root's parent pointer) and appended to the current span's
-        children; returns the adopted root, or ``None`` when there is no
-        active span or no payload (untraced callers drop subtrees, matching
-        every other tracing no-op).
-        """
-        parent = self._var.get()
-        if parent is None or not payload:
-            return None
-        subtree = Span.from_dict(payload)
-        subtree.parent_id = parent.span_id
-
-        def _restamp(span: Span) -> None:
-            span.trace_id = parent.trace_id
-            for child in span.children:
-                _restamp(child)
-
-        _restamp(subtree)
-        parent.children.append(subtree)
-        return subtree
 
     # -- sinks -------------------------------------------------------------
 

@@ -36,18 +36,6 @@ def builtin_workload(name: str, seed: int = 7):
     return BUILTIN_CATALOGS[name](seed)
 
 
-def builtin_catalog_factory(name: str, seed: int = 7):
-    """Build one of the built-in catalogs by name (``"star"`` or ``"tpch"``).
-
-    This module-level function exists so it can be pickled: the parallel
-    :class:`~repro.inum.workload_builder.WorkloadCacheBuilder` ships a
-    catalog factory to its worker processes, and
-    ``functools.partial(builtin_catalog_factory, "star", seed)`` survives the
-    trip where a lambda or a bound method would not.
-    """
-    return builtin_workload(name, seed)[0]
-
-
 __all__ = [
     "BUILTIN_CATALOGS",
     "CompressedWorkload",
@@ -57,7 +45,6 @@ __all__ = [
     "TpchLikeWorkload",
     "TracePhase",
     "build_tpch_like_catalog",
-    "builtin_catalog_factory",
     "builtin_workload",
     "compress_workload",
     "emit_trace",

@@ -26,18 +26,26 @@ class TestParser:
         )
         assert args.budget_gb == 2.0
         assert args.cost_model == "inum"
-        assert args.jobs == 1
         assert args.cache_dir is None
 
     def test_cache_workload_options(self):
         args = build_parser().parse_args(
-            ["cache-workload", "--catalog", "star", "--jobs", "4",
+            ["cache-workload", "--catalog", "star",
              "--cache-dir", ".inum-cache", "--builder", "inum"]
         )
         assert args.command == "cache-workload"
-        assert args.jobs == 4
         assert args.cache_dir == ".inum-cache"
         assert args.builder == "inum"
+
+    @pytest.mark.parametrize("argv", [
+        ["recommend"], ["cache-workload"], ["serve"], ["watch", "--follow", "feed.ndjson"],
+    ])
+    def test_no_subcommand_accepts_jobs(self, argv, capsys):
+        # Caches are built in one serial pass; there is no pool to size.
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--jobs", "2"])
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_recommend_and_cache_workload_share_max_candidates_default(self):
         # One shared constant on purpose: the cache store fingerprints caches
@@ -152,7 +160,7 @@ class TestCache:
         argv = ["cache-workload", "--catalog", "tpch", "--cache-dir", str(cache_dir)]
         assert main(argv) == 0
         cold = capsys.readouterr().out
-        assert "Workload cache construction (pinum, jobs=1)" in cold
+        assert "Workload cache construction (pinum)" in cold
         assert "2 built, 0 from store" in cold
         # The second run must answer entirely from the persistent store.
         assert main(argv) == 0

@@ -1,7 +1,6 @@
 """Tests for the workload-scale cache builder."""
 
 import dataclasses
-import functools
 
 import pytest
 
@@ -12,12 +11,6 @@ from repro.inum import (
     WorkloadCacheBuilder,
 )
 from repro.util.errors import ReproError
-from repro.workloads import builtin_catalog_factory
-from repro.workloads.tpch_like import (
-    build_tpch_like_catalog,
-    tpch_q5_like_query,
-    tpch_small_join_query,
-)
 
 from conftest import build_join_query, build_simple_query
 
@@ -83,40 +76,9 @@ class TestOptions:
         with pytest.raises(ReproError):
             WorkloadBuilderOptions(builder="bogus")
 
-    def test_non_positive_jobs_rejected(self):
-        with pytest.raises(ReproError):
-            WorkloadBuilderOptions(jobs=0)
-
-    def test_catalog_or_factory_required(self):
-        with pytest.raises(ReproError):
+    def test_catalog_or_optimizer_required(self):
+        with pytest.raises(ReproError, match="needs a catalog or an optimizer"):
             WorkloadCacheBuilder()
-
-    def test_parallel_without_factory_rejected(self, small_catalog, workload, candidates):
-        builder = WorkloadCacheBuilder(small_catalog, WorkloadBuilderOptions(jobs=2))
-        with pytest.raises(ReproError):
-            builder.build(workload, candidates)
-
-
-class TestParallelBuild:
-    def test_pool_build_matches_serial(self):
-        factory = functools.partial(builtin_catalog_factory, "tpch")
-        queries = [tpch_q5_like_query(), tpch_small_join_query()]
-        catalog = build_tpch_like_catalog()
-        candidates = CandidateGenerator(catalog).for_workload(queries)
-
-        serial = WorkloadCacheBuilder(catalog).build(queries, candidates)
-        parallel = WorkloadCacheBuilder(
-            catalog, WorkloadBuilderOptions(jobs=2), catalog_factory=factory
-        ).build(queries, candidates)
-
-        assert parallel.report.jobs == 2
-        for query in queries:
-            fast, slow = parallel.caches[query.name], serial.caches[query.name]
-            assert fast.entry_count == slow.entry_count
-            assert len(fast.access_costs) == len(slow.access_costs)
-            assert fast.build_stats.optimizer_calls_total == (
-                slow.build_stats.optimizer_calls_total
-            )
 
 
 class TestStoreIntegration:

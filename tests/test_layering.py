@@ -106,11 +106,18 @@ def test_lower_layers_have_no_cycle_dodging_local_imports():
 
 
 def test_importing_the_cli_loads_neither_the_ilp_package_nor_the_tcp_server():
-    """``repro recommend`` must not pay for what only some runs use."""
+    """``repro recommend`` must not pay for what only some runs use.
+
+    Nor for a process pool: caches are built in one serial pass, so no
+    ``concurrent.futures`` or ``multiprocessing`` module belongs in a CLI
+    process (only ``serve --tcp`` loads a thread pool, with the server).
+    """
     code = (
         "import sys, repro.cli\n"
         "print([m for m in sys.modules\n"
-        "       if m.startswith('repro.advisor.ilp') or m == 'repro.api.server'])"
+        "       if m.startswith(('repro.advisor.ilp', 'concurrent.futures',\n"
+        "                        'multiprocessing'))\n"
+        "       or m == 'repro.api.server'])"
     )
     output = subprocess.run(
         [sys.executable, "-c", code],

@@ -1,23 +1,13 @@
-"""Tests for span tracing: nesting, propagation, adoption, NDJSON export."""
+"""Tests for span tracing: nesting, propagation, NDJSON export."""
 
 from __future__ import annotations
 
 import contextvars
-import functools
 import io
 import json
 import threading
 
-from repro.advisor import CandidateGenerator
-from repro.inum import WorkloadBuilderOptions, WorkloadCacheBuilder
 from repro.obs import NULL_SPAN, Span, Tracer, write_spans_ndjson
-from repro.obs.trace import get_tracer
-from repro.workloads import builtin_catalog_factory
-from repro.workloads.tpch_like import (
-    build_tpch_like_catalog,
-    tpch_q5_like_query,
-    tpch_small_join_query,
-)
 
 
 class TestOptIn:
@@ -108,11 +98,6 @@ class TestSerialization:
                 pass
         return root
 
-    def test_to_dict_from_dict_round_trip(self):
-        root = self._build_tree()
-        rebuilt = Span.from_dict(json.loads(json.dumps(root.to_dict())))
-        assert rebuilt.to_dict() == root.to_dict()
-
     def test_flatten_links_children_by_parent_id(self):
         root = self._build_tree()
         rows = root.flatten()
@@ -161,73 +146,3 @@ class TestThreadPropagation:
             thread.start()
             thread.join()
         assert recorded == [False]
-
-
-class TestAdoption:
-    def test_adopt_reparents_and_restamps_recursively(self):
-        # The worker side: its own tracer, its own trace id, serialized
-        # into the result payload exactly as the process pool ships it.
-        worker = Tracer()
-        with worker.span("worker_root", root=True, query="q2") as worker_root:
-            with worker.span("inner"):
-                pass
-        payload = worker_root.to_dict()
-
-        parent_tracer = Tracer()
-        with parent_tracer.span("parent", root=True) as parent:
-            adopted = parent_tracer.adopt(json.loads(json.dumps(payload)))
-        assert adopted is parent.children[-1]
-        assert adopted.parent_id == parent.span_id
-        assert adopted.trace_id == parent.trace_id
-        assert adopted.children[0].trace_id == parent.trace_id
-        assert adopted.attributes == {"query": "q2"}
-
-    def test_adopt_without_active_span_or_payload_is_none(self):
-        tracer = Tracer()
-        assert tracer.adopt({"name": "orphan"}) is None  # untraced caller
-        with tracer.span("root", root=True):
-            assert tracer.adopt(None) is None
-            assert tracer.adopt({}) is None
-
-
-class TestProcessPoolReparenting:
-    def test_parallel_build_ships_worker_spans_home(self):
-        """A jobs=2 build under a trace adopts one worker subtree per query,
-        re-stamped onto the caller's trace id."""
-        factory = functools.partial(builtin_catalog_factory, "tpch")
-        queries = [tpch_q5_like_query(), tpch_small_join_query()]
-        catalog = build_tpch_like_catalog()
-        candidates = CandidateGenerator(catalog).for_workload(queries)
-        builder = WorkloadCacheBuilder(
-            catalog, WorkloadBuilderOptions(jobs=2), catalog_factory=factory
-        )
-        tracer = get_tracer()
-        with tracer.span("test_parallel_build", root=True) as root:
-            result = builder.build(queries, candidates)
-        assert result.report.queries_built == 2
-
-        build_span = root.children[0]
-        assert build_span.name == "inum.build_workload"
-        workers = [
-            span for span in build_span.children
-            if span.name == "inum.build_worker"
-        ]
-        assert {span.attributes["query"] for span in workers} == {
-            query.name for query in queries
-        }
-        for span in workers:
-            assert span.trace_id == root.trace_id
-            assert span.parent_id == build_span.span_id
-            assert span.duration_seconds > 0.0
-
-    def test_untraced_parallel_build_ships_no_spans(self):
-        factory = functools.partial(builtin_catalog_factory, "tpch")
-        queries = [tpch_small_join_query()]
-        catalog = build_tpch_like_catalog()
-        candidates = CandidateGenerator(catalog).for_workload(queries)
-        builder = WorkloadCacheBuilder(
-            catalog, WorkloadBuilderOptions(jobs=2), catalog_factory=factory
-        )
-        result = builder.build(queries, candidates)
-        assert result.report.queries_built == 1
-        assert not get_tracer().active
