@@ -21,11 +21,29 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.inum.access_costs import AccessCostTable
 from repro.optimizer.interesting_orders import InterestingOrderCombination
-from repro.optimizer.joinplanner import normalized_ioc
 from repro.optimizer.maintenance import MaintenanceProfile
 from repro.optimizer.plan import PlanNode, PlanSummary
 from repro.query.ast import Query
 from repro.util.errors import PlanningError
+
+
+def normalized_ioc(
+    plan: PlanNode, orders_by_table: Dict[str, List[str]]
+) -> InterestingOrderCombination:
+    """The plan's leaf-order combination restricted to *interesting* orders.
+
+    A leaf may provide an order on a column that is not interesting for the
+    query (e.g. a covering index chosen purely to avoid heap fetches); such an
+    order can never be exploited by a merge join or the grouping planner, so
+    for cache-keying purposes it is equivalent to the empty order Phi.
+    """
+    orders: Dict[str, Optional[str]] = {}
+    for leaf in plan.leaves:
+        table, provided = leaf.path.table, leaf.path.provided_order
+        if provided is not None and provided not in orders_by_table.get(table, []):
+            provided = None
+        orders[table] = provided
+    return InterestingOrderCombination(orders)
 
 
 @dataclass(frozen=True)
@@ -152,6 +170,8 @@ class InumCache:
         #: Per-index write costs for DML statements (None for read caches).
         self.maintenance: Optional[MaintenanceProfile] = None
         self._by_ioc: Dict[InterestingOrderCombination, CacheEntry] = {}
+        #: ``(ioc, uses_nestloop) -> position in entries``.
+        self._positions: Dict[Tuple[InterestingOrderCombination, bool], int] = {}
 
     # -- population -------------------------------------------------------------
 
@@ -164,13 +184,16 @@ class InumCache:
         same (IOC, NLJ-usage) pair replaces the existing one.  The canonical
         per-IOC entry (used by :meth:`entry_for`) prefers the NLJ-free plan.
         """
-        for position, existing in enumerate(self.entries):
-            if existing.ioc == entry.ioc and existing.uses_nestloop == entry.uses_nestloop:
-                if entry.internal_cost < existing.internal_cost:
-                    self.entries[position] = entry
-                    if self._by_ioc.get(entry.ioc) is existing:
-                        self._by_ioc[entry.ioc] = entry
-                return
+        key = (entry.ioc, entry.uses_nestloop)
+        position = self._positions.get(key)
+        if position is not None:
+            existing = self.entries[position]
+            if entry.internal_cost < existing.internal_cost:
+                self.entries[position] = entry
+                if self._by_ioc.get(entry.ioc) is existing:
+                    self._by_ioc[entry.ioc] = entry
+            return
+        self._positions[key] = len(self.entries)
         self.entries.append(entry)
         incumbent = self._by_ioc.get(entry.ioc)
         if incumbent is None or (incumbent.uses_nestloop and not entry.uses_nestloop):
@@ -196,6 +219,7 @@ class InumCache:
         clone.build_stats = self.build_stats
         clone.maintenance = self.maintenance
         clone._by_ioc = self._by_ioc
+        clone._positions = self._positions
         return clone
 
     # -- inspection ---------------------------------------------------------------

@@ -14,6 +14,11 @@ Following the paper's definitions (Section II):
 
 IOCs are the key of the INUM/PINUM plan cache: INUM issues one optimizer call
 per IOC, PINUM harvests a plan per IOC from a single call.
+:class:`InterestingOrderCombination` is the cache-boundary form of an IOC:
+the key of cache entries, of serialized caches and of the per-IOC plans an
+optimizer call exports.  Inside one call the join planner numbers the
+query's interesting orders and works on bitmasks instead
+(:mod:`repro.optimizer.joinplanner`).
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfCallCache, WhatIfOptimizer
 from repro.pinum.access_costs import PinumAccessCostCollector
 from repro.query.ast import Query
+from repro.util.errors import ReproError
 from repro.util.timing import timed
 
 
@@ -44,13 +45,17 @@ class PinumBuilderOptions:
     ``subsumption_pruning`` toggles the Section V-D rule (ablation A1).
     ``nestloop_calls`` is the number of extra calls made with nested loops
     enabled to harvest NLJ plan variants: 0 (skip them), or 1 (the paper's
-    "two calls" total).  ``collect_access_costs`` can be disabled when the
-    caller only needs the plan cache.
+    "two calls" total); anything else is rejected.  ``collect_access_costs``
+    can be disabled when the caller only needs the plan cache.
     """
 
     subsumption_pruning: bool = True
     nestloop_calls: int = 1
     collect_access_costs: bool = True
+
+    def __post_init__(self) -> None:
+        if type(self.nestloop_calls) is not int or self.nestloop_calls not in (0, 1):
+            raise ReproError(f"nestloop_calls must be 0 or 1, got {self.nestloop_calls!r}")
 
 
 class PinumCacheBuilder:
@@ -98,39 +103,25 @@ class PinumCacheBuilder:
         probing_indexes = probing_index_set(query)
 
         baseline = WhatIfCallCache.hit_baseline(self._whatif)
-        calls = 0
+        calls = 1 + self._options.nestloop_calls
 
         with timed(BUILD_SECONDS, builder="pinum", phase="plans") as timer:
-            # Call 1: nested loops off, harvest one plan per IOC.
+            # Call 1: nested loops off, harvest one plan per IOC.  Optional
+            # call 2: nested loops on, harvest the NLJ variants that are
+            # attractive at low access costs.
             hooks = OptimizerHooks(
-                keep_all_access_paths=False,
-                keep_all_ioc_plans=True,
-                subsumption_pruning=self._options.subsumption_pruning,
+                keep_all_ioc_plans=True, subsumption_pruning=self._options.subsumption_pruning
             )
-            result = self._whatif.optimize_with_configuration(
-                query, probing_indexes, exclusive=True, enable_nestloop=False, hooks=hooks
-            )
-            calls += 1
-            for plan in result.ioc_plans.values():
-                cache.add_entry(CacheEntry.from_plan(plan, orders_by_table, source="pinum"))
-
-            # Optional call 2: nested loops on, harvest the NLJ variants that
-            # are attractive at low access costs.
-            for _ in range(max(0, self._options.nestloop_calls)):
-                hooks = OptimizerHooks(
-                    keep_all_access_paths=False,
-                    keep_all_ioc_plans=True,
-                    subsumption_pruning=self._options.subsumption_pruning,
+            for nestloop in (False, True)[:calls]:
+                result = self._whatif.optimize_with_configuration(
+                    query, probing_indexes, exclusive=True, enable_nestloop=nestloop, hooks=hooks
                 )
-                nlj_result = self._whatif.optimize_with_configuration(
-                    query, probing_indexes, exclusive=True, enable_nestloop=True, hooks=hooks
-                )
-                calls += 1
-                for plan in nlj_result.ioc_plans.values():
-                    if plan.uses_nested_loop:
-                        cache.add_entry(
-                            CacheEntry.from_plan(plan, orders_by_table, source="pinum")
-                        )
+                if not nestloop:
+                    cache.build_stats.combinations_enumerated = len(result.ioc_plans)
+                for plan in result.ioc_plans.values():
+                    if plan.uses_nested_loop or not nestloop:
+                        entry = CacheEntry.from_plan(plan, orders_by_table, source="pinum")
+                        cache.add_entry(entry)
 
         hits = WhatIfCallCache.hits_since(self._whatif, baseline)
         cache.build_stats.optimizer_calls_plans += calls - hits
@@ -138,7 +129,6 @@ class PinumCacheBuilder:
         if isinstance(self._whatif, WhatIfCallCache):
             cache.build_stats.whatif_cache_misses += calls - hits
         cache.build_stats.seconds_plans += timer.seconds
-        cache.build_stats.combinations_enumerated = len(result.ioc_plans)
         cache.build_stats.entries_cached = cache.entry_count
         cache.build_stats.unique_plans = cache.unique_plan_count()
         return cache

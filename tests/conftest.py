@@ -88,6 +88,21 @@ def build_simple_query(name: str = "simple_scan"):
     )
 
 
+def build_wide_star_query(dims: int):
+    """The star fact table joined to ``dim01`` .. ``dim<dims>``.
+
+    The join-width family: each dimension filtered on ``a2`` between 100 and
+    5000 and selecting ``a1``, plus ``fact_m1``, ordered by ``dim01_a1``.
+    """
+    builder = QueryBuilder(f"wide{dims + 1}").select("fact.fact_m1")
+    for number in range(1, dims + 1):
+        dim = f"dim{number:02d}"
+        builder.select(f"{dim}.{dim}_a1")
+        builder.join(f"fact.fact_{dim}_id", f"{dim}.{dim}_id")
+        builder.where_between(f"{dim}.{dim}_a2", 100, 5000)
+    return builder.order_by("dim01.dim01_a1").build()
+
+
 @pytest.fixture
 def small_catalog() -> Catalog:
     """A fresh small catalog per test (mutable: tests may add indexes)."""

@@ -5,7 +5,10 @@ import pytest
 from repro.catalog.index import Index
 from repro.inum.cache import CacheEntry, InumCache
 from repro.optimizer import Optimizer
-from repro.optimizer.interesting_orders import interesting_orders_by_table
+from repro.optimizer.interesting_orders import (
+    InterestingOrderCombination,
+    interesting_orders_by_table,
+)
 from repro.optimizer.plan import AccessPath
 from repro.util.errors import PlanningError
 
@@ -64,6 +67,25 @@ class TestInumCache:
         cache.add_entry(cheaper)
         assert cache.entry_count == 1
         assert cache.entries[0].internal_cost == cheaper.internal_cost
+
+    def test_replacement_keeps_position_and_detached_copies_share_the_index(self, join_query):
+        def entry(order, cost, nestloop=False):
+            ioc = InterestingOrderCombination({"sales": order, "customers": None})
+            return CacheEntry(ioc=ioc, internal_cost=cost, slots=(), uses_nestloop=nestloop)
+
+        cache = InumCache(join_query)
+        for added in (entry(None, 5.0), entry("s_customer", 7.0), entry(None, 6.0, True)):
+            cache.add_entry(added)
+        cache.add_entry(entry(None, 9.0))  # dearer duplicate: ignored
+        cache.add_entry(entry(None, 4.0))  # cheaper duplicate: replaced in place
+        assert [(e.ioc.order_for("sales"), e.internal_cost) for e in cache.entries] == [
+            (None, 4.0), ("s_customer", 7.0), (None, 6.0),
+        ]
+        assert cache.entry_for(entry(None, 0.0).ioc) is cache.entries[0]
+        clone = cache.detached_copy()
+        clone.add_entry(entry("s_customer", 3.0))
+        assert clone.entry_count == cache.entry_count == 3
+        assert cache.entries[1].internal_cost == 3.0
 
     def test_nestloop_variant_coexists(self, small_catalog, join_query):
         small_catalog.add_index(Index("customers", ["c_id"]))

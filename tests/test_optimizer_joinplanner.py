@@ -2,15 +2,22 @@
 
 import pytest
 
+from conftest import build_wide_star_query
+from repro.advisor.candidates import CandidateGenerator
 from repro.catalog.index import Index
+from repro.inum.cache import normalized_ioc
+from repro.optimizer import Optimizer
 from repro.optimizer.access_paths import AccessPathCollector
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.hooks import OptimizerHooks
 from repro.optimizer.interesting_orders import enumerate_combinations, interesting_orders_by_table
-from repro.optimizer.joinplanner import JoinPlanner, normalized_ioc, prune_subsumed_plans
+from repro.optimizer.joinplanner import JoinPlanner, prune_subsumed_plans
+from repro.optimizer.plan import PlanNode
 from repro.optimizer.selectivity import SelectivityEstimator
+from repro.pinum import PinumCacheBuilder
 from repro.query import QueryBuilder
 from repro.util.errors import PlanningError
+from repro.workloads import StarSchemaWorkload
 
 
 def make_planner(catalog, enable_nestloop=True):
@@ -183,3 +190,29 @@ class TestSubsumptionRule:
         hooks = OptimizerHooks(keep_all_ioc_plans=True, subsumption_pruning=True)
         result = planner.plan(join_query, collector.collect(join_query), hooks)
         assert any(ioc.order_count == 0 for ioc in result.ioc_plans)
+
+
+class TestWorkCounters:
+    def test_seven_table_pinum_build_builds_few_plan_nodes(self, monkeypatch):
+        """The join DP builds plan nodes for what it returns, not per join.
+
+        Counts work, not wall time: plan nodes constructed during the PINUM
+        build of the seven-table star join, its cache entries and its
+        counted optimizer calls.
+        """
+        catalog = StarSchemaWorkload(seed=0).catalog()
+        query = build_wide_star_query(6)
+        candidates = CandidateGenerator(catalog).for_query(query)
+        optimizer = Optimizer(catalog)
+        built = []
+        construct = PlanNode.__init__
+
+        def counting_init(node, *args, **kwargs):
+            built.append(None)
+            construct(node, *args, **kwargs)
+
+        monkeypatch.setattr(PlanNode, "__init__", counting_init)
+        cache = PinumCacheBuilder(optimizer).build_cache(query, candidates)
+        assert cache.entry_count == 243
+        assert optimizer.call_count == 3
+        assert len(built) <= 10_000

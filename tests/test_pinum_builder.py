@@ -9,7 +9,7 @@ from repro.optimizer.interesting_orders import combination_count
 from repro.optimizer.joinplanner import JoinPlanner
 from repro.pinum import PinumBuilderOptions, PinumCacheBuilder, PinumCostModel
 from repro.pinum.cache_builder import probing_index_set
-from repro.util.errors import PlanningError
+from repro.util.errors import PlanningError, ReproError
 
 
 @pytest.fixture
@@ -47,6 +47,11 @@ class TestCallCounts:
         builder = PinumCacheBuilder(optimizer, PinumBuilderOptions(nestloop_calls=0))
         cache = builder.build_plan_cache(join_query)
         assert cache.build_stats.optimizer_calls_plans == 1
+
+    @pytest.mark.parametrize("calls", [-1, 2, 3, True, 1.0, None])
+    def test_nestloop_calls_other_than_zero_or_one_rejected(self, calls):
+        with pytest.raises(ReproError, match="nestloop_calls"):
+            PinumBuilderOptions(nestloop_calls=calls)
 
     def test_full_build_uses_three_calls(self, small_catalog, join_query, candidates):
         optimizer = Optimizer(small_catalog)

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.inum.cache import normalized_ioc
 from repro.optimizer import Optimizer, OptimizerHooks, WhatIfOptimizer
 from repro.optimizer.interesting_orders import interesting_orders_by_table
-from repro.optimizer.joinplanner import normalized_ioc
 from repro.optimizer.plan import JOIN_OPERATORS, Operator
 from repro.pinum.cache_builder import probing_index_set
 from repro.workloads import builtin_workload

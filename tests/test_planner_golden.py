@@ -8,11 +8,17 @@
   join node and ran the full DP on the access-cost call, so it pins that
   pricing a join before building it changes nothing.  Structure (plans,
   operators, orders, keys) must match exactly; floats to 1e-12 relative.
+* **Wide golden.**  No built-in query joins more than six tables, so the
+  PINUM cache of a seven-table star join (``conftest.build_wide_star_query``
+  with six dimensions, catalog seed 0, first 40 candidates) is pinned the same
+  way in ``data/planner_golden_wide.json``, recorded with the object-based
+  join DP that built a plan node for every admitted join.
 * **Determinism.**  The same caches built in two processes with different
   hash seeds serialize byte-for-byte identically: no float is summed or
   multiplied in set order.
 
-Run as a script to print the serialized caches of one builder::
+Run as a script to print the serialized caches of one builder (or, with
+``wide``, the wide golden's cache)::
 
     PYTHONPATH=src python tests/test_planner_golden.py pinum
 """
@@ -30,14 +36,20 @@ from repro.advisor.candidates import CandidateGenerator
 from repro.inum.serialization import cache_to_dict
 from repro.inum.workload_builder import CACHE_BUILDERS
 from repro.optimizer import Optimizer
-from repro.workloads import builtin_workload
+from repro.workloads import StarSchemaWorkload, builtin_workload
+
+from conftest import build_wide_star_query
 
 GOLDEN = Path(__file__).parent / "data" / "planner_golden.json"
+WIDE_GOLDEN = Path(__file__).parent / "data" / "planner_golden_wide.json"
 #: Candidates per query cache (the first ones the generator proposes).
 MAX_CANDIDATES = 40
 #: The classic builder makes a call per interesting-order combination, so only
 #: the narrower queries are pinned under it.
 MAX_INUM_TABLES = 3
+#: Dimensions of the wide golden's query: a seven-table join, one wider than
+#: any built-in query.
+WIDE_DIMS = 6
 
 
 def planner_dumps(builder: str) -> dict:
@@ -46,16 +58,24 @@ def planner_dumps(builder: str) -> dict:
     for name in ("star", "tpch"):
         catalog, queries = builtin_workload(name)
         optimizer = Optimizer(catalog)
-        generator = CandidateGenerator(catalog)
         for query in queries:
             if builder == "inum" and query.table_count > MAX_INUM_TABLES:
                 continue
-            candidates = generator.for_query(query)[:MAX_CANDIDATES]
-            cache = CACHE_BUILDERS[builder](optimizer).build_cache(query, candidates)
-            payload = cache_to_dict(cache)
-            del payload["build_stats"]
-            dumps[f"{name}/{query.name}"] = payload
+            dumps[f"{name}/{query.name}"] = _dump(optimizer, query, builder)
     return dumps
+
+
+def wide_dump() -> dict:
+    """The seven-table join-width query's PINUM cache, dumped alike."""
+    catalog = StarSchemaWorkload(seed=0).catalog()
+    return _dump(Optimizer(catalog), build_wide_star_query(WIDE_DIMS), "pinum")
+
+
+def _dump(optimizer: Optimizer, query, builder: str) -> dict:
+    candidates = CandidateGenerator(optimizer.catalog).for_query(query)[:MAX_CANDIDATES]
+    payload = cache_to_dict(CACHE_BUILDERS[builder](optimizer).build_cache(query, candidates))
+    del payload["build_stats"]
+    return payload
 
 
 def assert_matches(produced, expected, path="$"):
@@ -86,6 +106,11 @@ def test_plan_caches_match_the_golden():
         assert_matches(produced, expected, builder)
 
 
+def test_seven_table_plan_cache_matches_the_golden():
+    expected = json.loads(WIDE_GOLDEN.read_text(encoding="utf-8"))
+    assert_matches(json.loads(json.dumps(wide_dump())), expected, "wide")
+
+
 def test_plan_caches_do_not_depend_on_the_hash_seed():
     source = Path(__file__).resolve().parents[1] / "src"
     outputs = []
@@ -103,4 +128,4 @@ def test_plan_caches_do_not_depend_on_the_hash_seed():
 
 
 if __name__ == "__main__":
-    print(json.dumps(planner_dumps(sys.argv[1])))
+    print(json.dumps(wide_dump() if sys.argv[1] == "wide" else planner_dumps(sys.argv[1])))

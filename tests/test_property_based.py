@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.statistics import Histogram
@@ -12,7 +12,7 @@ from repro.inum.atomic_config import AtomicConfiguration
 from repro.catalog.index import Index
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.interesting_orders import InterestingOrderCombination
-from repro.optimizer.joinplanner import prune_subsumed_plans
+from repro.optimizer.joinplanner import prune_subsumed_plans, unsubsumed
 from repro.optimizer.plan import AccessPath, Operator, join, scan
 from repro.query.ast import ColumnRef, JoinPredicate
 from repro.storage import pages
@@ -246,3 +246,26 @@ class TestPlanProperties:
                 if ioc_a is ioc_b:
                     continue
                 assert not (ioc_a.is_subset_of(ioc_b) and plan_a.total_cost < plan_b.total_cost)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cheapest=st.dictionaries(
+            st.integers(min_value=0, max_value=255),
+            # Few distinct costs, so ties are common.
+            st.sampled_from([1.0, 2.0, 2.5, 3.0, 7.0, 1e6]),
+            max_size=48,
+        )
+    )
+    # Mask 0 (no order) is the only cheaper submask of 3, found by submask
+    # enumeration because four masks are cheaper.
+    @example(cheapest={0: 1.0, 8: 1.0, 16: 1.0, 32: 1.0, 3: 2.0})
+    def test_unsubsumed_equals_the_quadratic_definition(self, cheapest):
+        """A mask survives iff no other mask that is its subset costs strictly less."""
+        expected = {
+            mask for mask, cost in cheapest.items()
+            if not any(
+                other != mask and other & ~mask == 0 and other_cost < cost
+                for other, other_cost in cheapest.items()
+            )
+        }
+        assert unsubsumed(cheapest) == expected
