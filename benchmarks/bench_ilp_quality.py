@@ -119,8 +119,6 @@ def _run_quality_comparison(star_workload):
                 "incumbent_source": solution.incumbent_source,
                 "lazy_seconds": lazy_seconds,
                 "ilp_seconds": ilp_seconds,
-                "bip_variables": formulation.statistics.variables,
-                "bip_constraints": formulation.statistics.constraints,
             }
         )
     return quality_rows, anytime_rows, len(queries)

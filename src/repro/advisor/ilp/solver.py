@@ -16,13 +16,15 @@ binaries.  :class:`BranchAndBoundSolver` searches that space best-first:
      are monotone in the active set, so this is the LP bound of the program
      with the budget row removed), and
   2. the *knapsack* relaxation: keep the budget row, relax the plan/method
-     rows into per-free-index benefit caps
-     (:meth:`~repro.advisor.ilp.formulation.StatementProgram.caps` -- a
-     sound per-variable bound on the objective decrease, no submodularity
+     rows into a slack plus per-free-index benefit caps (a sound
+     per-variable bound on the objective decrease, no submodularity
      assumed) and solve the remaining LP exactly -- its optimum is the
-     classic fractional knapsack, computed here directly (numpy-backed cap
-     matrices when the ``[perf]`` extra is installed, dense pure Python
-     otherwise).
+     classic fractional knapsack, computed here directly.
+
+  Both relaxations read their weighted terms from one
+  :meth:`~repro.inum.arena.WorkloadArena.bound_terms` call per node
+  (through :meth:`~repro.advisor.ilp.formulation.IlpFormulation
+  .bound_terms`), on the arena's numpy or pure-Python backend.
 
 * **Anytime** -- every node greedily completes its fixed part into a
   feasible selection (a "dive") that can improve the incumbent, and the
@@ -149,26 +151,12 @@ class BranchAndBoundSolver:
             bound = formulation.cost(fixed)
             return bound, None, fixed
 
-        all_bits = fixed | free
-        monotone_read = 0.0
-        base_read = 0.0
-        slack = 0.0
-        caps_rows = []
-        for program in formulation.programs:
-            base_mask = program.active_mask(fixed)
-            all_mask = program.active_mask(all_bits)
-            monotone_read += program.weight * program.read_cost_for_mask(all_mask)
-            base_read += program.weight * program.read_cost_for_mask(base_mask)
-            caps_rows.append(program.caps(base_mask))
-            slack += program.weight * program.slack(base_mask, all_mask)
-        # One vectorized scatter replaces the per-program dict walk over
-        # (candidate, column) pairs; bit-identical to the scalar loop.
-        values = formulation.benefit_values(caps_rows)
+        base_read, monotone_read, slack, caps = formulation.bound_terms(fixed, free)
 
         remaining = formulation.budget - used_bytes
         items = []
         for position in iterate_bits(free):
-            value = values[position] - formulation.weighted_maintenance[position]
+            value = caps.get(position, 0.0) - formulation.weighted_maintenance[position]
             if value > 0.0:
                 size = max(1, formulation.sizes[position])
                 items.append((value / size, value, size, position))

@@ -30,6 +30,12 @@ is just a one-query arena (:func:`repro.inum.compiled.compile_cache`).  The
 arena is weight-agnostic: callers pass their execution-frequency weight
 vector, so one arena serves every weight sweep over the same caches.
 
+The same layout also answers the ILP's branch-and-bound bounds
+(:meth:`WorkloadArena.bound_terms`): per query, the read costs under a
+node's fixed indexes and under everything it may still add, the *slack*
+no single candidate can be charged for, and per-column *benefit caps* --
+see :mod:`repro.advisor.ilp.solver` for how they bound a node.
+
 Two backends evaluate the same layout: numpy when installed, a pure-Python
 fallback otherwise (the no-numpy CI leg); both stay within 1e-9 of the
 scalar oracle (asserted by the property tests).
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.inum.cache import InumCache
 from repro.inum.compiled import IndexSetMemo, _CompiledLayout, numpy_available
@@ -55,6 +61,32 @@ _INF = float("inf")
 
 #: Recognised values of the ``backend`` argument of :func:`compile_arena`.
 ARENA_BACKENDS = ("auto", "numpy", "python")
+
+
+class BoundTerms(NamedTuple):
+    """The ingredients of a branch-and-bound node's bounds, weighted.
+
+    A node fixes some columns active and leaves others free; *everything*
+    is both together.  Every term is a workload total weighted like
+    :meth:`WorkloadArena.evaluate` and counts reads only.  For each query,
+    the cap reference ``rho_c`` of a slot class is its minimum under the
+    fixed columns, or its worst eligible cost where that minimum is
+    infinite.
+    """
+
+    #: Read cost under the fixed columns.
+    read_fixed: float
+    #: Read cost under everything.
+    read_everything: float
+    #: Per query ``max(0, read_fixed - min_p cost_p(rho))`` over the plans
+    #: every class of which some column in everything can serve: what a
+    #: plan gains with the classes the fixed columns cannot serve priced at
+    #: their *worst* eligible method -- a gain no single column can be
+    #: charged for.
+    slack: float
+    #: Per free column, over queries: ``max_p sum_c weight_pc * (rho_c -
+    #: cost_cm)+``, the most that column can lower one cached plan.
+    caps: List[float]
 
 
 class _ArenaLayout:
@@ -235,10 +267,36 @@ class WorkloadArena:
                     totals[position] += cost
         return totals
 
+    @property
+    def maintenance_base(self) -> List[float]:
+        """Per-query maintenance cost under no index at all."""
+        return self._layout.maintenance_base
+
+    def maintenance_row(self, index) -> List[float]:
+        """Per-query maintenance charge of one occurrence of ``index``."""
+        row = self._layout.maintenance_coeffs.get(index.key)
+        return row if row is not None else [0.0] * self.query_count
+
     # -- evaluation -------------------------------------------------------
 
     def per_query_vector(self, indexes: Sequence) -> List[float]:
         """Per-query per-execution costs (read plus maintenance)."""
+        raise NotImplementedError
+
+    def bound_terms(
+        self,
+        fixed: Sequence[int],
+        free: Sequence[int],
+        weights: Optional[Sequence[float]] = None,
+    ) -> BoundTerms:
+        """The ILP bound ingredients of a node (see :class:`BoundTerms`).
+
+        ``fixed`` and ``free`` are global columns (:meth:`column_for`);
+        heaps are always active.  Per query, for every column set ``T``
+        between fixed and everything, ``read(fixed) - read(T)`` is at most
+        the slack plus the caps of the columns ``T`` adds -- the inequality
+        the ILP's fractional-knapsack bound rests on.
+        """
         raise NotImplementedError
 
     def evaluate_detail(self, indexes: Sequence) -> Dict[str, float]:
@@ -321,6 +379,30 @@ class PythonWorkloadArena(WorkloadArena):
                 self._column_classes.setdefault(column, []).append(
                     (class_position, full_cost, probe_cost)
                 )
+        # For the bound terms: per class, the worst eligible (full, probe)
+        # cost, and the (entry, weight) pairs of the entries that need it.
+        self._worst_full = [
+            max((full for _, full, _ in triples if full != _INF), default=_INF)
+            for triples in self._eligible
+        ]
+        self._worst_probe = [
+            max((probe for _, _, probe in triples if probe != _INF), default=_INF)
+            for triples in self._eligible
+        ]
+        self._needed_full: Dict[int, List[Tuple[int, float]]] = {}
+        self._needed_probe: Dict[int, List[Tuple[int, float]]] = {}
+        for needed, rows in (
+            (self._needed_full, layout.full_weights),
+            (self._needed_probe, layout.probe_weights),
+        ):
+            for entry, weights in enumerate(rows):
+                for class_position, weight in weights.items():
+                    needed.setdefault(class_position, []).append((entry, weight))
+        self._query_of_entry = [
+            query
+            for query in range(len(layout.query_names))
+            for _ in range(layout.entry_offsets[query], layout.entry_offsets[query + 1])
+        ]
         # The dense rows are as large as everything kept above; drop them.
         layout.full_costs = layout.probe_costs = []
 
@@ -344,6 +426,16 @@ class PythonWorkloadArena(WorkloadArena):
     def _read_vector(
         self, full_minima: List[float], probe_minima: List[float]
     ) -> List[float]:
+        reads = self._cheapest_entries(full_minima, probe_minima)
+        for position, read in enumerate(reads):
+            if read == _INF:
+                raise self._layout.no_plan_error(position)
+        return reads
+
+    def _cheapest_entries(
+        self, full_minima: List[float], probe_minima: List[float]
+    ) -> List[float]:
+        """Per query, the cheapest entry cost (+inf when none is feasible)."""
         layout = self._layout
         reads: List[float] = []
         for position in range(len(layout.query_names)):
@@ -357,8 +449,6 @@ class PythonWorkloadArena(WorkloadArena):
                     cost += weight * probe_minima[class_position]
                 if cost < best:
                     best = cost
-            if best == _INF:
-                raise layout.no_plan_error(position)
             reads.append(best)
         return reads
 
@@ -410,6 +500,74 @@ class PythonWorkloadArena(WorkloadArena):
             rows.append([read + maint for read, maint in zip(reads, maintenance)])
         return self._weighted_totals(rows, weights), rows
 
+    def bound_terms(
+        self,
+        fixed: Sequence[int],
+        free: Sequence[int],
+        weights: Optional[Sequence[float]] = None,
+    ) -> BoundTerms:
+        fixed_full, fixed_probe = self._class_minima(
+            set(self._layout.heap_columns).union(fixed)
+        )
+        # Everything is the fixed minima lowered by each free column.
+        all_full, all_probe = list(fixed_full), list(fixed_probe)
+        for column in free:
+            for class_position, full_cost, probe_cost in self._column_classes.get(column, ()):
+                if full_cost < all_full[class_position]:
+                    all_full[class_position] = full_cost
+                if probe_cost < all_probe[class_position]:
+                    all_probe[class_position] = probe_cost
+        rho_full = [
+            low if low != _INF else worst for low, worst in zip(fixed_full, self._worst_full)
+        ]
+        rho_probe = [
+            low if low != _INF else worst for low, worst in zip(fixed_probe, self._worst_probe)
+        ]
+        # The slack prices entries at rho, but only those every class of
+        # which some column in everything can serve.
+        reachable = self._cheapest_entries(
+            [rho if low != _INF else _INF for rho, low in zip(rho_full, all_full)],
+            [rho if low != _INF else _INF for rho, low in zip(rho_probe, all_probe)],
+        )
+        read_fixed = self._read_vector(fixed_full, fixed_probe)
+        if weights is None:
+            weights = [1.0] * len(read_fixed)
+        caps = [0.0] * len(free)
+        for weight, row in zip(weights, self._caps(rho_full, rho_probe, free)):
+            for position, cap in row.items():
+                caps[position] += weight * cap
+        return BoundTerms(
+            _dot(weights, read_fixed),
+            _dot(weights, self._read_vector(all_full, all_probe)),
+            _dot(weights, [max(0.0, read - low) for read, low in zip(read_fixed, reachable)]),
+            caps,
+        )
+
+    def _caps(
+        self, rho_full: List[float], rho_probe: List[float], columns: Sequence[int]
+    ) -> List[Dict[int, float]]:
+        """Per query, the positive caps by position in ``columns``."""
+        # Per entry and position, the sum of the entry's weighted gains:
+        # only (class, column) cells that beat the reference contribute.
+        per_entry: Dict[int, Dict[int, float]] = {}
+        for position, column in enumerate(columns):
+            for class_position, full_cost, probe_cost in self._column_classes.get(column, ()):
+                for gain, needed in (
+                    (rho_full[class_position] - full_cost, self._needed_full),
+                    (rho_probe[class_position] - probe_cost, self._needed_probe),
+                ):
+                    if 0.0 < gain < _INF:
+                        for entry, weight in needed.get(class_position, ()):
+                            totals = per_entry.setdefault(entry, {})
+                            totals[position] = totals.get(position, 0.0) + weight * gain
+        caps: List[Dict[int, float]] = [{} for _ in self._layout.query_names]
+        for entry, totals in per_entry.items():
+            row = caps[self._query_of_entry[entry]]
+            for position, total in totals.items():
+                if total > row.get(position, 0.0):
+                    row[position] = total
+        return caps
+
 
 class NumpyWorkloadArena(WorkloadArena):
     """Vectorized fused evaluation: one masked min, one matmul, one segment min."""
@@ -426,12 +584,11 @@ class NumpyWorkloadArena(WorkloadArena):
         class_count = layout.class_offsets[-1]
         entry_count = layout.entry_offsets[-1]
         width = len(layout.columns)
-        self._full = _np.asarray(layout.full_costs, dtype=_np.float64).reshape(
-            class_count, width
-        )
-        self._probe = _np.asarray(layout.probe_costs, dtype=_np.float64).reshape(
-            class_count, width
-        )
+        # One buffer, classes stacked full then probe; the two halves are views.
+        self._costs = _np.asarray(
+            layout.full_costs + layout.probe_costs, dtype=_np.float64
+        ).reshape(2 * class_count, width)
+        self._full, self._probe = self._costs[:class_count], self._costs[class_count:]
         self._internal = _np.asarray(layout.internal_costs, dtype=_np.float64)
         self._full_weight = _np.zeros((entry_count, class_count), dtype=_np.float64)
         self._probe_weight = _np.zeros((entry_count, class_count), dtype=_np.float64)
@@ -446,6 +603,22 @@ class NumpyWorkloadArena(WorkloadArena):
         layout.full_costs = layout.probe_costs = layout.internal_costs = []
         layout.full_weights = layout.probe_weights = []
         self._entry_starts = _np.asarray(layout.entry_offsets[:-1], dtype=_np.intp)
+        self._heap_mask = _np.zeros(width, dtype=bool)
+        self._heap_mask[layout.heap_columns] = True
+        # The bound terms' sparse form, over the stacked classes: the
+        # eligible (class, column, cost) cells, each class's worst eligible
+        # cost (+inf where none), and per class the (entry, weight) pairs
+        # that need it, grouped by class.
+        eligible = _np.isfinite(self._costs)
+        self._cell_class, self._cell_column = _np.nonzero(eligible)
+        self._cell_cost = self._costs[eligible]
+        self._worst = _np.where(eligible, self._costs, -_np.inf).max(axis=1)
+        self._worst[_np.isneginf(self._worst)] = _np.inf
+        needs = _np.hstack([self._full_weight, self._probe_weight]).T
+        post_class, self._post_entry = _np.nonzero(needs)
+        self._post_weight = needs[post_class, self._post_entry]
+        self._post_count = _np.bincount(post_class, minlength=2 * class_count)
+        self._post_start = _np.cumsum(self._post_count) - self._post_count
         self._maintenance_base = _np.asarray(layout.maintenance_base, dtype=_np.float64)
         self._coeff_rows = {
             key: _np.asarray(row, dtype=_np.float64)
@@ -520,6 +693,62 @@ class NumpyWorkloadArena(WorkloadArena):
         ]
         return self._weighted_totals(rows, weights)
 
+    def bound_terms(
+        self,
+        fixed: Sequence[int],
+        free: Sequence[int],
+        weights: Optional[Sequence[float]] = None,
+    ) -> BoundTerms:
+        masks = _np.repeat(self._heap_mask[None, :], 2, axis=0)
+        masks[:, list(fixed)] = True
+        masks[1, list(free)] = True
+        fixed_minima, all_minima = _np.where(
+            masks[:, None, :], self._costs[None, :, :], _np.inf
+        ).min(axis=2)
+        rho = _np.where(_np.isinf(fixed_minima), self._worst, fixed_minima)
+        # Rows: fixed, everything, and rho restricted to the classes some
+        # column in everything can serve (the slack's entry prices).
+        minima = _np.stack(
+            [fixed_minima, all_minima, _np.where(_np.isinf(all_minima), _np.inf, rho)]
+        )
+        classes = len(self._full)
+        reads = self._read_rows(minima[:, :classes], minima[:, classes:])
+        self._check_feasible(reads[:2])
+        weight = (
+            _np.ones(len(reads[0]))
+            if weights is None
+            else _np.asarray(weights, dtype=_np.float64)
+        )
+        return BoundTerms(
+            float(reads[0] @ weight),
+            float(reads[1] @ weight),
+            float(_np.maximum(reads[0] - reads[2], 0.0) @ weight),
+            (weight @ self._caps(rho, free)).tolist(),
+        )
+
+    def _caps(self, rho, columns: Sequence[int]):
+        """(queries x columns) caps for a stacked full|probe reference."""
+        count = len(columns)
+        position = _np.full(len(self._heap_mask), -1, dtype=_np.intp)
+        position[list(columns)] = _np.arange(count)
+        cell_position = position[self._cell_column]
+        gains = rho[self._cell_class] - self._cell_cost
+        keep = _np.flatnonzero((cell_position >= 0) & (gains > 0.0) & (gains < _np.inf))
+        classes = self._cell_class[keep]
+        # Spread each useful cell over the entries that weigh its class;
+        # the (entries x columns) sums then touch only nonzero terms.
+        counts = self._post_count[classes]
+        cell = _np.repeat(_np.arange(len(keep)), counts)
+        post = _np.repeat(self._post_start[classes] - (_np.cumsum(counts) - counts), counts)
+        post += _np.arange(len(post))
+        entry_count = len(self._internal)
+        per_entry = _np.bincount(
+            self._post_entry[post] * count + cell_position[keep][cell],
+            weights=self._post_weight[post] * gains[keep][cell],
+            minlength=entry_count * count,
+        ).reshape(entry_count, count)
+        return _np.maximum.reduceat(per_entry, self._entry_starts, axis=0)
+
     def frontier_detail(
         self,
         winners: Sequence,
@@ -559,6 +788,10 @@ class NumpyWorkloadArena(WorkloadArena):
         else:
             totals = rows @ _np.asarray(weights, dtype=_np.float64)
         return totals.tolist(), rows
+
+
+def _dot(weights: Sequence[float], values: Sequence[float]) -> float:
+    return float(sum(weight * value for weight, value in zip(weights, values)))
 
 
 def _python_mask(layout: _ArenaLayout, indexes: Sequence) -> frozenset:

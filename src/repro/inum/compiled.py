@@ -16,11 +16,11 @@ into a dense numeric layout, :class:`_CompiledLayout`:
   so an entry's total is ``internal + W_full @ class_full + W_probe @
   class_probe`` and the query's cost is the minimum over feasible entries.
 
-The arena stacks these layouts over a whole workload; the ILP formulation
-reads the same coefficients through :func:`export_layout`.  This module also
-holds the two helpers both sides share: :class:`IndexSetMemo` and
-:func:`numpy_available`.  :func:`compile_cache` is the single-cache entry
-point: a one-query arena.
+The arena stacks these layouts over a whole workload, and everything that
+prices an index set -- the selectors, the ILP's bounds -- reads them
+through the arena.  This module also holds the two helpers the arena's
+backends share: :class:`IndexSetMemo` and :func:`numpy_available`.
+:func:`compile_cache` is the single-cache entry point: a one-query arena.
 """
 
 from __future__ import annotations
@@ -160,18 +160,6 @@ class _CompiledLayout:
                     probe_row[position] = info.probe_cost
             self.full_costs.append(full_row)
             self.probe_costs.append(probe_row)
-
-
-def export_layout(cache: InumCache) -> _CompiledLayout:
-    """The dense (entries x slot classes x access methods) digest of ``cache``.
-
-    The matrix form the arena stacks, exposed for consumers that need the
-    raw coefficients rather than an evaluator -- notably the
-    ILP formulation (:mod:`repro.advisor.ilp.formulation`), which compiles
-    the same layout into the objective and constraint rows of a binary
-    integer program.  The layout validates the cache on construction.
-    """
-    return _CompiledLayout(cache)
 
 
 def compile_cache(cache: InumCache, backend: str = "auto") -> "CompiledCostEngine":

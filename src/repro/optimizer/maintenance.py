@@ -77,17 +77,6 @@ class MaintenanceProfile:
             self.per_index.get(index.key, 0.0) for index in indexes
         )
 
-    def linear_coefficients(self, candidates: Sequence[Index]) -> List[float]:
-        """Per-candidate maintenance costs aligned with ``candidates``.
-
-        The maintenance side of the statement is *linear* in the index
-        binaries -- each selected index adds its own per-execution charge --
-        so this is the statement's coefficient row in the ILP objective
-        (:mod:`repro.advisor.ilp.formulation`).  Candidates the profile does
-        not cover contribute 0.0, matching :meth:`cost_for`.
-        """
-        return [self.per_index.get(candidate.key, 0.0) for candidate in candidates]
-
     def digest(self) -> str:
         """A stable short identity for arena pooling (order-independent)."""
         hasher = hashlib.sha256()

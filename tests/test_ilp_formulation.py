@@ -1,10 +1,11 @@
-"""Tests for the ILP formulation layer: BIP compilation over INUM caches.
+"""Tests for the ILP formulation layer: the BIP posed over the workload arena.
 
 The formulation's arithmetic must agree with the cost models the greedy
 selectors use -- for any integral selection, ``formulation.cost(bits)``
 equals the weighted workload cost the advisor would report for the same
-index set.  The benefit caps backing the solver's relaxation must be
-*sound*: no candidate set may ever gain more than ``slack + sum(caps)``.
+index set.  The arena's bound terms backing the solver's relaxation must be
+*sound* on both backends: no candidate set may ever gain a query more than
+its ``slack + sum(caps)``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,17 @@ import pytest
 
 from repro.advisor import CandidateGenerator
 from repro.advisor.benefit import CacheBackedWorkloadCostModel, OptimizerWorkloadCostModel
-from repro.advisor.ilp.formulation import build_formulation, iterate_bits
+from repro.advisor.ilp.formulation import build_formulation
+from repro.inum.arena import compile_arena
+from repro.inum.compiled import numpy_available
 from repro.optimizer import Optimizer
 from repro.util.errors import AdvisorError
 from repro.util.units import gigabytes
 
 BUDGET = gigabytes(5)
+
+#: Both arena backends when numpy is installed, the pure-Python one otherwise.
+_BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 def _star_model(star_workload, query_count=5, candidate_count=25, weights=None,
@@ -62,14 +68,32 @@ class TestFormulationCost:
             assert formulation.cost(bits) == pytest.approx(expected, rel=1e-9)
 
     def test_statement_costs_are_per_execution(self, star_workload):
-        catalog, queries, candidates, model = _star_model(star_workload, query_count=3)
+        mixed = star_workload.mixed(read_fraction=0.6)
+        catalog = star_workload.catalog()
+        _, _, candidates, model = _star_model(
+            star_workload, statements=mixed.statements, weights=mixed.weights,
+            candidate_count=10,
+        )
         formulation = build_formulation(model, catalog, candidates, BUDGET)
-        per_statement = formulation.statement_costs(0)
-        baseline = model.per_query_costs([])
-        for query in queries:
-            assert per_statement[query.name] == pytest.approx(
-                baseline[query.name], rel=1e-9
-            )
+        # The formulation prices on the model's own arena.
+        assert formulation.arena is model.arena
+        per_execution = model.per_query_costs([])
+        expected = sum(
+            model.weight_of(name) * per_execution[name]
+            for name in formulation.arena.query_names
+        )
+        assert formulation.cost(0) == pytest.approx(expected, rel=1e-9)
+
+    def test_scalar_oracle_model_gets_an_arena(self, star_workload):
+        catalog, queries, candidates, model = _star_model(star_workload, query_count=3)
+        model.select_engine("scalar")
+        assert model.arena is None
+        formulation = build_formulation(model, catalog, candidates, BUDGET)
+        assert formulation.arena.query_names == [query.name for query in queries]
+        picks = candidates[:5]
+        assert formulation.cost(formulation.selection_of(picks)) == pytest.approx(
+            model.workload_cost(picks), rel=1e-9
+        )
 
     def test_duplicate_candidates_collapse(self, star_workload):
         catalog, queries, candidates, model = _star_model(star_workload, query_count=3)
@@ -95,25 +119,6 @@ class TestFormulationCost:
 
 
 class TestBipAccounting:
-    def test_statistics_describe_the_explicit_program(self, star_workload):
-        catalog, queries, candidates, model = _star_model(star_workload)
-        formulation = build_formulation(model, catalog, candidates, BUDGET)
-        stats = formulation.statistics
-        assert stats.statements == len(queries)
-        assert stats.candidates == len(candidates)
-        assert stats.index_variables == len(candidates)
-        # One y per cached plan entry of every statement.
-        assert stats.plan_variables == sum(
-            len(program.entry_internal) for program in formulation.programs
-        )
-        # z variables exist and each contributes at least its class-served
-        # row, so the constraint count dominates the statement count.
-        assert stats.assignment_variables > stats.plan_variables
-        assert stats.constraints > stats.statements
-        assert stats.variables == (
-            stats.index_variables + stats.plan_variables + stats.assignment_variables
-        )
-
     def test_knapsack_helpers(self, star_workload):
         catalog, queries, candidates, model = _star_model(star_workload, query_count=3)
         formulation = build_formulation(model, catalog, candidates, BUDGET)
@@ -123,48 +128,74 @@ class TestBipAccounting:
         assert formulation.fits(0)
 
 
+def _columns(arena, indexes):
+    columns = (arena.column_for(index) for index in indexes)
+    return [column for column in columns if column is not None]
+
+
+def _unit(arena, query):
+    """Weights that pick one query's terms out of the weighted totals."""
+    return [1.0 if position == query else 0.0 for position in range(arena.query_count)]
+
+
+def _check_soundness(arena, candidates):
+    rng = random.Random(23)
+    for _ in range(25):
+        base = rng.sample(candidates, rng.randint(0, 4))
+        extra = [c for c in rng.sample(candidates, rng.randint(1, 8)) if c not in base]
+        extra_columns = _columns(arena, extra)
+        for query in range(arena.query_count):
+            weights = _unit(arena, query)
+            terms = arena.bound_terms(_columns(arena, base), extra_columns, weights)
+            caps = dict(zip(extra_columns, terms.caps))
+            # Sets between base and base + extra, the extremes included.
+            for added in (extra, rng.sample(extra, rng.randint(0, len(extra))), []):
+                read = arena.bound_terms(_columns(arena, base + added), [], weights).read_fixed
+                benefit = terms.read_fixed - read
+                cap_sum = sum(caps.get(arena.column_for(index), 0.0) for index in added)
+                assert benefit <= terms.slack + cap_sum + 1e-6 * max(1.0, abs(benefit))
+                if added is extra:
+                    assert terms.read_everything == pytest.approx(read, rel=1e-12)
+
+
 class TestCapSoundness:
     def test_benefit_never_exceeds_slack_plus_caps(self, star_workload):
         """The relaxation inequality behind every branch-and-bound prune."""
         catalog, queries, candidates, model = _star_model(
             star_workload, query_count=6, candidate_count=30
         )
-        formulation = build_formulation(model, catalog, candidates, BUDGET)
-        rng = random.Random(23)
-        positions = range(formulation.candidate_count)
-        for _ in range(25):
-            base = sum(1 << p for p in rng.sample(positions, rng.randint(0, 4)))
-            extra = sum(
-                1 << p
-                for p in rng.sample(positions, rng.randint(1, 8))
-                if not (base >> p) & 1
+        for backend in _BACKENDS:
+            _check_soundness(compile_arena(queries, model.caches, backend=backend), candidates)
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    def test_backends_agree(self, star_workload):
+        catalog, queries, candidates, model = _star_model(
+            star_workload, query_count=6, candidate_count=30
+        )
+        arenas = [compile_arena(queries, model.caches, backend=b) for b in ("python", "numpy")]
+        rng = random.Random(31)
+        for _ in range(10):
+            base = rng.sample(candidates, rng.randint(0, 5))
+            free = [c for c in rng.sample(candidates, rng.randint(0, 12)) if c not in base]
+            weights = [rng.uniform(0.0, 5.0) for _ in queries]
+            python_terms, numpy_terms = (
+                arena.bound_terms(_columns(arena, base), _columns(arena, free), weights)
+                for arena in arenas
             )
-            if not extra:
-                continue
-            for program in formulation.programs:
-                base_mask = program.active_mask(base)
-                all_mask = program.active_mask(base | extra)
-                benefit = program.read_cost_for_mask(base_mask) - program.read_cost_for_mask(
-                    all_mask
-                )
-                caps = program.caps(base_mask)
-                slack = program.slack(base_mask, all_mask)
-                cap_sum = sum(
-                    caps[program.column_of_candidate[p]]
-                    for p in iterate_bits(extra)
-                    if p in program.column_of_candidate
-                )
-                assert benefit <= slack + cap_sum + 1e-6 * max(1.0, abs(benefit))
+            for have, want in zip(numpy_terms[:3], python_terms[:3]):
+                assert have == pytest.approx(want, rel=1e-9, abs=1e-9)
+            assert numpy_terms.caps == pytest.approx(python_terms.caps, rel=1e-9, abs=1e-9)
 
     def test_monotone_read_costs(self, star_workload):
         catalog, queries, candidates, model = _star_model(star_workload, query_count=4)
-        formulation = build_formulation(model, catalog, candidates, BUDGET)
-        rng = random.Random(7)
-        for _ in range(10):
-            small = formulation.selection_of(rng.sample(candidates, 3))
-            large = small | formulation.selection_of(rng.sample(candidates, 5))
-            for program in formulation.programs:
-                assert (
-                    program.read_cost_for_mask(program.active_mask(large))
-                    <= program.read_cost_for_mask(program.active_mask(small)) + 1e-12
-                )
+        for backend in _BACKENDS:
+            arena = compile_arena(queries, model.caches, backend=backend)
+            rng = random.Random(7)
+            for _ in range(10):
+                small = rng.sample(candidates, 3)
+                large = small + rng.sample(candidates, 5)
+                for query in range(arena.query_count):
+                    terms = arena.bound_terms(
+                        _columns(arena, small), _columns(arena, large), _unit(arena, query)
+                    )
+                    assert terms.read_everything <= terms.read_fixed + 1e-12

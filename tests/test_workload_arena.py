@@ -208,6 +208,45 @@ class TestArenaMatchesScalarArithmetic:
         assert numpy_arena.column_count == python_arena.column_count
         assert numpy_arena.entry_count == python_arena.entry_count
 
+    @_settings
+    @given(data=workload_with_indexes())
+    def test_bound_terms_are_sound(self, data):
+        """No index set between fixed and everything gains a query more
+        than its slack plus the caps of the columns it adds."""
+        queries, caches, subset, _ = data
+        half = len(subset) // 2
+        answers = []
+        for backend in _BACKENDS:
+            arena = compile_arena(queries, caches, backend=backend)
+            fixed = [arena.column_for(index) for index in subset[:half]]
+            free = [arena.column_for(index) for index in subset[half:]]
+            fixed = [column for column in fixed if column is not None]
+            free = [column for column in free if column is not None]
+            try:
+                arena.evaluate(subset[:half])
+            except PlanningError:
+                with pytest.raises(PlanningError):
+                    arena.bound_terms(fixed, free)
+                continue
+            answers.append(arena.bound_terms(fixed, free))
+            for query in range(arena.query_count):
+                unit = [float(position == query) for position in range(arena.query_count)]
+                terms = arena.bound_terms(fixed, free, unit)
+                for count in range(len(free) + 1):
+                    added = free[:count]
+                    read = arena.bound_terms(fixed + added, [], unit).read_fixed
+                    benefit = terms.read_fixed - read
+                    allowance = terms.slack + sum(terms.caps[:count])
+                    assert benefit <= allowance + 1e-9 * max(1.0, abs(benefit))
+                assert terms.read_everything == pytest.approx(
+                    arena.bound_terms(fixed + free, [], unit).read_fixed, rel=1e-12
+                )
+        if len(answers) == 2:
+            python_terms, numpy_terms = answers
+            for have, want in zip(numpy_terms[:3], python_terms[:3]):
+                assert have == pytest.approx(want, rel=1e-9, abs=1e-9)
+            assert numpy_terms.caps == pytest.approx(python_terms.caps, rel=1e-9, abs=1e-9)
+
 
 # ---------------------------------------------------------------------------
 # Layout validation, identity and memoization
