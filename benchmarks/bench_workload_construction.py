@@ -1,13 +1,13 @@
 """E-WS -- workload-scale cache construction: memoization and persistence.
 
-The workload builder fills every query's plan cache in one serial pass and
+A session acquires every query's plan cache through one lookup chain and
 saves work two ways; this benchmark measures both on the star-schema
-workload:
+workload with two sessions over one ``cache_dir``:
 
-1. **memoization** -- the shared what-if call cache answers repeated probe
-   configurations from memory, so a full workload build reports a non-zero
-   hit rate, and
-2. **persistence** -- a second build against an unchanged catalog loads
+1. **memoization** -- the first session's what-if call cache answers
+   repeated probe configurations from memory, so its cold build reports a
+   non-zero hit rate, and
+2. **persistence** -- the second session, over an unchanged catalog, loads
    every cache from the on-disk store and spends zero optimizer calls.
 
 Run with:  pytest benchmarks/bench_workload_construction.py --benchmark-only -s
@@ -15,21 +15,25 @@ Run with:  pytest benchmarks/bench_workload_construction.py --benchmark-only -s
 
 from __future__ import annotations
 
+from repro.advisor import AdvisorOptions
+from repro.api.session import TuningSession
 from repro.bench.harness import ExperimentTable
-from repro.inum import CacheStore, WorkloadBuilderOptions, WorkloadCacheBuilder
 
 
 def test_memoization_and_store_speedup(benchmark, tmp_path, star_catalog, star_queries,
                                        candidate_generator):
     """The what-if layer hits during a cold build; the store removes rebuilds."""
     candidates = candidate_generator.for_workload(star_queries)
-    store = CacheStore(tmp_path / "inum-cache", star_catalog)
-    builder = WorkloadCacheBuilder(
-        star_catalog, WorkloadBuilderOptions(builder="inum"), store=store
-    )
+    options = AdvisorOptions(cache_dir=str(tmp_path / "inum-cache"))
+
+    def _build():
+        session = TuningSession(star_catalog, star_queries, options=options)
+        return session.build_workload_caches(
+            "inum", candidates=candidates, max_candidates=None
+        )
 
     def _cold_then_warm():
-        return builder.build(star_queries, candidates), builder.build(star_queries, candidates)
+        return _build(), _build()
 
     cold, warm = benchmark.pedantic(_cold_then_warm, rounds=1, iterations=1)
 

@@ -33,8 +33,6 @@ from repro.inum import (
     InumCache,
     InumCacheBuilder,
     InumCostModel,
-    WorkloadBuilderOptions,
-    WorkloadCacheBuilder,
 )
 from repro.pinum import PinumCacheBuilder, PinumCostModel
 from repro.advisor import IndexAdvisor, AdvisorOptions
@@ -80,8 +78,6 @@ __all__ = [
     "Table",
     "TableStatistics",
     "WhatIfCallCache",
-    "WorkloadBuilderOptions",
-    "WorkloadCacheBuilder",
     "build_tpch_like_catalog",
     "parse_statement",
     "__version__",

@@ -36,13 +36,14 @@ from repro.inum.arena import WorkloadArena, arena_fingerprint, compile_arena
 from repro.inum.cache import InumCache
 from repro.inum.compiled import numpy_available
 from repro.inum.cost_estimation import InumCostModel
-from repro.inum.workload_builder import WorkloadBuilderOptions, WorkloadCacheBuilder
+from repro.inum.workload_builder import build_one_cache
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfCallCache, WhatIfOptimizer
 from repro.pinum.cost_model import PinumCostModel
 from repro.query.ast import Query
 from repro.util.errors import AdvisorError, validate_name
 from repro.util.fingerprint import configuration_signature, query_fingerprint
+from repro.util.timing import timed
 
 if TYPE_CHECKING:  # pragma: no cover - repro.api.tier imports the builders this module uses
     from repro.api.tier import LocalPool
@@ -261,7 +262,7 @@ class OptimizerWorkloadCostModel(WorkloadCostModel):
     The greedy search asks the same (query, configuration) questions over
     and over -- every iteration re-evaluates every remaining candidate, and
     adding an index on one table leaves the relevant configuration of every
-    other query unchanged -- so repeated questions are memoized by default.
+    other query unchanged -- so repeated questions are memoized.
     Only the scalar cost is retained (not whole plan trees, which a long
     greedy run over a large candidate set would accumulate without bound).
 
@@ -275,20 +276,16 @@ class OptimizerWorkloadCostModel(WorkloadCostModel):
         self,
         optimizer: Optimizer,
         queries: Sequence[Query],
-        memoize: bool = True,
         whatif: Optional[Union[WhatIfOptimizer, WhatIfCallCache]] = None,
         cost_memo: Optional[Dict[tuple, float]] = None,
         weights: Optional[Mapping[str, float]] = None,
     ) -> None:
         super().__init__(queries, weights=weights)
         self._whatif = whatif if whatif is not None else WhatIfOptimizer(optimizer)
-        self._memoize = memoize
         self._cost_memo: Dict[tuple, float] = cost_memo if cost_memo is not None else {}
 
     def _query_cost(self, query: Query, indexes: Sequence[Index]) -> float:
         relevant = [index for index in indexes if index.table in query.tables]
-        if not self._memoize:
-            return self._whatif.statement_cost(query, relevant, exclusive=True)
         key = (query_fingerprint(query), configuration_signature(relevant))
         cost = self._cost_memo.get(key)
         if cost is None:
@@ -354,20 +351,27 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
     ) -> "CacheBackedWorkloadCostModel":
         """A standalone model that builds its own caches (tests, benchmarks).
 
-        One serial :class:`~repro.inum.workload_builder.WorkloadCacheBuilder`
-        pass over ``queries``, each cache covering the ``candidate_indexes``
-        on its tables; no pool, tier or store is involved.
+        One :func:`~repro.inum.workload_builder.build_one_cache` per query
+        over one fresh :class:`~repro.optimizer.whatif.WhatIfCallCache`, each
+        cache covering the ``candidate_indexes`` on its tables; no pool, tier
+        or store is involved.  An identical-SQL twin is answered by the memo,
+        so it costs no optimizer call.
         """
-        outcome = WorkloadCacheBuilder(
-            options=WorkloadBuilderOptions(builder=mode), optimizer=optimizer
-        ).build(queries, list(candidate_indexes))
+        call_cache = WhatIfCallCache(optimizer)
+        caches: Dict[str, InumCache] = {}
+        with timed() as wall:
+            for query in queries:
+                relevant = [index for index in candidate_indexes if index.table in query.tables]
+                caches[query.name] = build_one_cache(optimizer, call_cache, mode, query, relevant)
         return cls(
             queries,
-            outcome.caches,
+            caches,
             mode,
             engine,
-            preparation_optimizer_calls=outcome.report.optimizer_calls,
-            preparation_seconds=outcome.report.wall_seconds,
+            preparation_optimizer_calls=sum(
+                cache.build_stats.optimizer_calls_total for cache in caches.values()
+            ),
+            preparation_seconds=wall.seconds,
             weights=weights,
         )
 

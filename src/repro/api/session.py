@@ -201,14 +201,17 @@ class TuningSession:
         #: The session itself stays single-threaded; the tier is what makes
         #: N sessions share builds without sharing mutable state.
         self._shared_tier = shared_tier
+        # The tier namespace and the store are keyed by the optimizer too:
+        # an answer cached under other cost parameters is never handed out.
+        optimizer_options = self._optimizer.options
         namespace = store = None
         if shared_tier is not None:
-            namespace = shared_tier.namespace_for(catalog)
+            namespace = shared_tier.namespace_for(catalog, optimizer_options)
         if self._options.cache_dir is not None:
             store = (
-                shared_tier.store_for(self._options.cache_dir, catalog)
+                shared_tier.store_for(self._options.cache_dir, catalog, optimizer_options)
                 if shared_tier is not None
-                else CacheStore(self._options.cache_dir, catalog)
+                else CacheStore(self._options.cache_dir, catalog, optimizer=optimizer_options)
             )
         self._call_cache = WhatIfCallCache(
             self._optimizer,
@@ -219,7 +222,6 @@ class TuningSession:
         self.statistics = SessionStatistics()
         #: Where every plan cache of this session comes from.
         self._pool = PlanCachePool(
-            catalog,
             self._optimizer,
             self._call_cache,
             self.statistics,
@@ -229,7 +231,7 @@ class TuningSession:
         )
         #: Compiled workload arenas, keyed by arena fingerprint.  Tier-backed
         #: sessions adopt arenas other tenants compiled (the namespace is
-        #: keyed by catalog fingerprint).
+        #: keyed by catalog and optimizer fingerprint).
         self._arena_pool = LocalPool(
             self.MAX_POOLED_ARENAS, namespace.arenas if namespace is not None else None
         )
@@ -689,8 +691,8 @@ class TuningSession:
 
         This is the ``repro cache-workload`` path: the same lookup chain as
         :meth:`recommend` (:meth:`~repro.api.tier.PlanCachePool.acquire`:
-        session pool, shared tier, then one builder pass with the store
-        consulted and identical SQL deduplicated) over
+        identical SQL earlier in the call, session pool, shared tier, store,
+        then a fresh build) over
         the ``"workload"`` policy's candidate plan, so a following
         :meth:`recommend` with that policy reuses every cache.  The report
         has one row per statement whatever its source.

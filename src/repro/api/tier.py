@@ -6,25 +6,31 @@ cache comes from* is therefore the one decision every front door has to
 make.  :meth:`PlanCachePool.acquire` is its only implementation -- the
 session's ``recommend``/``evaluate``, ``build_query_cache`` and
 ``build_workload_caches`` (hence the CLI's ``cache`` and ``cache-workload``)
-all call it -- and it walks one chain:
+all call it -- and per statement the first source that has the cache wins:
 
-1. the session's own pool (source ``reused``),
-2. the process-wide :class:`SharedCacheTier` (``shared``: another tenant
+1. a key already loaded or built earlier in the same call (source
+   ``deduplicated``: an identical-SQL sibling),
+2. the session's own pool (``reused``),
+3. the process-wide :class:`SharedCacheTier` (``shared``: another tenant
    already paid the build),
-3. for what is still missing, one
-   :class:`~repro.inum.workload_builder.WorkloadCacheBuilder` pass: the
-   persistent :class:`~repro.inum.serialization.CacheStore`
-   (``from_store``), identical-SQL siblings (``deduplicated``), then a
-   fresh build (``built``, saved back to the store),
-4. pool insert, tier promotion, what-if publication and source accounting.
+4. the persistent :class:`~repro.inum.serialization.CacheStore`
+   (``from_store``),
+5. a fresh :func:`~repro.inum.workload_builder.build_one_cache` (``built``,
+   saved back to the store).
+
+Pool insert, tier promotion, what-if publication and source accounting then
+happen once, at the end of the call.
 
 A concurrent server multiplies the caching economy only if the warm state is
 *shared*: N tenants over the same catalog must not pay N x cache builds or
 hold N copies of the compiled arenas.  :class:`SharedCacheTier` is that tier:
 
-* **per-catalog namespaces** keyed by catalog *fingerprint* (schema,
-  statistics, permanent indexes), so sessions over equal-but-distinct
-  :class:`~repro.catalog.catalog.Catalog` objects still share,
+* **namespaces** keyed by catalog *fingerprint* (schema, statistics,
+  permanent indexes) and optimizer fingerprint (cost parameters, planner
+  revision), so sessions over equal-but-distinct
+  :class:`~repro.catalog.catalog.Catalog` objects still share, while a
+  session whose optimizer prices plans differently never sees another's
+  answers,
 * **plan caches** (:class:`~repro.inum.cache.InumCache`) and **compiled
   workload arenas**, each held in one :class:`PublishedMap` -- a bounded,
   copy-on-write, first-promotion-wins dict -- plus **what-if optimizer
@@ -65,13 +71,13 @@ from typing import (
     Tuple,
 )
 
+from repro.inum.cache import CacheBuildStatistics
 from repro.inum.serialization import CacheStore, PageCache
 from repro.inum.workload_builder import (
     QueryBuildOutcome,
-    WorkloadBuilderOptions,
     WorkloadBuildReport,
     WorkloadBuildResult,
-    WorkloadCacheBuilder,
+    build_one_cache,
     rename_cache,
 )
 from repro.obs.instruments import TIER_LOOKUPS, TIER_PROMOTIONS
@@ -79,15 +85,17 @@ from repro.optimizer.whatif import SharedWhatIfResults, WhatIfCallCache
 from repro.util.fingerprint import (
     catalog_fingerprint,
     index_set_fingerprint,
+    optimizer_fingerprint,
     query_fingerprint,
 )
+from repro.util.timing import timed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.session import SessionStatistics
     from repro.catalog.catalog import Catalog
     from repro.catalog.index import Index
     from repro.inum.cache import InumCache
-    from repro.optimizer.optimizer import Optimizer
+    from repro.optimizer.optimizer import Optimizer, OptimizerOptions
     from repro.query.ast import Statement
 
 #: Identity of one plan cache: (query fingerprint, builder, candidate-set
@@ -180,7 +188,7 @@ class PublishedMap:
 
 
 class TierNamespace:
-    """The shared artifacts of one catalog fingerprint.
+    """The shared artifacts of one (catalog, optimizer) fingerprint pair.
 
     Plan caches are keyed by :data:`CacheKey`, arenas by
     :func:`repro.inum.arena.arena_fingerprint`, so a tier hit is exactly as
@@ -261,7 +269,6 @@ class PlanCachePool:
 
     def __init__(
         self,
-        catalog: "Catalog",
         optimizer: "Optimizer",
         call_cache: WhatIfCallCache,
         statistics: "SessionStatistics",
@@ -270,7 +277,6 @@ class PlanCachePool:
         namespace: Optional[TierNamespace] = None,
         store: Optional[CacheStore] = None,
     ) -> None:
-        self._catalog = catalog
         self._optimizer = optimizer
         self._call_cache = call_cache
         self._statistics = statistics
@@ -301,55 +307,58 @@ class PlanCachePool:
         ``per_query_candidates`` maps statement names to the candidates each
         cache covers (its identity); ``keys`` passes the matching
         :func:`cache_keys` when the caller already computed them.
-        The report carries one outcome per statement, in order, whatever
-        its source; caches come back attached to the statements' own names.
+        ``use_call_cache=False`` builds without the session's memoising
+        what-if layer (the paper's un-memoised call counts).  The report
+        carries one outcome per statement, in order, whatever its source;
+        caches come back attached to the statements' own names.
         """
         if keys is None:
             keys = cache_keys(statements, per_query_candidates, builder)
+        call_cache = self._call_cache if use_call_cache else None
         caches: Dict[str, "InumCache"] = {}
-        outcomes: Dict[str, QueryBuildOutcome] = {}
-        missing: List["Statement"] = []
-        for statement in statements:
-            key = keys[statement.name]
-            source = "reused" if key in self._caches else "shared"
-            cache = self._caches.get(key)
-            if cache is None:
-                missing.append(statement)
-                continue
-            if cache.query.name != statement.name:
-                cache = rename_cache(cache, statement)
-            caches[statement.name] = cache
-            outcomes[statement.name] = QueryBuildOutcome(
-                statement.name, builder, source, cache.build_stats
-            )
-
-        wall_seconds = 0.0
-        if missing:
-            built = WorkloadCacheBuilder(
-                self._catalog,
-                WorkloadBuilderOptions(builder=builder, use_call_cache=use_call_cache),
-                store=self.store,
-                optimizer=self._optimizer,
-                call_cache=self._call_cache if use_call_cache else None,
-            ).build(missing, per_query_candidates=per_query_candidates)
-            self._caches.update(
-                {keys[statement.name]: built.caches[statement.name] for statement in missing}
-            )
+        outcomes: List[QueryBuildOutcome] = []
+        # Keys loaded or built by this call -> (first statement name, cache).
+        fresh: Dict[CacheKey, Tuple[str, "InumCache"]] = {}
+        with timed() as wall:
+            for statement in statements:
+                name = statement.name
+                key = keys[name]
+                deduped_from = None
+                if key in fresh:
+                    source = "deduplicated"
+                    deduped_from, cache = fresh[key]
+                else:
+                    source = "reused" if key in self._caches else "shared"
+                    cache = self._caches.get(key)
+                    if cache is None and self.store is not None:
+                        source = "from_store"
+                        cache = self.store.load(statement, builder, per_query_candidates[name])
+                    if cache is None:
+                        source = "built"
+                        cache = build_one_cache(
+                            self._optimizer, call_cache, builder, statement,
+                            per_query_candidates[name],
+                        )
+                        if self.store is not None:
+                            self.store.save(statement, cache, builder, per_query_candidates[name])
+                    if source in ("from_store", "built"):
+                        fresh[key] = (name, cache)
+                if cache.query.name != name:
+                    cache = rename_cache(cache, statement)
+                caches[name] = cache
+                outcomes.append(QueryBuildOutcome(
+                    name, builder, source,
+                    CacheBuildStatistics() if deduped_from else cache.build_stats,
+                    deduped_from=deduped_from,
+                ))
+        if fresh:
+            self._caches.update({key: cache for key, (_, cache) in fresh.items()})
             self._call_cache.publish_shared()
-            caches.update(built.caches)
-            outcomes.update(
-                (outcome.query_name, outcome) for outcome in built.report.outcomes
-            )
-            wall_seconds = built.report.wall_seconds
 
         report = WorkloadBuildReport(
-            builder=builder,
-            outcomes=[outcomes[statement.name] for statement in statements],
-            wall_seconds=wall_seconds,
+            builder=builder, outcomes=outcomes, wall_seconds=wall.seconds
         )
-        for source, count in Counter(
-            outcome.source for outcome in report.outcomes
-        ).items():
+        for source, count in Counter(outcome.source for outcome in outcomes).items():
             self._statistics.record_caches(source, count)
         return WorkloadBuildResult(caches=caches, report=report)
 
@@ -378,11 +387,18 @@ class SharedCacheTier:
         self._namespaces: Dict[str, TierNamespace] = {}
         #: One parsed-page cache shared by every session's persistent store.
         self.page_cache = PageCache()
-        self._stores: Dict[Tuple[str, str], CacheStore] = {}
+        self._stores: Dict[Tuple[str, str, str], CacheStore] = {}
 
-    def namespace_for(self, catalog: "Catalog") -> TierNamespace:
-        """The (lazily created) namespace serving ``catalog``'s fingerprint."""
-        fingerprint = catalog_fingerprint(catalog)
+    def namespace_for(
+        self, catalog: "Catalog", optimizer: "OptimizerOptions"
+    ) -> TierNamespace:
+        """The (lazily created) namespace serving ``catalog`` under ``optimizer``.
+
+        Keyed by both fingerprints, so every artifact a namespace holds --
+        plan caches, arenas, what-if answers -- came from an optimizer that
+        prices plans the same way.
+        """
+        fingerprint = f"{catalog_fingerprint(catalog)}.{optimizer_fingerprint(optimizer)}"
         namespace = self._namespaces.get(fingerprint)
         if namespace is None:
             with self._lock:
@@ -397,27 +413,39 @@ class SharedCacheTier:
         namespace.sessions_attached += 1
         return namespace
 
-    def store_for(self, cache_dir: object, catalog: "Catalog") -> CacheStore:
-        """One persistent store per (directory, catalog), page cache shared.
+    def store_for(
+        self,
+        cache_dir: object,
+        catalog: "Catalog",
+        optimizer: "OptimizerOptions",
+    ) -> CacheStore:
+        """One persistent store per (directory, catalog, optimizer), page
+        cache shared.
 
-        Sessions pointing at the same ``cache_dir`` get the *same*
-        :class:`CacheStore` object, so its hit/save statistics aggregate
-        across tenants and every parsed page lands in the shared
-        :class:`PageCache` exactly once.
+        Sessions pointing at the same ``cache_dir`` with equal optimizers
+        get the *same* :class:`CacheStore` object, so its hit/save
+        statistics aggregate across tenants and every parsed page lands in
+        the shared :class:`PageCache` exactly once.
         """
-        key = (str(Path(cache_dir).resolve()), catalog_fingerprint(catalog))
+        key = (
+            str(Path(cache_dir).resolve()),
+            catalog_fingerprint(catalog),
+            optimizer_fingerprint(optimizer),
+        )
         store = self._stores.get(key)
         if store is None:
             with self._lock:
                 store = self._stores.get(key)
                 if store is None:
-                    store = CacheStore(cache_dir, catalog, page_cache=self.page_cache)
+                    store = CacheStore(
+                        cache_dir, catalog, page_cache=self.page_cache, optimizer=optimizer
+                    )
                     self._stores[key] = store
         return store
 
     @property
     def namespace_count(self) -> int:
-        """How many catalog fingerprints the tier currently serves."""
+        """How many (catalog, optimizer) namespaces the tier currently serves."""
         return len(self._namespaces)
 
     def namespaces(self) -> List[TierNamespace]:

@@ -59,8 +59,9 @@ The ``--cache-dir`` directory is a versioned
 
 Cache files are keyed by *fingerprints* of the catalog (schema, statistics,
 permanent indexes) and of the query's canonical SQL, and each file records a
-digest of the candidate-index set its access costs were collected for.
-Changing the schema, refreshing statistics or changing the candidate set
+digest of the candidate-index set its access costs were collected for and
+the fingerprint of the optimizer that built it.  Changing the schema,
+refreshing statistics, changing the candidate set or the cost parameters
 makes the affected caches stale, so they are rebuilt instead of reused; a
 second run of the *same* command against an unchanged catalog loads every
 cache and spends zero optimizer calls.  ``recommend`` accepts the same

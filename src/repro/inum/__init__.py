@@ -27,13 +27,13 @@ from repro.inum.serialization import (
     save_cache,
 )
 from repro.inum.workload_builder import (
-    WorkloadBuilderOptions,
     WorkloadBuildReport,
     WorkloadBuildResult,
-    WorkloadCacheBuilder,
+    build_one_cache,
 )
 
 __all__ = [
+    "build_one_cache",
     "cache_from_dict",
     "cache_to_dict",
     "compile_cache",
@@ -55,8 +55,6 @@ __all__ = [
     "InumCostModel",
     "WorkloadBuildReport",
     "WorkloadBuildResult",
-    "WorkloadBuilderOptions",
-    "WorkloadCacheBuilder",
     "covering_configuration",
     "covering_indexes_for",
     "enumerate_atomic_configurations",

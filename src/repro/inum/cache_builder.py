@@ -44,13 +44,10 @@ class InumBuilderOptions:
     index access paths attractive to the optimizer, so the per-IOC calls
     return a richer variety of plans -- the setting INUM uses in practice and
     the one the Section IV redundancy numbers refer to.
-    ``max_combinations`` caps the enumeration for very wide queries (a safety
-    valve for experiments, disabled by default).
     """
 
     include_nestloop_plans: bool = True
     covering_probe_indexes: bool = False
-    max_combinations: Optional[int] = None
 
 
 class InumCacheBuilder:
@@ -99,8 +96,6 @@ class InumCacheBuilder:
         cache = cache if cache is not None else InumCache(query)
         orders_by_table = interesting_orders_by_table(query)
         combinations = enumerate_combinations(query, orders_by_table)
-        if self._options.max_combinations is not None:
-            combinations = combinations[: self._options.max_combinations]
 
         baseline = WhatIfCallCache.hit_baseline(self._whatif)
         probes = 0

@@ -28,10 +28,16 @@ from repro.inum.access_costs import AccessCostInfo
 from repro.inum.cache import CacheBuildStatistics, CacheEntry, CachedSlot, InumCache
 from repro.optimizer.interesting_orders import InterestingOrderCombination
 from repro.optimizer.maintenance import MaintenanceProfile
+from repro.optimizer.optimizer import OptimizerOptions
 from repro.optimizer.plan import PlanSummary
 from repro.query.ast import Query
 from repro.util.errors import PlanningError
-from repro.util.fingerprint import catalog_fingerprint, index_set_fingerprint, query_fingerprint
+from repro.util.fingerprint import (
+    catalog_fingerprint,
+    index_set_fingerprint,
+    optimizer_fingerprint,
+    query_fingerprint,
+)
 
 #: Format version written into every serialized cache.
 FORMAT_VERSION = 1
@@ -195,13 +201,17 @@ class CacheStore:
 
     Each file wraps :func:`cache_to_dict`'s payload in an envelope recording
     the store format version, the catalog fingerprint the cache was built
-    against, the query fingerprint, the builder that produced it and a digest
-    of the candidate-index set whose access costs were collected.  A lookup
-    only succeeds when *all* of those match: changing the schema or the
-    statistics changes the catalog fingerprint (a different subdirectory is
-    consulted, so every old cache is invisible), and a cache built for a
-    different candidate set or builder is rejected as stale.  Corrupt or
-    unreadable files are treated as misses, never as errors.
+    against, the fingerprint of the optimizer that built it (``optimizer``:
+    its options, ``None`` for the defaults), the query fingerprint, the
+    builder that produced it and a digest of the candidate-index set whose
+    access costs were collected.  A lookup only succeeds when *all* of those
+    match: changing the schema or the statistics changes the catalog
+    fingerprint (a different subdirectory is consulted, so every old cache is
+    invisible), and a cache built by another optimizer (other cost
+    parameters, an older planner revision, or written before envelopes
+    recorded the optimizer), for a different candidate set or by another
+    builder is rejected as stale.  Corrupt or unreadable files are treated
+    as misses, never as errors.
     """
 
     #: Process-wide counter so concurrent saves never share a scratch file.
@@ -212,9 +222,11 @@ class CacheStore:
         root: Union[str, Path],
         catalog: Catalog,
         page_cache: Optional[PageCache] = None,
+        optimizer: Optional[OptimizerOptions] = None,
     ) -> None:
         self.root = Path(root)
         self.catalog_fingerprint = catalog_fingerprint(catalog)
+        self.optimizer_fingerprint = optimizer_fingerprint(optimizer or OptimizerOptions())
         self.statistics = CacheStoreStatistics()
         #: Optional shared in-memory page cache (see :class:`PageCache`);
         #: the concurrent server hands every session's store the same one.
@@ -284,6 +296,7 @@ class CacheStore:
         envelope = {
             "store_format_version": STORE_FORMAT_VERSION,
             "catalog_fingerprint": self.catalog_fingerprint,
+            "optimizer_fingerprint": self.optimizer_fingerprint,
             "query_fingerprint": query_fingerprint(query),
             "builder": builder,
             "candidate_fingerprint": index_set_fingerprint(candidate_indexes),
@@ -333,6 +346,8 @@ class CacheStore:
             raise PlanningError("unsupported store format version")
         if envelope.get("catalog_fingerprint") != self.catalog_fingerprint:
             raise PlanningError("cache was built against a different catalog")
+        if envelope.get("optimizer_fingerprint") != self.optimizer_fingerprint:
+            raise PlanningError("cache was built by a different optimizer")
         if envelope.get("query_fingerprint") != query_fingerprint(query):
             raise PlanningError("cache was built for a different query")
         if envelope.get("builder") != builder:

@@ -45,16 +45,6 @@ BUILD_SECONDS = _REGISTRY.histogram(
     ("builder", "phase"),
 )
 
-#: Workload-builder outcomes per query: ``built`` cost optimizer work,
-#: ``from_store`` loaded from the persistent store, ``deduplicated`` shared
-#: an identical-SQL sibling's build (the same words as
-#: ``repro_session_caches_total``'s label below).
-BUILD_QUERIES = _REGISTRY.counter(
-    "repro_build_queries_total",
-    "Workload cache-builder outcomes per query.",
-    ("source",),
-)
-
 # -- selection (advisor/) ----------------------------------------------------------
 
 #: Selector wall time per algorithm (``greedy`` / ``lazy_greedy`` / ``ilp``).
@@ -93,9 +83,10 @@ RECOMMEND_SECONDS = _REGISTRY.histogram(
     ("selector",),
 )
 
-#: Where each requested plan cache came from: ``built`` / ``from_store`` /
-#: ``deduplicated`` / ``reused`` (session pool) / ``shared`` (tier) -- one
-#: vocabulary with the builder report's outcome ``source`` and the
+#: Where each requested plan cache came from: ``deduplicated`` (earlier in
+#: the same call) / ``reused`` (session pool) / ``shared`` (tier) /
+#: ``from_store`` / ``built`` -- one vocabulary with the build report's
+#: outcome ``source`` and the
 #: ``SessionStatistics.caches_<source>`` fields; bumped in one place,
 #: :meth:`repro.api.tier.PlanCachePool.acquire`.
 SESSION_CACHES = _REGISTRY.counter(

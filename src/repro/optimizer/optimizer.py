@@ -25,6 +25,13 @@ from repro.query.ast import Query
 from repro.query.preprocessor import QueryPreprocessor
 
 
+#: The planner's revision, part of every cached answer's identity
+#: (:func:`repro.util.fingerprint.optimizer_fingerprint`).  Bump it in any
+#: change that alters a plan or a cost, so plan caches persisted or shared
+#: under the old planner are rejected as stale instead of answering for it.
+PLANNER_REVISION = 1
+
+
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Session-level optimizer settings.

@@ -7,7 +7,9 @@ The workload-scale cache machinery needs compact, deterministic identities:
   order combinations and across builders,
 * the persistent cache store keys its files by *catalog* and *query*, so a
   cache is reused across advisor runs and invalidated the moment the schema
-  or the statistics change.
+  or the statistics change,
+* the store and the shared tier also key by *optimizer*, so a cached answer
+  is never handed to an optimizer that prices plans differently.
 
 All fingerprints are hex digests of a canonical textual description, so they
 are stable across processes and Python versions (``hash()`` is salted per
@@ -16,12 +18,14 @@ process and therefore useless here).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from typing import Iterable, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.catalog import Catalog
     from repro.catalog.index import Index
+    from repro.optimizer.optimizer import OptimizerOptions
     from repro.query.ast import Query, Statement
 
 #: Length of the hex digests returned by the fingerprint functions.
@@ -108,6 +112,23 @@ def catalog_fingerprint(catalog: "Catalog") -> str:
             f"index:{index.name}:{index.table}:{index.columns}:"
             f"{index.unique}:{index.hypothetical}"
         )
+    return _digest(parts)
+
+
+def optimizer_fingerprint(options: "OptimizerOptions") -> str:
+    """Fingerprint of what makes an optimizer's answers what they are.
+
+    Digests every cost parameter, ``enable_nestloop`` and the hand-bumped
+    :data:`~repro.optimizer.optimizer.PLANNER_REVISION`, so a plan cache
+    built under other constants or by an older planner is never reused.
+    """
+    from repro.optimizer.optimizer import PLANNER_REVISION
+
+    parts = [f"revision:{PLANNER_REVISION}", f"nestloop:{options.enable_nestloop}"]
+    parts.extend(
+        f"{name}:{value!r}"
+        for name, value in sorted(dataclasses.asdict(options.cost_parameters).items())
+    )
     return _digest(parts)
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.advisor import AdvisorOptions
 from repro.advisor.advisor import CANDIDATE_POLICIES, COST_MODELS, ENGINES, SELECTORS
-from repro.inum.workload_builder import CACHE_BUILDERS, WorkloadBuilderOptions
+from repro.inum.workload_builder import CACHE_BUILDERS, build_one_cache
+from repro.optimizer import Optimizer
 from repro.util.errors import AdvisorError, ReproError, validate_name
 
 
@@ -49,9 +50,9 @@ class TestEagerOptionValidation:
         )
         assert options.cost_model == "inum"
 
-    def test_workload_builder_unknown_builder_lists_choices(self):
+    def test_workload_builder_unknown_builder_lists_choices(self, small_catalog, join_query):
         with pytest.raises(ReproError, match=r"unknown cache builder 'magic'.*'inum', 'pinum'"):
-            WorkloadBuilderOptions(builder="magic")
+            build_one_cache(Optimizer(small_catalog), None, "magic", join_query, None)
 
     def test_numpy_engine_without_numpy_fails_at_construction(self, monkeypatch):
         """Availability is probed eagerly too, before any cache is built."""

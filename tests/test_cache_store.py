@@ -8,7 +8,8 @@ import pytest
 from repro.advisor import CandidateGenerator
 from repro.catalog import TableStatistics
 from repro.inum import CacheStore, InumCostModel
-from repro.optimizer import Optimizer
+from repro.optimizer import Optimizer, OptimizerOptions
+from repro.optimizer.cost_model import CostParameters
 from repro.pinum import PinumCacheBuilder, PinumCostModel
 from repro.util.fingerprint import catalog_fingerprint
 
@@ -120,6 +121,28 @@ class TestInvalidation:
         path = store.save(join_query, built_cache, "pinum", candidates)
         envelope = json.loads(path.read_text())
         envelope["store_format_version"] = 999
+        path.write_text(json.dumps(envelope))
+        assert store.load(join_query, "pinum", candidates) is None
+        assert store.statistics.stale_rejections == 1
+
+    def test_other_optimizer_is_stale(self, tmp_path, small_catalog, join_query,
+                                      candidates, built_cache):
+        CacheStore(tmp_path, small_catalog).save(join_query, built_cache, "pinum", candidates)
+        cheap_random_io = OptimizerOptions(
+            cost_parameters=CostParameters(random_page_cost=1.1)
+        )
+        other = CacheStore(tmp_path, small_catalog, optimizer=cheap_random_io)
+        assert other.load(join_query, "pinum", candidates) is None
+        assert other.statistics.stale_rejections == 1
+        assert CacheStore(tmp_path, small_catalog).load(join_query, "pinum", candidates)
+
+    def test_envelope_without_optimizer_is_stale(self, tmp_path, small_catalog, join_query,
+                                                 candidates, built_cache):
+        """A file written before envelopes recorded the optimizer is a miss."""
+        store = CacheStore(tmp_path, small_catalog)
+        path = store.save(join_query, built_cache, "pinum", candidates)
+        envelope = json.loads(path.read_text())
+        del envelope["optimizer_fingerprint"]
         path.write_text(json.dumps(envelope))
         assert store.load(join_query, "pinum", candidates) is None
         assert store.statistics.stale_rejections == 1

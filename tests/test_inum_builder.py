@@ -52,14 +52,6 @@ class TestPlanCachePhase:
         cache = builder.build_plan_cache(join_query)
         assert cache.build_stats.optimizer_calls_plans == 2 * combination_count(join_query)
 
-    def test_max_combinations_cap(self, small_catalog, join_query):
-        optimizer = Optimizer(small_catalog)
-        builder = InumCacheBuilder(
-            optimizer, InumBuilderOptions(include_nestloop_plans=False, max_combinations=3)
-        )
-        cache = builder.build_plan_cache(join_query)
-        assert cache.build_stats.optimizer_calls_plans == 3
-
     def test_entries_far_fewer_than_calls(self, small_catalog, join_query):
         """Section IV's redundancy: most per-IOC calls return duplicate plans."""
         optimizer = Optimizer(small_catalog)

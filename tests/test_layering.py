@@ -6,8 +6,10 @@ implements their members (``repro.advisor.advisor``,
 layer -- and therefore need no function-local imports to dodge a cycle.
 Likewise a plan is one ``PlanNode`` class whose consumers read ``node.op``,
 so nothing outside ``optimizer/plan.py`` names a node subclass or asks
-``isinstance(..., PlanNode)``.  This module pins both by walking the source
-with :mod:`ast`.
+``isinstance(..., PlanNode)``.  And a plan cache is built in one place,
+``build_one_cache``, reached only from the session's lookup chain and the
+standalone cost-model helper.  This module pins all three by walking the
+source with :mod:`ast`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import subprocess
 import sys
 from pathlib import Path
 from typing import Iterator, List, Tuple
+
+from repro.inum.workload_builder import CACHE_BUILDERS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -128,6 +132,47 @@ def test_importing_the_cli_loads_neither_the_ilp_package_nor_the_tcp_server():
         check=True,
     ).stdout
     assert output.strip() == "[]"
+
+
+def _calls(tree: ast.AST) -> Iterator[Tuple[str, str]]:
+    """``(callee, enclosing function)`` for every call; a call through a
+    subscript (``TABLE[name](...)``) is reported as ``"TABLE[]"``."""
+
+    def walk(node: ast.AST, scope: Tuple[str, ...]) -> Iterator[Tuple[str, str]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name):
+                    yield func.id, ".".join(scope)
+                elif isinstance(func, ast.Attribute):
+                    yield func.attr, ".".join(scope)
+                elif isinstance(func, ast.Subscript) and isinstance(func.value, ast.Name):
+                    yield f"{func.value.id}[]", ".".join(scope)
+            yield from walk(child, scope)
+
+    return walk(tree, ())
+
+
+def test_plan_caches_are_built_in_one_place():
+    """Per-query builders are constructed only by ``build_one_cache``, whose
+    only product callers are the lookup chain and the standalone helper: a
+    second acquisition chain cannot come back silently."""
+    constructors = {"CACHE_BUILDERS[]"} | {cls.__name__ for cls in CACHE_BUILDERS.values()}
+    constructed, callers = set(), set()
+    for name, tree in _modules():
+        for callee, where in _calls(tree):
+            if callee in constructors:
+                constructed.add((name, where))
+            elif callee == "build_one_cache":
+                callers.add((name, where))
+    assert constructed == {("inum/workload_builder.py", "build_one_cache")}
+    assert callers == {
+        ("api/tier.py", "PlanCachePool.acquire"),
+        ("advisor/benefit.py", "CacheBackedWorkloadCostModel.build"),
+    }
 
 
 def _names(node: ast.AST) -> Iterator[str]:

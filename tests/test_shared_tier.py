@@ -17,6 +17,8 @@ from repro.api.session import TuningSession
 from repro.api.tier import SharedCacheTier, TierNamespace
 from repro.inum.cache import InumCache
 from repro.inum.serialization import CacheStore, PageCache
+from repro.optimizer import Optimizer, OptimizerOptions
+from repro.optimizer.cost_model import CostParameters
 from repro.query.parser import parse_statement
 from repro.workloads import builtin_workload
 
@@ -94,6 +96,30 @@ class TestSharedBuilds:
         assert tier.namespace_count == 2
         assert star.statistics.caches_shared == 0
         assert star.statistics.caches_built > 0
+
+    def test_other_cost_parameters_never_see_anothers_answers(self, tmp_path):
+        """Neither the tier nor the store hands a cache built under
+        ``random_page_cost=4.0`` to a session that prices random I/O at 1.1."""
+
+        def recommend(random_page_cost, **kwargs):
+            catalog, workload = builtin_workload("star", 7)
+            parameters = CostParameters(random_page_cost=random_page_cost)
+            optimizer = Optimizer(catalog, OptimizerOptions(cost_parameters=parameters))
+            return TuningSession(
+                catalog, workload[:3], optimizer=optimizer, **kwargs
+            ).recommend()
+
+        solo = recommend(1.1)
+        on_disk = AdvisorOptions(cache_dir=str(tmp_path))
+        tier = SharedCacheTier()
+        for kwargs in ({"options": on_disk}, {"shared_tier": tier}):
+            default = recommend(4.0, **kwargs)
+            assert default.result.workload_cost_after != solo.result.workload_cost_after
+            beside = recommend(1.1, **kwargs)
+            assert beside.caches_built == 3
+            assert beside.result.workload_cost_after == solo.result.workload_cost_after
+        assert recommend(4.0, shared_tier=tier).caches_shared == 3
+        assert tier.namespace_count == 2
 
 
 class TestSessionIsolation:
@@ -226,7 +252,9 @@ class TestTierInternals:
     def test_store_for_returns_one_store_per_directory(self, tmp_path):
         tier = SharedCacheTier()
         catalog, _ = builtin_workload("tpch", 7)
-        assert tier.store_for(tmp_path, catalog) is tier.store_for(tmp_path, catalog)
+        store = tier.store_for(tmp_path, catalog, OptimizerOptions())
+        assert tier.store_for(tmp_path, catalog, OptimizerOptions()) is store
+        assert tier.store_for(tmp_path, catalog, OptimizerOptions(enable_nestloop=False)) is not store
 
 
 class TestThreadedStress:
