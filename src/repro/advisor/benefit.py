@@ -267,9 +267,8 @@ class OptimizerWorkloadCostModel(WorkloadCostModel):
     greedy run over a large candidate set would accumulate without bound).
 
     ``whatif`` optionally substitutes a shared what-if layer (e.g. a
-    session's :class:`~repro.optimizer.whatif.WhatIfCallCache`), and
-    ``cost_memo`` a shared scalar-cost dictionary, so the memoized answers
-    outlive any single model instance.
+    session's :class:`~repro.optimizer.whatif.WhatIfCallCache`), whose
+    memoized answers outlive any single model instance.
     """
 
     def __init__(
@@ -277,12 +276,11 @@ class OptimizerWorkloadCostModel(WorkloadCostModel):
         optimizer: Optimizer,
         queries: Sequence[Query],
         whatif: Optional[Union[WhatIfOptimizer, WhatIfCallCache]] = None,
-        cost_memo: Optional[Dict[tuple, float]] = None,
         weights: Optional[Mapping[str, float]] = None,
     ) -> None:
         super().__init__(queries, weights=weights)
         self._whatif = whatif if whatif is not None else WhatIfOptimizer(optimizer)
-        self._cost_memo: Dict[tuple, float] = cost_memo if cost_memo is not None else {}
+        self._cost_memo: Dict[tuple, float] = {}
 
     def _query_cost(self, query: Query, indexes: Sequence[Index]) -> float:
         relevant = [index for index in indexes if index.table in query.tables]

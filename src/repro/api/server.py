@@ -14,10 +14,9 @@ What changes is the state model:
   that names its session can reconnect to warm state after a dropped
   connection.
 * **one shared read-only tier** (:class:`~repro.api.tier.SharedCacheTier`)
-  under every session: plan caches, compiled workload arenas, what-if
-  results and parsed store pages are built once process-wide and adopted by
-  later sessions (their ``recommend`` reports ``caches_shared`` instead of
-  ``caches_built``).
+  under every session: plan caches, compiled workload arenas and what-if
+  answers are built once process-wide and adopted by later sessions (their
+  ``recommend`` reports ``caches_shared`` instead of ``caches_built``).
 * **per-session serialization, cross-session concurrency**: each session's
   requests run one at a time (an :class:`asyncio.Lock` guards it) on a
   thread pool, so CPU-bound recommends from different tenants overlap

@@ -208,16 +208,11 @@ class TuningSession:
         if shared_tier is not None:
             namespace = shared_tier.namespace_for(catalog, optimizer_options)
         if self._options.cache_dir is not None:
-            store = (
-                shared_tier.store_for(self._options.cache_dir, catalog, optimizer_options)
-                if shared_tier is not None
-                else CacheStore(self._options.cache_dir, catalog, optimizer=optimizer_options)
-            )
+            store = CacheStore(self._options.cache_dir, catalog, optimizer=optimizer_options)
         self._call_cache = WhatIfCallCache(
             self._optimizer,
             shared=namespace.whatif if namespace is not None else None,
         )
-        self._whatif_cost_memo: Dict[tuple, float] = {}
         self._queries: Dict[str, Statement] = {}
         self.statistics = SessionStatistics()
         #: Where every plan cache of this session comes from.
@@ -512,6 +507,7 @@ class TuningSession:
         tracer = get_tracer()
         with tracer.span("session.recommend", root=request.trace) as span, timed() as timer:
             response = self._recommend(request, tracer)
+            self._call_cache.publish_shared()
             span.set(
                 selector=response.result.selector,
                 engine=response.result.engine,
@@ -617,6 +613,7 @@ class TuningSession:
         cost_model = self._cost_model(workload, self._options, reuse=True)[0]
         indexes = list(request.indexes)
         per_query = cost_model.per_query_costs(indexes)
+        self._call_cache.publish_shared()
         return EvaluateResponse(
             total_cost=cost_model.weighted_total(per_query),
             per_query_costs=per_query,
@@ -643,6 +640,7 @@ class TuningSession:
             per_query[query.name] = self._call_cache.statement_cost(
                 query, relevant, exclusive=True
             )
+        self._call_cache.publish_shared()
         return WhatIfResponse(
             total_cost=sum(
                 weights.get(query.name, 1.0) * per_query[query.name]
@@ -863,7 +861,6 @@ class TuningSession:
                 self._optimizer,
                 workload,
                 whatif=self._call_cache,
-                cost_memo=self._whatif_cost_memo,
                 weights=options.weight_map(),
             )
         else:

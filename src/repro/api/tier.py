@@ -31,16 +31,20 @@ hold N copies of the compiled arenas.  :class:`SharedCacheTier` is that tier:
   :class:`~repro.catalog.catalog.Catalog` objects still share, while a
   session whose optimizer prices plans differently never sees another's
   answers,
-* **plan caches** (:class:`~repro.inum.cache.InumCache`) and **compiled
-  workload arenas**, each held in one :class:`PublishedMap` -- a bounded,
-  copy-on-write, first-promotion-wins dict -- plus **what-if optimizer
-  results**,
-* **persistent-store pages**: one :class:`~repro.inum.serialization.PageCache`
-  shared by every session's :class:`~repro.inum.serialization.CacheStore`,
-  so a warm store is read and parsed once per process, not once per tenant.
+* three :class:`PublishedMap` instances per namespace -- bounded,
+  copy-on-write, first-promotion-wins dicts -- holding the **plan caches**
+  (:class:`~repro.inum.cache.InumCache`), the **compiled workload arenas**
+  and the **what-if answers** (plain optimizer results and maintenance
+  costs).  That is the tier's only sharing primitive.
 
-A session sees each :class:`PublishedMap` through a :class:`LocalPool`: a
-small LRU of its own references in front of the (optional) shared map.
+A session sees the cache and arena maps through a :class:`LocalPool`: a
+small LRU of its own references in front of the (optional) shared map.  Its
+:class:`~repro.optimizer.whatif.WhatIfCallCache` reads the what-if map on a
+local miss and promotes its fresh answers in one batch per request.  The
+persistent store is not shared: each session opens its own
+:class:`~repro.inum.serialization.CacheStore`, and what it loads is
+promoted like any other cache.
+
 Sessions keep *mutable* workload state (queries, weights, budget, DML
 maintenance profiles) to themselves; only immutable-after-build artifacts
 are pooled or promoted.  A pooled cache is never written: the session puts
@@ -59,7 +63,6 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, OrderedDict
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -72,7 +75,7 @@ from typing import (
 )
 
 from repro.inum.cache import CacheBuildStatistics
-from repro.inum.serialization import CacheStore, PageCache
+from repro.inum.serialization import CacheStore
 from repro.inum.workload_builder import (
     QueryBuildOutcome,
     WorkloadBuildReport,
@@ -81,7 +84,7 @@ from repro.inum.workload_builder import (
     rename_cache,
 )
 from repro.obs.instruments import TIER_LOOKUPS, TIER_PROMOTIONS
-from repro.optimizer.whatif import SharedWhatIfResults, WhatIfCallCache
+from repro.optimizer.whatif import WhatIfCallCache
 from repro.util.fingerprint import (
     catalog_fingerprint,
     index_set_fingerprint,
@@ -118,15 +121,6 @@ def cache_keys(
         )
         for statement in statements
     }
-
-
-#: Arenas published per catalog namespace.  An arena spans a whole workload,
-#: so every workload delta of every tenant promotes a fresh one that only
-#: that tenant will ask for again (and keeps in its own pool); what is worth
-#: sharing is the handful of base workloads, adopted right after they are
-#: promoted.  An arena is ~0.4 MB at 11 statements, so a generous bound
-#: would hold every delta arena for the server's life.
-DEFAULT_MAX_ARENAS = 8
 
 
 class PublishedMap:
@@ -191,21 +185,23 @@ class TierNamespace:
     """The shared artifacts of one (catalog, optimizer) fingerprint pair.
 
     Plan caches are keyed by :data:`CacheKey`, arenas by
-    :func:`repro.inum.arena.arena_fingerprint`, so a tier hit is exactly as
-    safe as a session-pool hit.
+    :func:`repro.inum.arena.arena_fingerprint` and what-if answers by the
+    :class:`~repro.optimizer.whatif.WhatIfCallCache` keys, so a tier hit is
+    exactly as safe as a session-local hit.
+
+    Arenas get a small bound: an arena spans a whole workload, so every
+    workload delta of every tenant promotes a fresh one that only that
+    tenant will ask for again (and keeps in its own pool); what is worth
+    sharing is the handful of base workloads, adopted right after they are
+    promoted.  An arena is ~0.4 MB at 11 statements, so a generous bound
+    would hold every delta arena for the server's life.
     """
 
-    def __init__(
-        self,
-        fingerprint: str,
-        *,
-        max_caches: int = 2048,
-        max_arenas: int = DEFAULT_MAX_ARENAS,
-    ) -> None:
+    def __init__(self, fingerprint: str) -> None:
         self.fingerprint = fingerprint
-        self.whatif = SharedWhatIfResults()
-        self.caches = PublishedMap("cache", max_caches)
-        self.arenas = PublishedMap("arena", max_arenas)
+        self.caches = PublishedMap("cache", 2048)
+        self.arenas = PublishedMap("arena", 8)
+        self.whatif = PublishedMap("whatif", 65536)
         self.sessions_attached = 0
 
 
@@ -369,25 +365,15 @@ class SharedCacheTier:
     Hand one instance to every :class:`~repro.api.session.TuningSession`
     (``shared_tier=``) -- or let :class:`~repro.api.server.TuningServer` do
     it -- and N sessions over the same catalog share one copy of the plan
-    caches, compiled arenas, what-if results and parsed store pages.
+    caches, compiled arenas and what-if answers.
     The first session pays each build; every later session's
     ``recommend`` is answered with 0 cache builds (reported as
     ``caches_shared`` in its statistics).
     """
 
-    def __init__(
-        self,
-        *,
-        max_caches_per_catalog: int = 2048,
-        max_arenas_per_catalog: int = DEFAULT_MAX_ARENAS,
-    ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._max_caches = max_caches_per_catalog
-        self._max_arenas = max_arenas_per_catalog
         self._namespaces: Dict[str, TierNamespace] = {}
-        #: One parsed-page cache shared by every session's persistent store.
-        self.page_cache = PageCache()
-        self._stores: Dict[Tuple[str, str, str], CacheStore] = {}
 
     def namespace_for(
         self, catalog: "Catalog", optimizer: "OptimizerOptions"
@@ -396,7 +382,8 @@ class SharedCacheTier:
 
         Keyed by both fingerprints, so every artifact a namespace holds --
         plan caches, arenas, what-if answers -- came from an optimizer that
-        prices plans the same way.
+        prices plans the same way.  A :class:`CacheStore` names its
+        directory by the same string.
         """
         fingerprint = f"{catalog_fingerprint(catalog)}.{optimizer_fingerprint(optimizer)}"
         namespace = self._namespaces.get(fingerprint)
@@ -404,44 +391,10 @@ class SharedCacheTier:
             with self._lock:
                 namespace = self._namespaces.get(fingerprint)
                 if namespace is None:
-                    namespace = TierNamespace(
-                        fingerprint,
-                        max_caches=self._max_caches,
-                        max_arenas=self._max_arenas,
-                    )
+                    namespace = TierNamespace(fingerprint)
                     self._namespaces[fingerprint] = namespace
         namespace.sessions_attached += 1
         return namespace
-
-    def store_for(
-        self,
-        cache_dir: object,
-        catalog: "Catalog",
-        optimizer: "OptimizerOptions",
-    ) -> CacheStore:
-        """One persistent store per (directory, catalog, optimizer), page
-        cache shared.
-
-        Sessions pointing at the same ``cache_dir`` with equal optimizers
-        get the *same* :class:`CacheStore` object, so its hit/save
-        statistics aggregate across tenants and every parsed page lands in
-        the shared :class:`PageCache` exactly once.
-        """
-        key = (
-            str(Path(cache_dir).resolve()),
-            catalog_fingerprint(catalog),
-            optimizer_fingerprint(optimizer),
-        )
-        store = self._stores.get(key)
-        if store is None:
-            with self._lock:
-                store = self._stores.get(key)
-                if store is None:
-                    store = CacheStore(
-                        cache_dir, catalog, page_cache=self.page_cache, optimizer=optimizer
-                    )
-                    self._stores[key] = store
-        return store
 
     @property
     def namespace_count(self) -> int:
@@ -461,8 +414,6 @@ class SharedCacheTier:
             "arenas_published": sum(len(ns.arenas) for ns in namespaces),
             "whatif_shared_hits": sum(ns.whatif.hits for ns in namespaces),
             "whatif_shared_promotions": sum(ns.whatif.promotions for ns in namespaces),
-            "store_page_hits": self.page_cache.hits,
-            "store_page_misses": self.page_cache.misses,
             "cache_hits": sum(ns.caches.hits for ns in namespaces),
             "cache_promotions": sum(ns.caches.promotions for ns in namespaces),
             "arena_hits": sum(ns.arenas.hits for ns in namespaces),

@@ -317,7 +317,7 @@ def _cmd_cache_workload(args: argparse.Namespace) -> int:
           f"(per-query build time {report.build_seconds:.2f}s)")
     store = session.store
     if store is not None:
-        line = (f"cache store     : {store.catalog_dir} "
+        line = (f"cache store     : {store.directory} "
                 f"({store.stored_count()} caches, {store.statistics.saves} saved this run")
         if store.statistics.stale_rejections:
             line += f", {store.statistics.stale_rejections} stale rejected"

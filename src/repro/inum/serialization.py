@@ -5,7 +5,9 @@ design, where caches must be built (and kept) per query as the workload
 arrives.  Persisting a cache between designer runs makes the construction
 cost a one-time expense; this module provides the stable on-disk format and
 the :class:`CacheStore` that manages a directory of such caches keyed by
-catalog and query fingerprints.
+catalog, optimizer and query fingerprints.  A store holds no parsed pages
+in memory: each load reads its file, and a session keeps what it loaded in
+its own cache pool (and, on a server, publishes it to the shared tier).
 
 Only the information the cost model needs is stored: per-entry internal
 costs, symbolic leaf slots and the access-cost table.  A cache keeps no plan
@@ -18,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import threading
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Union
 
@@ -124,56 +125,6 @@ def load_cache(path: str, query: Query) -> InumCache:
 # -- the persistent cache store ----------------------------------------------------
 
 
-class PageCache:
-    """A shared in-memory cache of parsed store pages, keyed by file path.
-
-    N concurrent sessions over one warm :class:`CacheStore` would otherwise
-    each re-read and re-parse the same JSON pages from disk.  Entries record
-    the file's mtime at parse time and are invalidated when the file changes,
-    so an external writer (another process filling the same store) is picked
-    up on the next load.  Cached envelopes are treated as **read-only** by
-    every consumer (:meth:`CacheStore._unwrap` copies before renaming), which
-    is what makes one parsed page safe to share across sessions.
-    """
-
-    def __init__(self, max_pages: int = 1024) -> None:
-        self._lock = threading.Lock()
-        self._max_pages = max(1, max_pages)
-        self._pages: Dict[str, tuple] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._pages)
-
-    def get(self, path: Union[str, Path]) -> Optional[Dict[str, Any]]:
-        """The cached envelope for ``path``, or ``None`` when absent/stale."""
-        entry = self._pages.get(str(path))
-        if entry is not None:
-            mtime, envelope = entry
-            try:
-                if os.stat(path).st_mtime_ns == mtime:
-                    self.hits += 1
-                    return envelope
-            except OSError:
-                pass
-        self.misses += 1
-        return None
-
-    def put(self, path: Union[str, Path], envelope: Dict[str, Any]) -> None:
-        """Record a freshly parsed (or freshly written) page."""
-        try:
-            mtime = os.stat(path).st_mtime_ns
-        except OSError:
-            return
-        with self._lock:
-            if len(self._pages) >= self._max_pages:
-                # Age out the oldest entries (dicts preserve insertion order).
-                for stale in list(self._pages)[: len(self._pages) - self._max_pages + 1]:
-                    del self._pages[stale]
-            self._pages[str(path)] = (mtime, envelope)
-
-
 class CacheStoreStatistics:
     """Bookkeeping of one :class:`CacheStore` instance's activity."""
 
@@ -196,7 +147,7 @@ class CacheStore:
     Layout::
 
         <root>/
-          <catalog fingerprint>/
+          <catalog fingerprint>.<optimizer fingerprint>/
             <query fingerprint>.<builder>.json
 
     Each file wraps :func:`cache_to_dict`'s payload in an envelope recording
@@ -205,13 +156,14 @@ class CacheStore:
     its options, ``None`` for the defaults), the query fingerprint, the
     builder that produced it and a digest of the candidate-index set whose
     access costs were collected.  A lookup only succeeds when *all* of those
-    match: changing the schema or the statistics changes the catalog
-    fingerprint (a different subdirectory is consulted, so every old cache is
-    invisible), and a cache built by another optimizer (other cost
-    parameters, an older planner revision, or written before envelopes
-    recorded the optimizer), for a different candidate set or by another
-    builder is rejected as stale.  Corrupt or unreadable files are treated
-    as misses, never as errors.
+    match.  Changing the schema, the statistics or the optimizer (other cost
+    parameters, an older planner revision) changes the directory name --
+    the shared tier's namespace key -- so every old cache is invisible and
+    two optimizers sharing one root never overwrite each other's files.  A
+    cache whose envelope names another catalog or optimizer (or was written
+    before envelopes recorded the optimizer), another candidate set or
+    another builder is rejected as stale.  Corrupt or unreadable files are
+    treated as misses, never as errors.
     """
 
     #: Process-wide counter so concurrent saves never share a scratch file.
@@ -221,27 +173,18 @@ class CacheStore:
         self,
         root: Union[str, Path],
         catalog: Catalog,
-        page_cache: Optional[PageCache] = None,
         optimizer: Optional[OptimizerOptions] = None,
     ) -> None:
         self.root = Path(root)
         self.catalog_fingerprint = catalog_fingerprint(catalog)
         self.optimizer_fingerprint = optimizer_fingerprint(optimizer or OptimizerOptions())
         self.statistics = CacheStoreStatistics()
-        #: Optional shared in-memory page cache (see :class:`PageCache`);
-        #: the concurrent server hands every session's store the same one.
-        self.page_cache = page_cache
-
-    # -- paths ------------------------------------------------------------
-
-    @property
-    def catalog_dir(self) -> Path:
-        """Directory holding this catalog's caches."""
-        return self.root / self.catalog_fingerprint
+        #: This (catalog, optimizer) pair's directory.
+        self.directory = self.root / f"{self.catalog_fingerprint}.{self.optimizer_fingerprint}"
 
     def path_for(self, query: Query, builder: str = "pinum") -> Path:
         """Where a query's cache lives for the given builder."""
-        return self.catalog_dir / f"{query_fingerprint(query)}.{builder}.json"
+        return self.directory / f"{query_fingerprint(query)}.{builder}.json"
 
     # -- load / save ------------------------------------------------------
 
@@ -259,16 +202,12 @@ class CacheStore:
         about the new candidates) and is rejected.
         """
         path = self.path_for(query, builder)
-        envelope = self.page_cache.get(path) if self.page_cache is not None else None
-        if envelope is None:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    envelope = json.load(handle)
-            except (OSError, ValueError):
-                self.statistics.misses += 1
-                return None
-            if self.page_cache is not None:
-                self.page_cache.put(path, envelope)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                envelope = json.load(handle)
+        except (OSError, ValueError):
+            self.statistics.misses += 1
+            return None
         try:
             cache = self._unwrap(envelope, query, builder, candidate_indexes)
         except PlanningError:
@@ -313,25 +252,23 @@ class CacheStore:
             os.replace(scratch, path)
         except OSError as error:
             raise PlanningError(f"cannot write cache store file {path}: {error}") from None
-        if self.page_cache is not None:
-            self.page_cache.put(path, envelope)
         self.statistics.saves += 1
         return path
 
     def clear(self) -> int:
-        """Delete every cache stored for this catalog; returns the count."""
+        """Delete every cache stored for this catalog and optimizer; returns the count."""
         removed = 0
-        if self.catalog_dir.is_dir():
-            for path in self.catalog_dir.glob("*.json"):
+        if self.directory.is_dir():
+            for path in self.directory.glob("*.json"):
                 path.unlink()
                 removed += 1
         return removed
 
     def stored_count(self) -> int:
-        """Number of cache files currently stored for this catalog."""
-        if not self.catalog_dir.is_dir():
+        """Number of cache files currently stored for this catalog and optimizer."""
+        if not self.directory.is_dir():
             return 0
-        return sum(1 for _ in self.catalog_dir.glob("*.json"))
+        return sum(1 for _ in self.directory.glob("*.json"))
 
     # -- internals --------------------------------------------------------
 

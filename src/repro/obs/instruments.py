@@ -104,7 +104,7 @@ SESSION_RETUNES = _REGISTRY.counter(
 
 # -- shared tier (api/tier.py) -----------------------------------------------------
 
-#: Tier lookups by artifact kind (``cache`` / ``arena``) and
+#: Tier lookups by artifact kind (``cache`` / ``arena`` / ``whatif``) and
 #: ``result`` (``hit`` / ``miss``).
 TIER_LOOKUPS = _REGISTRY.counter(
     "repro_tier_lookups_total",
@@ -112,7 +112,8 @@ TIER_LOOKUPS = _REGISTRY.counter(
     ("kind", "result"),
 )
 
-#: Artifacts promoted into the shared tier by kind.
+#: Artifacts promoted into the shared tier by kind (``cache`` / ``arena`` /
+#: ``whatif``).
 TIER_PROMOTIONS = _REGISTRY.counter(
     "repro_tier_promotions_total",
     "Artifacts promoted into the shared tier.",

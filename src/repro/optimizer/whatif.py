@@ -10,14 +10,16 @@ far fewer passes through it.
 observation is that cache construction asks the optimizer many *identical*
 questions, so a workload-scale build wraps the what-if interface once and
 every repeated (query, configuration, flags) probe is answered from memory
-instead of re-optimizing.
+instead of re-optimizing.  Sessions can also share their plain answers
+through one :class:`SharedAnswers` map (the shared tier's ``PublishedMap``):
+a local miss reads it, and fresh answers are promoted in one batch per
+request by :meth:`WhatIfCallCache.publish_shared`.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.catalog.index import Index
 from repro.obs.instruments import WHATIF_CALLS, WHATIF_SECONDS
@@ -190,99 +192,19 @@ def _hooks_signature(hooks: Optional[OptimizerHooks]) -> HooksSignature:
     )
 
 
-class SharedWhatIfResults:
-    """Cross-session, read-mostly what-if memo for concurrent serving.
+class SharedAnswers(Protocol):
+    """A cross-session answer map; the tier's ``PublishedMap`` is one.
 
-    Concurrent :class:`~repro.api.session.TuningSession`\\ s over the same
-    catalog ask the optimizer many identical questions.  This store lets N
-    sessions share one set of answers without sharing mutable state:
-
-    * **Reads are lock-free.**  Readers only ever touch ``_snapshot``, an
-      immutable published dict that is *replaced*, never mutated, so a read
-      can race a promotion on any Python implementation without torn state.
-    * **Writes go through a single-writer promotion path.**  ``promote``
-      appends to a private pending map under a lock; pending entries are
-      folded into a fresh snapshot every ``publish_interval`` promotions (or
-      on an explicit :meth:`publish`, which builders call after a build).
-
-    Results are safe to share because an :class:`OptimizationResult` is never
-    mutated after construction and the fingerprint keys already capture
-    everything (query, configuration, flags) that could change the answer.
-
-    Only *plain* answers (no hooks) are shared.  A hooked answer exists to
-    fill a plan cache, and the tier already shares the caches built from
-    them; publishing the answers too would hold every build's per-IOC plans
-    for the server's lifetime.
+    Only *plain* answers (no hooks) and maintenance costs are shared.  A
+    hooked answer exists to fill a plan cache, and the tier already shares
+    the caches built from them; publishing the answers too would hold every
+    build's per-IOC plans for the server's lifetime.  Plain keys are
+    4-tuples and maintenance keys 2-tuples, so the two never collide.
     """
 
-    def __init__(self, max_entries: int = 65536, publish_interval: int = 64) -> None:
-        self._lock = threading.Lock()
-        self._max_entries = max_entries
-        self._publish_interval = max(1, publish_interval)
-        #: Published immutable snapshots (replaced wholesale, never mutated).
-        self._snapshot: Dict[tuple, OptimizationResult] = {}
-        self._maintenance_snapshot: Dict[tuple, float] = {}
-        #: Pending promotions, folded into the snapshots under the lock.
-        self._pending: Dict[tuple, OptimizationResult] = {}
-        self._maintenance_pending: Dict[tuple, float] = {}
-        self.hits = 0
-        self.promotions = 0
+    def lookup(self, key: Hashable) -> Optional[object]: ...
 
-    def __len__(self) -> int:
-        return len(self._snapshot) + len(self._pending)
-
-    def lookup(self, key: tuple) -> Optional[OptimizationResult]:
-        """The published plain answer for ``key`` (lock-free; may lag promotions)."""
-        result = self._snapshot.get(key)
-        if result is not None:
-            self.hits += 1
-        return result
-
-    def lookup_maintenance(self, key: tuple) -> Optional[float]:
-        """The published maintenance cost for ``key`` (lock-free)."""
-        cost = self._maintenance_snapshot.get(key)
-        if cost is not None:
-            self.hits += 1
-        return cost
-
-    def promote(self, key: tuple, result: OptimizationResult) -> None:
-        """Queue one fresh plain answer for publication (single-writer path)."""
-        with self._lock:
-            self._pending[key] = result
-            self.promotions += 1
-            if len(self._pending) >= self._publish_interval:
-                self._publish_locked()
-
-    def promote_maintenance(self, key: tuple, cost: float) -> None:
-        """Queue one maintenance-cost answer for publication."""
-        with self._lock:
-            self._maintenance_pending[key] = cost
-            self.promotions += 1
-            if len(self._maintenance_pending) >= self._publish_interval:
-                self._publish_locked()
-
-    def publish(self) -> None:
-        """Fold every pending promotion into fresh published snapshots."""
-        with self._lock:
-            self._publish_locked()
-
-    def _publish_locked(self) -> None:
-        if self._pending:
-            merged = dict(self._snapshot)
-            merged.update(self._pending)
-            if len(merged) > self._max_entries:
-                # Age out the oldest insertions (dicts preserve order); the
-                # evicted answers are merely recomputed on next sight.
-                excess = len(merged) - self._max_entries
-                for key in list(merged)[:excess]:
-                    del merged[key]
-            self._snapshot = merged
-            self._pending = {}
-        if self._maintenance_pending:
-            merged_maintenance = dict(self._maintenance_snapshot)
-            merged_maintenance.update(self._maintenance_pending)
-            self._maintenance_snapshot = merged_maintenance
-            self._maintenance_pending = {}
+    def promote(self, items: Mapping[Hashable, object]) -> Mapping[Hashable, object]: ...
 
 
 class WhatIfCallCache:
@@ -305,25 +227,28 @@ class WhatIfCallCache:
     nor are ``access_paths_only`` results, which carry no plan at all.
 
     What it keeps, and for how long: every answer it computed or adopted
-    from the shared store, until :meth:`forget` drops the answers about one
+    from the shared map, until :meth:`forget` drops the answers about one
     query (a session calls it when it removes the last statement reading
     that query) or :meth:`clear` drops them all.  Maintenance costs are a
     few floats per (statement, index) and are kept for the cache's lifetime.
+    A fresh shareable answer also waits in a buffer until the next
+    :meth:`publish_shared`.
     """
 
     def __init__(
         self,
         whatif: Union[WhatIfOptimizer, Optimizer],
-        shared: Optional[SharedWhatIfResults] = None,
+        shared: Optional[SharedAnswers] = None,
     ) -> None:
         if isinstance(whatif, Optimizer):
             whatif = WhatIfOptimizer(whatif)
         self._whatif = whatif
         self._entries: Dict[tuple, List[Tuple[HooksSignature, OptimizationResult]]] = {}
         self._maintenance_memo: Dict[tuple, float] = {}
-        #: Optional cross-session store of plain answers: a plain local miss
-        #: consults its published snapshot, a plain computation is promoted.
+        #: Optional cross-session map: a shareable local miss reads it, a
+        #: shareable computation waits in ``_unpublished`` for the batch.
         self._shared = shared
+        self._unpublished: Dict[tuple, object] = {}
         self.statistics = WhatIfCallStatistics()
 
     @property
@@ -331,15 +256,16 @@ class WhatIfCallCache:
         """The underlying optimizer (for call-count inspection)."""
         return self._whatif.optimizer
 
-    @property
-    def shared(self) -> Optional[SharedWhatIfResults]:
-        """The cross-session result store this cache promotes into, if any."""
-        return self._shared
-
     def publish_shared(self) -> None:
-        """Publish pending promotions so other sessions can read them now."""
-        if self._shared is not None:
-            self._shared.publish()
+        """Promote every fresh shareable answer in one batch.
+
+        One batch per request, not one promotion per answer: a promotion
+        copies the published snapshot, so promoting per miss would be
+        quadratic over a long run of optimizer-priced evaluations.
+        """
+        if self._unpublished:
+            self._shared.promote(self._unpublished)
+            self._unpublished = {}
 
     def __len__(self) -> int:
         return sum(len(results) for results in self._entries.values())
@@ -353,7 +279,7 @@ class WhatIfCallCache:
         """Drop every memoized optimizer answer about ``query``.
 
         Answers are keyed by fingerprint, so this forgets them for every
-        query with the same SQL.  The shared store is not touched.
+        query with the same SQL.  The shared map is not touched.
         """
         fingerprint = query_fingerprint(query)
         for key in [key for key in self._entries if key[0] == fingerprint]:
@@ -402,7 +328,7 @@ class WhatIfCallCache:
         self.statistics.record_miss()
         self._entries.setdefault(key, []).append((signature, result))
         if share:
-            self._shared.promote(key, result)
+            self._unpublished[key] = result
         return result
 
     def cost_with_configuration(
@@ -451,13 +377,13 @@ class WhatIfCallCache:
         )
 
     def _maintenance_probe(self, key: tuple, compute, *arguments) -> float:
-        """``compute(*arguments)`` through the local memo and the shared tier."""
+        """``compute(*arguments)`` through the local memo and the shared map."""
         cost = self._maintenance_memo.get(key)
         if cost is not None:
             self.statistics.record_maintenance_hit()
             return cost
         if self._shared is not None:
-            cost = self._shared.lookup_maintenance(key)
+            cost = self._shared.lookup(key)
             if cost is not None:
                 self.statistics.record_maintenance_hit()
                 self._maintenance_memo[key] = cost
@@ -466,7 +392,7 @@ class WhatIfCallCache:
         self.statistics.record_maintenance_miss()
         self._maintenance_memo[key] = cost
         if self._shared is not None:
-            self._shared.promote_maintenance(key, cost)
+            self._unpublished[key] = cost
         return cost
 
     def statement_cost(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 
@@ -127,11 +128,20 @@ class TestInvalidation:
 
     def test_other_optimizer_is_stale(self, tmp_path, small_catalog, join_query,
                                       candidates, built_cache):
-        CacheStore(tmp_path, small_catalog).save(join_query, built_cache, "pinum", candidates)
+        """Another optimizer reads its own directory, and its envelope check
+        still rejects a file copied there from the default optimizer's."""
+        path = CacheStore(tmp_path, small_catalog).save(
+            join_query, built_cache, "pinum", candidates
+        )
         cheap_random_io = OptimizerOptions(
             cost_parameters=CostParameters(random_page_cost=1.1)
         )
         other = CacheStore(tmp_path, small_catalog, optimizer=cheap_random_io)
+        assert other.directory != path.parent
+        assert other.load(join_query, "pinum", candidates) is None
+        assert other.statistics.stale_rejections == 0
+        other.directory.mkdir()
+        shutil.copy(path, other.path_for(join_query, "pinum"))
         assert other.load(join_query, "pinum", candidates) is None
         assert other.statistics.stale_rejections == 1
         assert CacheStore(tmp_path, small_catalog).load(join_query, "pinum", candidates)

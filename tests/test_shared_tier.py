@@ -12,11 +12,16 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from repro.advisor.advisor import AdvisorOptions
+from repro.api.requests import WhatIfRequest
 from repro.api.session import TuningSession
-from repro.api.tier import SharedCacheTier, TierNamespace
+from repro.api.tier import PublishedMap, SharedCacheTier, TierNamespace
+from repro.catalog.index import Index
 from repro.inum.cache import InumCache
-from repro.inum.serialization import CacheStore, PageCache
 from repro.optimizer import Optimizer, OptimizerOptions
 from repro.optimizer.cost_model import CostParameters
 from repro.query.parser import parse_statement
@@ -31,6 +36,24 @@ def _session(tier, catalog_name="tpch", seed=7, **options):
         options=AdvisorOptions(**options) if options else None,
         shared_tier=tier,
     )
+
+
+def _priced_session(parameters, **kwargs):
+    """A session over star seed 7's first three statements whose optimizer
+    prices plans with ``parameters``."""
+    catalog, workload = builtin_workload("star", 7)
+    optimizer = Optimizer(catalog, OptimizerOptions(cost_parameters=parameters))
+    return TuningSession(catalog, workload[:3], optimizer=optimizer, **kwargs)
+
+
+def _priced_recommend(random_page_cost, **kwargs):
+    parameters = CostParameters(random_page_cost=random_page_cost)
+    return _priced_session(parameters, **kwargs).recommend()
+
+
+def _outcome(response):
+    result = response.result
+    return result.workload_cost_after, [index.key for index in result.selected_indexes]
 
 
 class TestSharedBuilds:
@@ -100,15 +123,7 @@ class TestSharedBuilds:
     def test_other_cost_parameters_never_see_anothers_answers(self, tmp_path):
         """Neither the tier nor the store hands a cache built under
         ``random_page_cost=4.0`` to a session that prices random I/O at 1.1."""
-
-        def recommend(random_page_cost, **kwargs):
-            catalog, workload = builtin_workload("star", 7)
-            parameters = CostParameters(random_page_cost=random_page_cost)
-            optimizer = Optimizer(catalog, OptimizerOptions(cost_parameters=parameters))
-            return TuningSession(
-                catalog, workload[:3], optimizer=optimizer, **kwargs
-            ).recommend()
-
+        recommend = _priced_recommend
         solo = recommend(1.1)
         on_disk = AdvisorOptions(cache_dir=str(tmp_path))
         tier = SharedCacheTier()
@@ -120,6 +135,87 @@ class TestSharedBuilds:
             assert beside.result.workload_cost_after == solo.result.workload_cost_after
         assert recommend(4.0, shared_tier=tier).caches_shared == 3
         assert tier.namespace_count == 2
+
+    def test_optimizers_sharing_a_store_keep_their_own_files(self, tmp_path):
+        """Two optimizers alternating on one ``cache_dir`` each find their
+        own files again instead of overwriting each other's."""
+        options = AdvisorOptions(cache_dir=str(tmp_path))
+        runs = [_priced_recommend(cost, options=options) for cost in (4.0, 1.1, 4.0, 1.1)]
+        assert [(run.caches_built, run.caches_from_store) for run in runs] == [
+            (3, 0), (3, 0), (0, 3), (0, 3)
+        ]
+        session = _priced_session(CostParameters(), options=options, shared_tier=SharedCacheTier())
+        assert session.store.directory.name == session.tier_namespace.fingerprint
+        assert session.store.stored_count() == 3
+
+
+@pytest.fixture(scope="module")
+def default_tenant(tmp_path_factory):
+    """A store directory and a tier, each filled by a default-optimizer recommend."""
+    store = tmp_path_factory.mktemp("default-store")
+    tier = SharedCacheTier()
+    for kwargs in ({"options": AdvisorOptions(cache_dir=str(store))}, {"shared_tier": tier}):
+        assert _priced_session(CostParameters(), **kwargs).recommend().caches_built == 3
+    return store, tier
+
+
+_COST_PARAMETERS = st.builds(
+    CostParameters,
+    seq_page_cost=st.floats(0.1, 4.0),
+    random_page_cost=st.floats(0.5, 8.0),
+    cpu_tuple_cost=st.floats(0.001, 0.05),
+    cpu_index_tuple_cost=st.floats(0.001, 0.02),
+    cpu_operator_cost=st.floats(0.0005, 0.01),
+    work_mem_pages=st.integers(64, 4096),
+)
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(parameters=_COST_PARAMETERS)
+def test_answers_are_a_function_of_the_optimizer(default_tenant, parameters):
+    """Whatever the cost parameters, a session tunes the same solo, on a
+    store the default optimizer filled, and beside a default tenant."""
+    store, tier = default_tenant
+    solo = _outcome(_priced_session(parameters).recommend())
+    for kwargs in ({"options": AdvisorOptions(cache_dir=str(store))}, {"shared_tier": tier}):
+        assert _outcome(_priced_session(parameters, **kwargs).recommend()) == solo
+
+
+class TestSharedWhatIfAnswers:
+    def test_what_if_answers_reach_the_next_tenant(self):
+        """One tenant's what-if answers are published when its request ends,
+        so the next tenant asks the optimizer nothing."""
+        tier = SharedCacheTier()
+        first, second = _session(tier, "star"), _session(tier, "star")
+        asked = first.what_if(WhatIfRequest(indexes=[]))
+        assert asked.optimizer_calls == len(first.queries) == 10
+        answered = second.what_if(WhatIfRequest(indexes=[]))
+        assert answered.optimizer_calls == 0
+        assert answered.total_cost == asked.total_cost
+        stats = tier.statistics_dict()
+        assert (stats["whatif_shared_promotions"], stats["whatif_shared_hits"]) == (10, 10)
+
+    def test_maintenance_answers_reach_the_next_tenant(self):
+        """A DML statement's heap and index-maintenance costs travel through
+        the same map as the plain answers."""
+        tier = SharedCacheTier()
+        request = WhatIfRequest(indexes=[Index("fact", ["fact_m3"])])
+        responses = []
+        for _ in range(2):
+            session = _session(tier, "star")
+            session.add_queries([
+                parse_statement("UPDATE fact SET fact_m3 = 1 WHERE fact.fact_m4 < 100", name="u")
+            ])
+            responses.append(session.what_if(request))
+        statistics = session.call_cache.statistics
+        assert (statistics.maintenance_hits, statistics.maintenance_misses) == (2, 0)
+        assert responses[1].optimizer_calls == 0
+        assert responses[1].total_cost == responses[0].total_cost
 
 
 class TestSessionIsolation:
@@ -222,39 +318,13 @@ class TestTierInternals:
         assert (namespace.caches.promotions, namespace.caches.hits) == (1, 1)
 
     def test_cache_bound_is_enforced(self):
-        namespace = TierNamespace("fp", max_caches=4)
+        caches = PublishedMap("cache", 4)
         query = parse_statement("SELECT orders.o_orderkey FROM orders", name="q")
         for position in range(10):
-            namespace.caches.promote({("k", position): InumCache(query)})
-        assert len(namespace.caches) == 4
-        assert namespace.caches.lookup(("k", 9)) is not None
-        assert namespace.caches.lookup(("k", 0)) is None
-
-    def test_store_page_cache_is_shared(self, tmp_path):
-        """Two stores over one PageCache parse each saved file once."""
-        catalog, workload = builtin_workload("tpch", 7)
-        pages = PageCache()
-        writer = CacheStore(tmp_path, catalog, page_cache=pages)
-        reader = CacheStore(tmp_path, catalog, page_cache=pages)
-
-        session = TuningSession(catalog, workload)
-        query = workload[0]
-        candidates = session._generator.for_query(query)
-        cache = session.build_query_cache(query, candidates=candidates)
-        writer.save(query, cache, "pinum", list(candidates))
-
-        assert writer.load(query, "pinum", list(candidates)) is not None
-        misses_after_first = pages.misses
-        assert reader.load(query, "pinum", list(candidates)) is not None
-        assert pages.misses == misses_after_first, "second parse should be a page hit"
-        assert pages.hits >= 1
-
-    def test_store_for_returns_one_store_per_directory(self, tmp_path):
-        tier = SharedCacheTier()
-        catalog, _ = builtin_workload("tpch", 7)
-        store = tier.store_for(tmp_path, catalog, OptimizerOptions())
-        assert tier.store_for(tmp_path, catalog, OptimizerOptions()) is store
-        assert tier.store_for(tmp_path, catalog, OptimizerOptions(enable_nestloop=False)) is not store
+            caches.promote({("k", position): InumCache(query)})
+        assert len(caches) == 4
+        assert caches.lookup(("k", 9)) is not None
+        assert caches.lookup(("k", 0)) is None
 
 
 class TestThreadedStress:
@@ -264,7 +334,8 @@ class TestThreadedStress:
         This is the CI concurrency-stress entry point: racing sessions must
         neither crash, nor double-build more than once per cache (the
         first-build-wins window allows concurrent *initial* builds), nor
-        disagree on the recommendation.
+        disagree on the recommendation or a what-if total, nor count one
+        what-if answer's promotion twice.
         """
         tier = SharedCacheTier()
         results: list = []
@@ -276,12 +347,14 @@ class TestThreadedStress:
                 session = _session(tier)
                 barrier.wait(timeout=30)
                 response = session.recommend()
+                total = session.what_if(WhatIfRequest(indexes=[])).total_cost
                 if position % 2:
                     session.set_weights({session.queries[0].name: 3.0 + position})
                     session.recommend()
                 results.append(
                     (response.result.workload_cost_after,
-                     [i.key for i in response.result.selected_indexes])
+                     [i.key for i in response.result.selected_indexes],
+                     total)
                 )
             except Exception as error:  # pragma: no cover - failure reporting
                 errors.append(error)
@@ -293,11 +366,12 @@ class TestThreadedStress:
             thread.join(timeout=120)
         assert not errors, errors
         assert len(results) == 4
-        assert len({(cost, tuple(picks)) for cost, picks in results}) == 1
+        assert len({(cost, tuple(picks), total) for cost, picks, total in results}) == 1
 
         stats = tier.statistics_dict()
         # First-build-wins: racing initial builds may each construct, but
         # the tier publishes one winner per key.
         namespace = tier.namespaces()[0]
         assert stats["caches_published"] == len(namespace.caches)
+        assert stats["whatif_shared_promotions"] == len(namespace.whatif) > 0
         assert stats["sessions_attached"] == 4

@@ -5,7 +5,8 @@ import pytest
 from repro.advisor import CandidateGenerator
 from repro.inum import InumCacheBuilder, InumCostModel
 from repro.optimizer import Optimizer, OptimizerHooks, WhatIfCallCache
-from repro.optimizer.whatif import SharedWhatIfResults, WhatIfOptimizer
+from repro.api.tier import PublishedMap
+from repro.optimizer.whatif import WhatIfOptimizer
 from repro.pinum import PinumCacheBuilder
 
 
@@ -99,13 +100,16 @@ class TestWhatIfCallCache:
     def test_only_plain_answers_reach_the_shared_store(
         self, small_catalog, join_query, sample_index
     ):
-        shared = SharedWhatIfResults()
+        shared = PublishedMap("whatif", 16)
         first = WhatIfCallCache(Optimizer(small_catalog), shared=shared)
         hooks = OptimizerHooks(keep_all_access_paths=True)
         first.optimize_with_configuration(join_query, [sample_index], hooks=hooks)
         first.optimize_with_configuration(join_query, [])
-        shared.publish()
-        assert len(shared) == 1
+        assert len(shared) == 0, "answers wait for the batch"
+        first.publish_shared()
+        assert (len(shared), shared.promotions) == (1, 1)
+        first.publish_shared()
+        assert shared.promotions == 1, "a published batch is not promoted again"
         second = WhatIfCallCache(Optimizer(small_catalog), shared=shared)
         second.optimize_with_configuration(join_query, [])
         second.optimize_with_configuration(join_query, [sample_index], hooks=hooks)
