@@ -287,7 +287,7 @@ class OptimizerWorkloadCostModel(WorkloadCostModel):
         key = (query_fingerprint(query), configuration_signature(relevant))
         cost = self._cost_memo.get(key)
         if cost is None:
-            cost = self._whatif.statement_cost(query, relevant, exclusive=True)
+            cost = self._whatif.statement_cost(query, relevant)
             self._cost_memo[key] = cost
         return cost
 

@@ -628,18 +628,21 @@ class TuningSession:
         DML statements are priced as shadow read phase (a real optimizer
         probe) plus heap and index maintenance from the memoized
         maintenance model; the total applies the session's statement
-        weights.
+        weights.  Every requested index is validated against the catalog
+        first, so an unknown table or column fails the request (a
+        ``CatalogError``, as :meth:`evaluate` raises) instead of being
+        dropped from the configuration.
         """
+        indexes = list(request.indexes)
+        for index in indexes:
+            self._catalog.validate_index(index)
         workload = self._workload()
         calls_before = self._optimizer.call_count
         weights = self._options.weight_map()
-        indexes = list(request.indexes)
         per_query: Dict[str, float] = {}
         for query in workload:
             relevant = [index for index in indexes if index.table in query.tables]
-            per_query[query.name] = self._call_cache.statement_cost(
-                query, relevant, exclusive=True
-            )
+            per_query[query.name] = self._call_cache.statement_cost(query, relevant)
         self._call_cache.publish_shared()
         return WhatIfResponse(
             total_cost=sum(

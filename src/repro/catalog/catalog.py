@@ -1,21 +1,16 @@
-"""The catalog: a registry of tables, statistics and (what-if) indexes.
+"""The catalog: a registry of tables, statistics and materialized indexes.
 
 The catalog plays the role of PostgreSQL's system catalogs in Figure 2 of the
-paper: the access-path collector consults it for table/index statistics.  Two
-context managers implement the "what-if" interface physical designers need:
-
-* :meth:`Catalog.with_indexes` temporarily *adds* hypothetical indexes, and
-* :meth:`Catalog.only_indexes` temporarily makes a specific configuration the
-  *only* visible set of indexes (what INUM does when probing one atomic
-  configuration).
-
-Both restore the previous state on exit, even if the body raises.
+paper: the access-path collector consults it for table/index statistics.  It
+holds only what is materialized.  A what-if configuration never enters it:
+the optimizer takes the visible index set as an argument of each call
+(:meth:`repro.optimizer.optimizer.Optimizer.optimize`), so an optimizer call
+writes nothing here and one catalog can serve concurrent probes.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.catalog.index import Index
 from repro.catalog.schema import Table, validate_foreign_keys
@@ -24,16 +19,13 @@ from repro.util.errors import CatalogError
 
 
 class Catalog:
-    """In-memory database catalog with a hypothetical-index overlay."""
+    """In-memory database catalog: tables, statistics and materialized indexes."""
 
     def __init__(self, name: str = "db") -> None:
         self.name = name
         self._tables: Dict[str, Table] = {}
         self._statistics: Dict[str, TableStatistics] = {}
         self._indexes: Dict[str, Index] = {}
-        # Stack of overlays; each entry is (mode, indexes) where mode is
-        # "add" (extra hypothetical indexes) or "only" (replace visible set).
-        self._overlays: List[tuple] = []
 
     # -- tables -----------------------------------------------------------
 
@@ -92,9 +84,13 @@ class Catalog:
 
     # -- indexes ----------------------------------------------------------
 
+    def validate_index(self, index: Index) -> None:
+        """Raise :class:`CatalogError` unless ``index``'s table and columns exist."""
+        index.validate_against(self.table(index.table))
+
     def add_index(self, index: Index) -> Index:
         """Register a permanent index (validated against its table)."""
-        index.validate_against(self.table(index.table))
+        self.validate_index(index)
         if index.name in self._indexes:
             raise CatalogError(f"index {index.name!r} is already registered")
         self._indexes[index.name] = index
@@ -106,10 +102,6 @@ class Catalog:
             raise CatalogError(f"unknown index {name!r}")
         del self._indexes[name]
 
-    def drop_all_indexes(self) -> None:
-        """Remove every permanent index (used between advisor iterations)."""
-        self._indexes.clear()
-
     def index(self, name: str) -> Index:
         """Look up a permanent index by name."""
         try:
@@ -117,48 +109,9 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"unknown index {name!r}") from None
 
-    def _visible_indexes(self) -> List[Index]:
-        visible: Dict[str, Index] = dict(self._indexes)
-        for mode, indexes in self._overlays:
-            if mode == "only":
-                visible = {}
-            for index in indexes:
-                visible[index.name] = index
-        return list(visible.values())
-
     def all_indexes(self) -> List[Index]:
-        """Every index currently visible (permanent plus overlays)."""
-        return self._visible_indexes()
-
-    def indexes_on(self, table_name: str) -> List[Index]:
-        """Indexes currently visible on ``table_name``."""
-        return [index for index in self._visible_indexes() if index.table == table_name]
-
-    @contextlib.contextmanager
-    def with_indexes(self, indexes: Sequence[Index]) -> Iterator[None]:
-        """Temporarily add what-if indexes on top of the permanent set."""
-        for index in indexes:
-            index.validate_against(self.table(index.table))
-        self._overlays.append(("add", list(indexes)))
-        try:
-            yield
-        finally:
-            self._overlays.pop()
-
-    @contextlib.contextmanager
-    def only_indexes(self, indexes: Sequence[Index]) -> Iterator[None]:
-        """Temporarily make ``indexes`` the only visible index set.
-
-        This models INUM probing one atomic configuration: the optimizer must
-        not see indexes outside the configuration being evaluated.
-        """
-        for index in indexes:
-            index.validate_against(self.table(index.table))
-        self._overlays.append(("only", list(indexes)))
-        try:
-            yield
-        finally:
-            self._overlays.pop()
+        """Every materialized index (those added with :meth:`add_index`)."""
+        return list(self._indexes.values())
 
     # -- sizes ------------------------------------------------------------
 

@@ -106,14 +106,14 @@ class InumCacheBuilder:
                     include_referenced_columns=self._options.covering_probe_indexes,
                 )
                 result = self._whatif.optimize_with_configuration(
-                    query, configuration.indexes, exclusive=True, enable_nestloop=False
+                    query, configuration.indexes, enable_nestloop=False
                 )
                 probes += 1
                 cache.add_entry(CacheEntry.from_plan(result.plan, orders_by_table, source="inum"))
 
                 if self._options.include_nestloop_plans:
                     nlj_result = self._whatif.optimize_with_configuration(
-                        query, configuration.indexes, exclusive=True, enable_nestloop=True
+                        query, configuration.indexes, enable_nestloop=True
                     )
                     probes += 1
                     if nlj_result.plan.uses_nested_loop:
@@ -158,7 +158,7 @@ class InumCacheBuilder:
             # Heap (sequential-scan) costs: a single call, no indexes visible.
             hooks = OptimizerHooks(keep_all_access_paths=True)
             result = self._whatif.optimize_with_configuration(
-                query, [], exclusive=True, enable_nestloop=False, hooks=hooks
+                query, [], enable_nestloop=False, hooks=hooks
             )
             probes += 1
             for path in result.access_paths:
@@ -169,9 +169,8 @@ class InumCacheBuilder:
             for index in candidates:
                 if index.table not in query.tables:
                     continue
-                hooks = OptimizerHooks(keep_all_access_paths=True)
                 result = self._whatif.optimize_with_configuration(
-                    query, [index], exclusive=True, enable_nestloop=False, hooks=hooks
+                    query, [index], enable_nestloop=False, hooks=hooks
                 )
                 probes += 1
                 recorded = False

@@ -2,11 +2,13 @@
 
 The architecture mirrors Figure 2 of the paper:
 
+* :mod:`repro.query.preprocessor` -- the Query Preprocessor,
 * :mod:`repro.optimizer.access_paths` -- the Access Path Collector,
 * :mod:`repro.optimizer.joinplanner` -- the dynamic-programming Join Planner,
 * :mod:`repro.optimizer.grouping_planner` -- the Grouping Planner,
-* :mod:`repro.optimizer.subquery_planner` -- the Sub-query Planner,
-* :mod:`repro.optimizer.optimizer` -- the top-level entry point,
+* :mod:`repro.optimizer.optimizer` -- the top-level entry point, which runs
+  the stages above in order (it is also the Sub-query Planner: queries
+  without complex sub-queries plan as one top-level query),
 
 plus the pieces they share: the cost model, selectivity estimation, plan
 nodes, interesting orders, the ``enable_nestloop`` switch and the optimizer

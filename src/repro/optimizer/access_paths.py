@@ -7,11 +7,15 @@ interesting order, then this component filters out the access path with the
 higher cost"); PINUM's ``keep_all_access_paths`` hook additionally exports
 *every* path so a single optimizer call reveals the access cost of an entire
 candidate-index set (Section V-C).
+
+The visible index set is an argument of each call, not catalog state:
+``None`` means the catalog's materialized indexes, anything else is the
+(what-if) configuration being probed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
@@ -40,27 +44,43 @@ class AccessPathCollector:
     def collect(
         self,
         query: Query,
+        indexes: Optional[Sequence[Index]] = None,
         hooks: Optional[OptimizerHooks] = None,
-    ) -> Dict[str, List[AccessPath]]:
-        """Access paths per table, filtered the way PostgreSQL would.
+    ) -> Tuple[Dict[str, List[AccessPath]], List[AccessPath]]:
+        """Access paths per table, filtered the way PostgreSQL would, plus exports.
 
-        When ``hooks.keep_all_access_paths`` is set the *unfiltered* path list
-        is appended to ``hooks.collected_access_paths`` (the PINUM export);
-        the returned, filtered set is what the join planner plans with either
-        way, so enabling the hook does not change plan choices.
+        ``indexes`` is the visible index set: ``None`` means the catalog's
+        materialized indexes; a given set is the only one visible, and each
+        of its indexes is validated against the catalog.  The second item
+        is the *unfiltered* path list when ``hooks.keep_all_access_paths``
+        is set (the PINUM export) and empty otherwise; the filtered set is
+        what the join planner plans with either way, so enabling the hook
+        does not change plan choices.
         """
         hooks = hooks or OptimizerHooks.disabled()
+        visible = self._visible(indexes)
         result: Dict[str, List[AccessPath]] = {}
+        exported: List[AccessPath] = []
         for table in query.tables:
-            paths = self._paths_for_table(query, table)
+            paths = self._paths_for_table(query, table, visible)
             if hooks.keep_all_access_paths:
-                hooks.collected_access_paths.extend(paths)
+                exported.extend(paths)
             result[table] = self._filter_paths(paths)
-        return result
+        return result, exported
+
+    def _visible(self, indexes: Optional[Sequence[Index]]) -> List[Index]:
+        """The index set one call plans with (one index per name, last wins)."""
+        if indexes is None:
+            return self._catalog.all_indexes()
+        for index in indexes:
+            self._catalog.validate_index(index)
+        return list({index.name: index for index in indexes}.values())
 
     # -- path generation ----------------------------------------------------------
 
-    def _paths_for_table(self, query: Query, table: str) -> List[AccessPath]:
+    def _paths_for_table(
+        self, query: Query, table: str, visible: List[Index]
+    ) -> List[AccessPath]:
         stats = self._catalog.statistics(table)
         filters = query.filters_on(table)
         output_selectivity = self._selectivity.table_selectivity(query, table)
@@ -80,7 +100,9 @@ class AccessPathCollector:
             )
         ]
 
-        for index in self._catalog.indexes_on(table):
+        for index in visible:
+            if index.table != table:
+                continue
             paths.append(
                 self._index_path(
                     query=query,

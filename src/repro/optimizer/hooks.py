@@ -10,24 +10,22 @@ two existing decision points.
 A third switch, ``access_paths_only``, is a stop rather than an export: it
 ends the call once the access paths are collected.
 
-The hooks also double as the collection buffer of the access paths: after
-an optimizer call the caller reads ``collected_access_paths`` (the per-IOC
-plans, the other "piggy-backed" intermediate result of Section IV, come back
-as :attr:`~repro.optimizer.optimizer.OptimizationResult.ioc_plans`).
+The hooks are a frozen value: the optimizer only reads them, so one value
+can be reused across calls and threads.  What they export comes back on the
+call's result, as
+:attr:`~repro.optimizer.optimizer.OptimizationResult.access_paths` and
+:attr:`~repro.optimizer.optimizer.OptimizationResult.ioc_plans` (the two
+"piggy-backed" intermediate results of Section IV).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.optimizer.plan import AccessPath
+from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerHooks:
-    """Switches and buffers for PINUM's optimizer extensions.
+    """Switches for PINUM's optimizer extensions.
 
     ``keep_all_access_paths``
         Section V-C: the Access Path Collector normally keeps only the
@@ -64,15 +62,7 @@ class OptimizerHooks:
     subsumption_pruning: bool = True
     access_paths_only: bool = False
 
-    #: Access paths exported by the Access Path Collector (one per visible
-    #: index per table, plus the sequential-scan path).
-    collected_access_paths: List["AccessPath"] = field(default_factory=list)
-
-    def reset(self) -> None:
-        """Clear the collection buffer before a new optimizer call."""
-        self.collected_access_paths = []
-
     @classmethod
     def disabled(cls) -> "OptimizerHooks":
         """Plain PostgreSQL behaviour (what classic INUM talks to)."""
-        return cls(keep_all_access_paths=False, keep_all_ioc_plans=False)
+        return cls()

@@ -1,24 +1,35 @@
 """The top-level optimizer: the entry point every "optimizer call" goes through.
 
 :class:`Optimizer` ties together the pipeline of Figure 2 (preprocessor ->
-sub-query planner -> grouping planner -> access-path collector -> join
-planner), exposes the knobs the paper's designers need (``enable_nestloop``,
-what-if index overlays via the catalog, PINUM's hooks) and -- crucially for
-the experiments -- counts every call so the INUM-vs-PINUM comparison can be
-reported both in wall-clock time and in number of optimizer invocations.
+access-path collector -> join planner -> grouping planner; the prototype
+plans queries without complex sub-queries, so the sub-query planner stage is
+the single top-level query), exposes the knobs the paper's designers need
+(``enable_nestloop``, the visible index set, PINUM's hooks) and -- crucially
+for the experiments -- counts every call so the INUM-vs-PINUM comparison can
+be reported both in wall-clock time and in number of optimizer invocations.
+
+A call is a function of its arguments: the what-if configuration is the
+``indexes`` argument, the hooks are a frozen value, and everything the call
+produces comes back on its :class:`OptimizationResult`.  Nothing is written
+to the catalog, so concurrent calls over one catalog cannot see each
+other's configurations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.catalog.catalog import Catalog
+from repro.catalog.index import Index
+from repro.optimizer.access_paths import AccessPathCollector
 from repro.optimizer.cost_model import CostModel, CostParameters
+from repro.optimizer.grouping_planner import GroupingPlanner
 from repro.optimizer.hooks import OptimizerHooks
 from repro.optimizer.interesting_orders import InterestingOrderCombination
+from repro.optimizer.joinplanner import JoinPlanner
 from repro.optimizer.plan import AccessPath, PlanNode
-from repro.optimizer.subquery_planner import SubqueryPlanner
+from repro.optimizer.selectivity import SelectivityEstimator
 from repro.util.errors import PlanningError
 from repro.util.timing import timed
 from repro.query.ast import Query
@@ -108,22 +119,41 @@ class Optimizer:
         query: Query,
         hooks: Optional[OptimizerHooks] = None,
         enable_nestloop: Optional[bool] = None,
+        indexes: Optional[Sequence[Index]] = None,
     ) -> OptimizationResult:
         """Optimize ``query`` and return the chosen plan (plus hook exports).
 
+        ``indexes`` is the visible index set: ``None`` plans with the
+        catalog's materialized indexes, a given set (possibly hypothetical,
+        possibly empty) is the *only* one the call sees -- what INUM needs
+        when probing an atomic configuration.  Every given index is
+        validated against the catalog.
+
         Every invocation counts as one "optimizer call" for the purposes of
-        the paper's experiments, regardless of which hooks are enabled.
+        the paper's experiments, regardless of which hooks are enabled.  With
+        ``hooks.access_paths_only`` the call ends after the collector and
+        the result has no plan.
         """
         with timed() as timer:
             nestloop = (
                 self.options.enable_nestloop if enable_nestloop is None else enable_nestloop
             )
-            active_hooks = hooks or OptimizerHooks.disabled()
-            active_hooks.reset()
-
+            hooks = hooks or OptimizerHooks.disabled()
             prepared = self._preprocessor.preprocess(query)
-            planner = SubqueryPlanner(self.catalog, self.cost_model, enable_nestloop=nestloop)
-            outcome = planner.plan(prepared, active_hooks)
+            selectivity = SelectivityEstimator(self.catalog)
+            collector = AccessPathCollector(self.catalog, self.cost_model, selectivity)
+            access_paths, exported = collector.collect(prepared, indexes, hooks)
+            best_plan: Optional[PlanNode] = None
+            ioc_plans: Dict[InterestingOrderCombination, PlanNode] = {}
+            if not hooks.access_paths_only:
+                join_result = JoinPlanner(self.cost_model, selectivity, nestloop).plan(
+                    prepared, access_paths, hooks
+                )
+                grouping = GroupingPlanner(self.cost_model, selectivity)
+                best_plan = grouping.choose_best(prepared, join_result.candidates)
+                if hooks.keep_all_ioc_plans:
+                    for ioc, plan in join_result.ioc_plans.items():
+                        ioc_plans[ioc] = grouping.finalize(prepared, plan)
 
         elapsed = timer.seconds
         self.call_count += 1
@@ -135,14 +165,14 @@ class Optimizer:
                 query_name=query.name,
                 elapsed_seconds=elapsed,
                 enable_nestloop=nestloop,
-                used_hooks=active_hooks.keep_all_ioc_plans or active_hooks.keep_all_access_paths,
+                used_hooks=hooks.keep_all_ioc_plans or hooks.keep_all_access_paths,
             )
         )
         return OptimizationResult(
             query=prepared,
-            plan=outcome.best_plan,
-            ioc_plans=dict(outcome.ioc_plans),
-            access_paths=list(active_hooks.collected_access_paths),
+            plan=best_plan,
+            ioc_plans=ioc_plans,
+            access_paths=exported,
             elapsed_seconds=elapsed,
         )
 

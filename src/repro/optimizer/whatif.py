@@ -1,10 +1,13 @@
 """The what-if interface: cost a query under a hypothetical index configuration.
 
 This is the designer-facing API of Section V-A: given a set of (possibly
-hypothetical) indexes, temporarily make them visible to the optimizer and ask
-for the query's optimal plan and cost.  INUM's classic cache builder and all
-of the accuracy experiments consume this interface; PINUM's point is to need
-far fewer passes through it.
+hypothetical) indexes, ask the optimizer for the query's optimal plan and
+cost with exactly that set visible.  The set is an argument of the call
+(``Optimizer.optimize(..., indexes=...)``), never catalog state, so an
+answer is a function of (query, configuration, flags) -- the key the memo
+below relies on.  INUM's classic cache builder and all of the accuracy
+experiments consume this interface; PINUM's point is to need far fewer
+passes through it.
 
 :class:`WhatIfCallCache` adds a memoization layer on top: the Section IV
 observation is that cache construction asks the optimizer many *identical*
@@ -71,7 +74,6 @@ class WhatIfOptimizer:
         self,
         statement: Statement,
         indexes: Sequence[Index],
-        exclusive: bool = True,
     ) -> float:
         """Cost of one read *or* write statement under the configuration.
 
@@ -82,11 +84,11 @@ class WhatIfOptimizer:
         given index on the target table.
         """
         if not isinstance(statement, DmlStatement):
-            return self.cost_with_configuration(statement, indexes, exclusive=exclusive)
+            return self.cost_with_configuration(statement, indexes)
         shadow = statement.shadow_query()
         cost = 0.0
         if shadow is not None:
-            cost += self.cost_with_configuration(shadow, indexes, exclusive=exclusive)
+            cost += self.cost_with_configuration(shadow, indexes)
         cost += self.statement_base_cost(statement)
         for index in indexes:
             cost += self.maintenance_cost(statement, index)
@@ -96,32 +98,27 @@ class WhatIfOptimizer:
         self,
         query: Query,
         indexes: Sequence[Index],
-        exclusive: bool = True,
         enable_nestloop: Optional[bool] = None,
         hooks: Optional[OptimizerHooks] = None,
     ) -> OptimizationResult:
-        """Optimize ``query`` as if ``indexes`` existed.
+        """Optimize ``query`` as if ``indexes`` were the only indexes.
 
-        ``exclusive=True`` (the default) makes the given configuration the
-        *only* visible index set -- the semantics INUM needs when probing an
-        atomic configuration.  ``exclusive=False`` layers the indexes on top
-        of whatever is already defined.
+        The given configuration is the *only* visible index set -- the
+        semantics INUM needs when probing an atomic configuration.
         """
-        catalog = self._optimizer.catalog
-        overlay = catalog.only_indexes(indexes) if exclusive else catalog.with_indexes(indexes)
-        with overlay:
-            return self._optimizer.optimize(query, hooks=hooks, enable_nestloop=enable_nestloop)
+        return self._optimizer.optimize(
+            query, hooks=hooks, enable_nestloop=enable_nestloop, indexes=indexes
+        )
 
     def cost_with_configuration(
         self,
         query: Query,
         indexes: Sequence[Index],
-        exclusive: bool = True,
         enable_nestloop: Optional[bool] = None,
     ) -> float:
         """Optimal cost of ``query`` under the hypothetical configuration."""
         return self.optimize_with_configuration(
-            query, indexes, exclusive=exclusive, enable_nestloop=enable_nestloop
+            query, indexes, enable_nestloop=enable_nestloop
         ).cost
 
 
@@ -199,7 +196,7 @@ class SharedAnswers(Protocol):
     hooked answer exists to fill a plan cache, and the tier already shares
     the caches built from them; publishing the answers too would hold every
     build's per-IOC plans for the server's lifetime.  Plain keys are
-    4-tuples and maintenance keys 2-tuples, so the two never collide.
+    3-tuples and maintenance keys 2-tuples, so the two never collide.
     """
 
     def lookup(self, key: Hashable) -> Optional[object]: ...
@@ -211,7 +208,7 @@ class WhatIfCallCache:
     """Memoizing wrapper around :meth:`WhatIfOptimizer.optimize_with_configuration`.
 
     Entries are keyed by (query fingerprint, configuration signature,
-    ``exclusive``, ``enable_nestloop``) plus the hook signature of the call.
+    ``enable_nestloop``) plus the hook signature of the call.
     Identical probe configurations -- across interesting-order combinations,
     across INUM/PINUM builders, across advisor evaluations -- stop paying for
     re-optimization.
@@ -289,7 +286,6 @@ class WhatIfCallCache:
         self,
         query: Query,
         indexes: Sequence[Index],
-        exclusive: bool = True,
         enable_nestloop: Optional[bool] = None,
         hooks: Optional[OptimizerHooks] = None,
     ) -> OptimizationResult:
@@ -297,7 +293,6 @@ class WhatIfCallCache:
         key = (
             query_fingerprint(query),
             configuration_signature(indexes),
-            exclusive,
             enable_nestloop,
         )
         signature = _hooks_signature(hooks)
@@ -319,11 +314,7 @@ class WhatIfCallCache:
         with tracer.span("whatif.optimize", query_fp=key[0][:12]):
             with timed(WHATIF_SECONDS):
                 result = self._whatif.optimize_with_configuration(
-                    query,
-                    indexes,
-                    exclusive=exclusive,
-                    enable_nestloop=enable_nestloop,
-                    hooks=hooks,
+                    query, indexes, enable_nestloop=enable_nestloop, hooks=hooks
                 )
         self.statistics.record_miss()
         self._entries.setdefault(key, []).append((signature, result))
@@ -335,12 +326,11 @@ class WhatIfCallCache:
         self,
         query: Query,
         indexes: Sequence[Index],
-        exclusive: bool = True,
         enable_nestloop: Optional[bool] = None,
     ) -> float:
         """Optimal cost of ``query`` under the configuration, memoized."""
         return self.optimize_with_configuration(
-            query, indexes, exclusive=exclusive, enable_nestloop=enable_nestloop
+            query, indexes, enable_nestloop=enable_nestloop
         ).cost
 
     # -- update-aware probes -----------------------------------------------
@@ -399,7 +389,6 @@ class WhatIfCallCache:
         self,
         statement: "Statement",
         indexes: Sequence[Index],
-        exclusive: bool = True,
     ) -> float:
         """Memoized cost of a read or write statement under the configuration.
 
@@ -408,11 +397,11 @@ class WhatIfCallCache:
         through the memoized maintenance questions.
         """
         if not isinstance(statement, DmlStatement):
-            return self.cost_with_configuration(statement, indexes, exclusive=exclusive)
+            return self.cost_with_configuration(statement, indexes)
         shadow = statement.shadow_query()
         cost = 0.0
         if shadow is not None:
-            cost += self.cost_with_configuration(shadow, indexes, exclusive=exclusive)
+            cost += self.cost_with_configuration(shadow, indexes)
         cost += self.statement_base_cost(statement)
         relevant = [index for index in indexes if index.table == statement.table]
         for charge in self.maintenance_costs(statement, relevant):

@@ -61,7 +61,7 @@ class PinumAccessCostCollector:
         with timed(BUILD_SECONDS, builder="pinum", phase="access_costs") as timer:
             hooks = OptimizerHooks(keep_all_access_paths=True, access_paths_only=True)
             result = self._whatif.optimize_with_configuration(
-                query, candidates, exclusive=True, enable_nestloop=False, hooks=hooks
+                query, candidates, enable_nestloop=False, hooks=hooks
             )
             for path in result.access_paths:
                 cache.access_costs.add_path(path)

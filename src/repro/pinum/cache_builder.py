@@ -114,7 +114,7 @@ class PinumCacheBuilder:
             )
             for nestloop in (False, True)[:calls]:
                 result = self._whatif.optimize_with_configuration(
-                    query, probing_indexes, exclusive=True, enable_nestloop=nestloop, hooks=hooks
+                    query, probing_indexes, enable_nestloop=nestloop, hooks=hooks
                 )
                 if not nestloop:
                     cache.build_stats.combinations_enumerated = len(result.ioc_plans)

@@ -134,6 +134,25 @@ class TestErrors:
         assert response["ok"] is False
         assert response["error"]["type"] == "AdvisorError"
 
+    @pytest.mark.parametrize("op", ["evaluate", "what_if"])
+    @pytest.mark.parametrize("index, message", [
+        ({"table": "nosuch", "columns": ["x"]}, "unknown table 'nosuch'"),
+        ({"table": "orders", "columns": ["nosuch"]}, "has no column 'nosuch'"),
+    ])
+    def test_unknown_index_fails_closed(self, frontend, op, index, message):
+        """Neither op prices a configuration it cannot resolve against the catalog."""
+        valid = {"table": "orders", "columns": ["o_totalprice"]}
+        response = frontend.handle(
+            {"id": 7, "op": op, "params": {"indexes": [valid, index]}}
+        )
+        assert set(response) == {"id", "ok", "op", "error"}
+        assert (response["id"], response["ok"], response["op"]) == (7, False, op)
+        assert response["error"]["type"] == "CatalogError"
+        assert message in response["error"]["message"]
+        # The session is not poisoned: the valid index alone still prices.
+        again = frontend.handle({"id": 8, "op": op, "params": {"indexes": [valid]}})
+        assert again["ok"] is True
+
     def test_unknown_catalog_rejected(self):
         with pytest.raises(AdvisorError, match="unknown catalog"):
             ServeFrontend(default_catalog="oracle")

@@ -1,9 +1,17 @@
-"""Tests for the catalog registry and its what-if index overlays."""
+"""Tests for the catalog registry and the what-if index sets probed over it."""
 
 import pytest
 
 from repro.catalog import Catalog, Column, ForeignKey, Index, Table, TableStatistics
+from repro.optimizer import Optimizer, OptimizerHooks
 from repro.util.errors import CatalogError
+
+
+def _indexes_seen(catalog, query, indexes=None):
+    """Names of the indexes one optimizer call over ``catalog`` planned with."""
+    hooks = OptimizerHooks(keep_all_access_paths=True, access_paths_only=True)
+    result = Optimizer(catalog).optimize(query, hooks, indexes=indexes)
+    return {path.index.name for path in result.access_paths if path.index is not None}
 
 
 class TestTables:
@@ -52,9 +60,9 @@ class TestIndexes:
     def test_add_drop_index(self, small_catalog, sample_index):
         small_catalog.add_index(sample_index)
         assert small_catalog.index(sample_index.name) == sample_index
-        assert sample_index in small_catalog.indexes_on("sales")
+        assert sample_index in small_catalog.all_indexes()
         small_catalog.drop_index(sample_index.name)
-        assert small_catalog.indexes_on("sales") == []
+        assert small_catalog.all_indexes() == []
 
     def test_duplicate_index_name_rejected(self, small_catalog, sample_index):
         small_catalog.add_index(sample_index)
@@ -69,49 +77,42 @@ class TestIndexes:
         with pytest.raises(CatalogError):
             small_catalog.add_index(Index("sales", ["no_such_column"]))
 
-    def test_drop_all_indexes(self, small_catalog, sample_index):
-        small_catalog.add_index(sample_index)
-        small_catalog.drop_all_indexes()
-        assert small_catalog.all_indexes() == []
-
 
 class TestOverlays:
-    def test_with_indexes_adds_temporarily(self, small_catalog, sample_index):
-        with small_catalog.with_indexes([sample_index]):
-            assert sample_index in small_catalog.indexes_on("sales")
-        assert small_catalog.indexes_on("sales") == []
+    """A what-if configuration is the ``indexes`` argument of one optimizer call.
 
-    def test_only_indexes_hides_permanent(self, small_catalog, sample_index):
-        permanent = Index("sales", ["s_product"], name="perm")
-        small_catalog.add_index(permanent)
-        with small_catalog.only_indexes([sample_index]):
-            visible = small_catalog.indexes_on("sales")
-            assert visible == [sample_index]
-        assert small_catalog.indexes_on("sales") == [permanent]
+    It never enters the catalog, yet keeps what the catalog's overlays
+    guaranteed: it is visible for that call only, it hides the materialized
+    indexes, it is validated, and a failed call leaves nothing behind.
+    """
 
-    def test_only_indexes_empty_configuration(self, small_catalog, sample_index):
+    def test_with_indexes_adds_temporarily(self, small_catalog, join_query, sample_index):
+        permanent = small_catalog.add_index(Index("sales", ["s_product"], name="perm"))
+        seen = _indexes_seen(small_catalog, join_query, [permanent, sample_index])
+        assert seen == {"perm", sample_index.name}
+        assert small_catalog.all_indexes() == [permanent]
+        assert _indexes_seen(small_catalog, join_query) == {"perm"}
+
+    def test_only_indexes_hides_permanent(self, small_catalog, join_query, sample_index):
+        small_catalog.add_index(Index("sales", ["s_product"], name="perm"))
+        assert _indexes_seen(small_catalog, join_query, [sample_index]) == {sample_index.name}
+        assert _indexes_seen(small_catalog, join_query) == {"perm"}
+
+    def test_only_indexes_empty_configuration(self, small_catalog, join_query, sample_index):
         small_catalog.add_index(sample_index)
-        with small_catalog.only_indexes([]):
-            assert small_catalog.all_indexes() == []
+        assert _indexes_seen(small_catalog, join_query, []) == set()
 
-    def test_overlays_nest(self, small_catalog, sample_index):
-        other = Index("products", ["p_category"])
-        with small_catalog.only_indexes([sample_index]):
-            with small_catalog.with_indexes([other]):
-                names = {index.name for index in small_catalog.all_indexes()}
-                assert names == {sample_index.name, other.name}
-            assert small_catalog.all_indexes() == [sample_index]
-
-    def test_overlay_restored_after_exception(self, small_catalog, sample_index):
-        with pytest.raises(RuntimeError):
-            with small_catalog.with_indexes([sample_index]):
-                raise RuntimeError("boom")
-        assert small_catalog.all_indexes() == []
-
-    def test_overlay_validates_indexes(self, small_catalog):
+    def test_overlay_restored_after_exception(self, small_catalog, join_query, sample_index):
         with pytest.raises(CatalogError):
-            with small_catalog.with_indexes([Index("sales", ["bogus"])]):
-                pass
+            _indexes_seen(small_catalog, join_query, [sample_index, Index("sales", ["bogus"])])
+        assert small_catalog.all_indexes() == []
+        assert _indexes_seen(small_catalog, join_query) == set()
+
+    def test_overlay_validates_indexes(self, small_catalog, join_query):
+        optimizer = Optimizer(small_catalog)
+        for index in (Index("sales", ["bogus"]), Index("nosuch", ["s_customer"])):
+            with pytest.raises(CatalogError):
+                optimizer.optimize(join_query, indexes=[index])
 
 
 class TestSizes:

@@ -98,10 +98,8 @@ class TestScans:
         collector = AccessPathCollector(
             small_catalog, CostModel(), SelectivityEstimator(small_catalog)
         )
-        hooks = OptimizerHooks(keep_all_access_paths=True)
-        with small_catalog.only_indexes([index]):
-            collector.collect(query, hooks)
-        index_path = next(p for p in hooks.collected_access_paths if p.index is not None)
+        _, exported = collector.collect(query, [index], OptimizerHooks(keep_all_access_paths=True))
+        index_path = next(p for p in exported if p.index is not None)
         indexed = PlanExecutor(database, query).execute(scan(index_path))
 
         assert indexed.row_count == plain.row_count

@@ -8,8 +8,10 @@ Likewise a plan is one ``PlanNode`` class whose consumers read ``node.op``,
 so nothing outside ``optimizer/plan.py`` names a node subclass or asks
 ``isinstance(..., PlanNode)``.  And a plan cache is built in one place,
 ``build_one_cache``, reached only from the session's lookup chain and the
-standalone cost-model helper.  This module pins all three by walking the
-source with :mod:`ast`.
+standalone cost-model helper.  And the catalog is written only by its own
+package: a what-if configuration is an argument of the optimizer call, never
+catalog state.  This module pins all four by walking the source with
+:mod:`ast`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ ALLOWED_LOCAL_IMPORTS = {
 
 #: Where (b) applies; other local imports are other cycles or start-up choices.
 LOWER_LAYERS = ("advisor/", "inum/", "pinum/", "optimizer/", "api/requests.py")
+
+#: The catalog overlay and hook buffer that became optimizer-call arguments
+#: and result fields.
+REMOVED_WHATIF_NAMES = frozenset({"only_indexes", "with_indexes", "collected_access_paths"})
 
 #: The plan-node classes that became ``PlanNode`` + ``Operator``.
 REMOVED_PLAN_NAMES = frozenset({
@@ -203,3 +209,31 @@ def test_plan_consumers_dispatch_on_the_operator():
                 ):
                     offenders.append(f"{name}:{node.lineno} isinstance(..., PlanNode)")
     assert offenders == []
+
+
+def _defined_or_used_names(tree: ast.AST) -> Iterator[str]:
+    yield from _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_only_the_catalog_package_writes_indexes_into_the_catalog():
+    """No optimizer call, probe or session materializes or drops an index:
+    what a call sees is its ``indexes`` argument, so an answer stays a
+    function of (query, configuration) and a catalog can be shared."""
+    writers = {
+        (name, where)
+        for name, tree in _modules()
+        if not name.startswith("catalog/")
+        for callee, where in _calls(tree)
+        if callee in ("add_index", "drop_index")
+    }
+    assert writers == set()
+    named = {
+        f"{name}: {identifier}"
+        for name, tree in _modules()
+        for identifier in _defined_or_used_names(tree)
+        if identifier in REMOVED_WHATIF_NAMES
+    }
+    assert named == set()

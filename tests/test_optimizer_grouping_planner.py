@@ -86,6 +86,6 @@ class TestChooseBest:
         collector = AccessPathCollector(small_catalog, CostModel(), selectivity)
         join_planner = JoinPlanner(CostModel(), selectivity)
         grouping = GroupingPlanner(CostModel(), selectivity)
-        candidates = join_planner.plan(join_query, collector.collect(join_query)).candidates
+        candidates = join_planner.plan(join_query, collector.collect(join_query)[0]).candidates
         finalized = grouping.finalize_all(join_query, candidates)
         assert len(finalized) == len(candidates)

@@ -31,13 +31,13 @@ def make_planner(catalog, enable_nestloop=True):
 class TestBasicPlanning:
     def test_single_table_query(self, small_catalog, simple_query):
         planner, collector = make_planner(small_catalog)
-        result = planner.plan(simple_query, collector.collect(simple_query))
+        result = planner.plan(simple_query, collector.collect(simple_query)[0])
         assert result.candidates
         assert result.candidates[0].tables == frozenset({"sales"})
 
     def test_join_query_covers_all_tables(self, small_catalog, join_query):
         planner, collector = make_planner(small_catalog)
-        result = planner.plan(join_query, collector.collect(join_query))
+        result = planner.plan(join_query, collector.collect(join_query)[0])
         best = min(result.candidates, key=lambda p: p.total_cost)
         assert best.tables == frozenset(join_query.tables)
 
@@ -55,11 +55,11 @@ class TestBasicPlanning:
         )
         planner, collector = make_planner(small_catalog)
         with pytest.raises(PlanningError):
-            planner.plan(query, collector.collect(query))
+            planner.plan(query, collector.collect(query)[0])
 
     def test_costs_are_positive_and_finite(self, small_catalog, join_query):
         planner, collector = make_planner(small_catalog)
-        result = planner.plan(join_query, collector.collect(join_query))
+        result = planner.plan(join_query, collector.collect(join_query)[0])
         for plan in result.candidates:
             assert plan.total_cost > 0
             assert plan.total_cost < float("inf")
@@ -70,7 +70,7 @@ class TestJoinMethods:
         small_catalog.add_index(Index("customers", ["c_id"]))
         small_catalog.add_index(Index("products", ["p_id"]))
         planner, collector = make_planner(small_catalog, enable_nestloop=False)
-        result = planner.plan(join_query, collector.collect(join_query))
+        result = planner.plan(join_query, collector.collect(join_query)[0])
         assert all(not plan.uses_nested_loop for plan in result.candidates)
 
     def test_nestloop_used_when_beneficial(self, small_catalog):
@@ -84,7 +84,7 @@ class TestJoinMethods:
             .build()
         )
         planner, collector = make_planner(small_catalog, enable_nestloop=True)
-        result = planner.plan(query, collector.collect(query))
+        result = planner.plan(query, collector.collect(query)[0])
         best = min(result.candidates, key=lambda p: p.total_cost)
         assert best.uses_nested_loop
 
@@ -92,7 +92,7 @@ class TestJoinMethods:
         small_catalog.add_index(Index("sales", ["s_customer"]))
         planner_on, collector = make_planner(small_catalog, enable_nestloop=True)
         planner_off, _ = make_planner(small_catalog, enable_nestloop=False)
-        paths = collector.collect(join_query)
+        paths = collector.collect(join_query)[0]
         best_on = min(p.total_cost for p in planner_on.plan(join_query, paths).candidates)
         best_off = min(p.total_cost for p in planner_off.plan(join_query, paths).candidates)
         assert best_on <= best_off + 1e-6
@@ -106,7 +106,7 @@ class TestKeepAllIocPlans:
         small_catalog.add_index(Index("sales", ["s_customer"]))
         small_catalog.add_index(Index("customers", ["c_id"]))
         planner, collector = make_planner(small_catalog)
-        result = planner.plan(join_query, collector.collect(join_query), self._hooked())
+        result = planner.plan(join_query, collector.collect(join_query)[0], self._hooked())
         assert len(result.ioc_plans) > 1
         # The empty combination (all sequential scans) must always be present.
         empty = [ioc for ioc in result.ioc_plans if ioc.order_count == 0]
@@ -117,7 +117,7 @@ class TestKeepAllIocPlans:
         small_catalog.add_index(Index("customers", ["c_id"]))
         small_catalog.add_index(Index("customers", ["c_region"]))
         planner, collector = make_planner(small_catalog)
-        result = planner.plan(join_query, collector.collect(join_query), self._hooked())
+        result = planner.plan(join_query, collector.collect(join_query)[0], self._hooked())
         valid = set(enumerate_combinations(join_query))
         assert set(result.ioc_plans) <= valid
 
@@ -125,7 +125,7 @@ class TestKeepAllIocPlans:
         small_catalog.add_index(Index("sales", ["s_customer"]))
         small_catalog.add_index(Index("customers", ["c_id"]))
         planner, collector = make_planner(small_catalog)
-        result = planner.plan(join_query, collector.collect(join_query), self._hooked())
+        result = planner.plan(join_query, collector.collect(join_query)[0], self._hooked())
         orders = interesting_orders_by_table(join_query)
         for ioc, plan in result.ioc_plans.items():
             assert normalized_ioc(plan, orders) == ioc
@@ -137,7 +137,7 @@ class TestKeepAllIocPlans:
         small_catalog.add_index(Index("products", ["p_category"]))
         small_catalog.add_index(Index("sales", ["s_customer"]))
         planner, collector = make_planner(small_catalog)
-        result = planner.plan(join_query, collector.collect(join_query), self._hooked())
+        result = planner.plan(join_query, collector.collect(join_query)[0], self._hooked())
         orders = interesting_orders_by_table(join_query)
         assert set(result.ioc_plans) <= set(enumerate_combinations(join_query))
         for ioc, plan in result.ioc_plans.items():
@@ -148,7 +148,7 @@ class TestKeepAllIocPlans:
         small_catalog.add_index(Index("sales", ["s_customer"]))
         small_catalog.add_index(Index("customers", ["c_id"]))
         planner, collector = make_planner(small_catalog)
-        paths = collector.collect(join_query)
+        paths = collector.collect(join_query)[0]
         plain_best = min(p.total_cost for p in planner.plan(join_query, paths).candidates)
         hooked_best = min(
             p.total_cost for p in planner.plan(join_query, paths, self._hooked()).candidates
@@ -161,7 +161,7 @@ class TestKeepAllIocPlans:
         small_catalog.add_index(Index("customers", ["c_region"]))
         small_catalog.add_index(Index("products", ["p_id"]))
         planner, collector = make_planner(small_catalog)
-        paths = collector.collect(join_query)
+        paths = collector.collect(join_query)[0]
         unpruned = planner.plan(join_query, paths, self._hooked(subsumption=False))
         pruned = planner.plan(join_query, paths, self._hooked(subsumption=True))
         assert len(pruned.ioc_plans) <= len(unpruned.ioc_plans)
@@ -172,7 +172,7 @@ class TestSubsumptionRule:
         small_catalog.add_index(Index("sales", ["s_customer"]))
         planner, collector = make_planner(small_catalog)
         hooks = OptimizerHooks(keep_all_ioc_plans=True, subsumption_pruning=False)
-        result = planner.plan(join_query, collector.collect(join_query), hooks)
+        result = planner.plan(join_query, collector.collect(join_query)[0], hooks)
         pruned = prune_subsumed_plans(result.ioc_plans)
         # Check the rule directly: no surviving plan is dominated.
         for ioc_b, plan_b in pruned.items():
@@ -188,7 +188,7 @@ class TestSubsumptionRule:
         small_catalog.add_index(Index("customers", ["c_id"]))
         planner, collector = make_planner(small_catalog)
         hooks = OptimizerHooks(keep_all_ioc_plans=True, subsumption_pruning=True)
-        result = planner.plan(join_query, collector.collect(join_query), hooks)
+        result = planner.plan(join_query, collector.collect(join_query)[0], hooks)
         assert any(ioc.order_count == 0 for ioc in result.ioc_plans)
 
 

@@ -99,15 +99,17 @@ class TestHooks:
             assert plan.tables == frozenset(join_query.tables)
 
     def test_hooks_reset_between_calls(self, small_catalog, join_query, simple_query):
+        """One hooks value reused across calls: each result exports only its own query."""
         small_catalog.add_index(Index("sales", ["s_customer"]))
         optimizer = Optimizer(small_catalog)
         hooks = OptimizerHooks(keep_all_access_paths=True, keep_all_ioc_plans=True)
-        optimizer.optimize(join_query, hooks=hooks)
-        first_paths = len(hooks.collected_access_paths)
-        optimizer.optimize(simple_query, hooks=hooks)
-        assert len(hooks.collected_access_paths) < first_paths + 10
-        # After the second call the buffers describe only the second query.
-        assert all(p.table == "sales" for p in hooks.collected_access_paths)
+        first = optimizer.optimize(join_query, hooks=hooks)
+        second = optimizer.optimize(simple_query, hooks=hooks)
+        assert {p.table for p in first.access_paths} == set(join_query.tables)
+        assert all(p.table == "sales" for p in second.access_paths)
+        assert len(second.access_paths) < len(first.access_paths)
+        # The second call did not touch what the first one returned.
+        assert {p.table for p in first.access_paths} == set(join_query.tables)
 
     def test_disabled_hooks_export_nothing(self, optimizer, join_query):
         result = optimizer.optimize(join_query, hooks=OptimizerHooks.disabled())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.catalog.index import Index
-from repro.optimizer import Optimizer
+from repro.optimizer import Optimizer, OptimizerHooks
 from repro.optimizer.whatif import WhatIfOptimizer
 
 
@@ -25,12 +25,17 @@ class TestConfigurationProbing:
         assert with_index <= without
 
     def test_exclusive_hides_permanent_indexes(self, small_catalog, join_query):
-        whatif = WhatIfOptimizer(Optimizer(small_catalog))
+        """A given configuration is the only visible one; ``None`` is the materialized set."""
+        optimizer = Optimizer(small_catalog)
         helpful = Index("products", ["p_category", "p_id", "p_price"])
         small_catalog.add_index(helpful)
-        with_permanent = whatif.cost_with_configuration(join_query, [], exclusive=False)
-        hidden = whatif.cost_with_configuration(join_query, [], exclusive=True)
-        assert hidden >= with_permanent
+        hooks = OptimizerHooks(keep_all_access_paths=True)
+        with_permanent = optimizer.optimize(join_query, hooks)
+        hidden = optimizer.optimize(join_query, hooks, indexes=[])
+        assert helpful in [path.index for path in with_permanent.access_paths]
+        assert all(path.index is None for path in hidden.access_paths)
+        assert hidden.cost >= with_permanent.cost
+        assert WhatIfOptimizer(optimizer).cost_with_configuration(join_query, []) == hidden.cost
 
     def test_catalog_unchanged_after_probe(self, small_catalog, whatif, join_query):
         whatif.cost_with_configuration(join_query, [Index("sales", ["s_customer"])])
