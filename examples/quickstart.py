@@ -64,7 +64,7 @@ def main() -> None:
         Index("customer", ["c_custkey"]),
         Index("lineitem", ["l_orderkey", "l_extendedprice"]),
     ]
-    optimizer.reset_counters()
+    calls_before = optimizer.call_count
     cache = PinumCacheBuilder(optimizer).build_cache(query, candidates)
     model = PinumCostModel(cache)
     print("\n=== PINUM cache ===")
@@ -81,7 +81,8 @@ def main() -> None:
     for configuration in configurations:
         estimate = model.estimate(configuration)
         print(f"  {configuration!r:70s} -> {estimate:,.1f}")
-    print(f"\noptimizer calls spent answering them: {optimizer.call_count - cache.build_stats.optimizer_calls_total}")
+    answering = optimizer.call_count - calls_before - cache.build_stats.optimizer_calls_total
+    print(f"\noptimizer calls spent answering them: {answering}")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.catalog.index import Index
 from repro.inum.arena import WorkloadArena, arena_fingerprint, compile_arena
@@ -415,10 +415,6 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
             return super().per_query_costs(indexes)
         self.query_evaluations += len(self.queries)
         return self._arena.evaluate_detail(indexes)
-
-    def memo_counters(self) -> Tuple[int, int]:
-        """``(hits, misses)`` of the arena's index-set memo (0s for the oracle)."""
-        return (0, 0) if self._arena is None else self._arena.memo_counters()
 
     @property
     def caches(self) -> Dict[str, InumCache]:

@@ -65,10 +65,6 @@ class SelectionStatistics:
     #: "lazy-greedy" when the ILP warm start was already optimal/best found,
     #: "solver" when branch and bound improved on it.
     incumbent_source: str = "n/a"
-    #: Index-set memo lookups answered from / past the cost model's memo
-    #: during this run (0 for models without an arena).
-    memo_hits: int = 0
-    memo_misses: int = 0
 
     def publish(self, selector: str) -> None:
         """Feed this run's totals into the metrics registry.
@@ -86,14 +82,6 @@ class SelectionStatistics:
         )
         if self.nodes_explored:
             ILP_NODES.inc(self.nodes_explored)
-
-
-def memo_counters(cost_model) -> tuple:
-    """The model's aggregate ``(hits, misses)`` memo counters (0s if none)."""
-    counters = getattr(cost_model, "memo_counters", None)
-    if counters is None:
-        return 0, 0
-    return counters()
 
 
 class GreedySelector:
@@ -137,7 +125,6 @@ class GreedySelector:
         stats = SelectionStatistics()
         self.statistics = stats
         evaluations_before = self._cost_model.query_evaluations
-        memo_before = memo_counters(self._cost_model)
 
         remaining = list(candidates)
         winners: List[Index] = []
@@ -199,8 +186,5 @@ class GreedySelector:
 
         stats.seconds = timer.elapsed()
         stats.query_evaluations = self._cost_model.query_evaluations - evaluations_before
-        memo_after = memo_counters(self._cost_model)
-        stats.memo_hits = memo_after[0] - memo_before[0]
-        stats.memo_misses = memo_after[1] - memo_before[1]
         stats.publish("exhaustive")
         return steps

@@ -43,7 +43,7 @@ import heapq
 from typing import List, Sequence, Tuple
 
 from repro.advisor.benefit import IncrementalWorkloadEvaluator, WorkloadCostModel
-from repro.advisor.greedy import SelectionStatistics, SelectionStep, memo_counters
+from repro.advisor.greedy import SelectionStatistics, SelectionStep
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
 from repro.obs.trace import get_tracer
@@ -86,7 +86,6 @@ class LazyGreedySelector:
         stats = SelectionStatistics()
         self.statistics = stats
         evaluations_before = self._cost_model.query_evaluations
-        memo_before = memo_counters(self._cost_model)
 
         evaluator = IncrementalWorkloadEvaluator(self._cost_model)
         current_cost = evaluator.total
@@ -162,9 +161,6 @@ class LazyGreedySelector:
 
         stats.seconds = timer.elapsed()
         stats.query_evaluations = self._cost_model.query_evaluations - evaluations_before
-        memo_after = memo_counters(self._cost_model)
-        stats.memo_hits = memo_after[0] - memo_before[0]
-        stats.memo_misses = memo_after[1] - memo_before[1]
         span.set(rounds=stats.iterations, evaluations=stats.candidate_evaluations)
         stats.publish("lazy")
         return steps

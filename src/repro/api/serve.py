@@ -291,7 +291,6 @@ class ServeFrontend:
     def _op_stats(self, payload: Dict[str, Any], params: Dict[str, Any]) -> Dict[str, Any]:
         session = self._session(payload)
         statistics = session.statistics
-        whatif = session.call_cache.statistics
         last = session.last_result
         watcher = self._watchers.get(self._watch_key(payload))
         return {
@@ -309,8 +308,7 @@ class ServeFrontend:
             "caches_reused": statistics.caches_reused,
             "caches_shared": statistics.caches_shared,
             "caches_warm": session.cached_query_count(),
-            "whatif_hits": whatif.hits,
-            "whatif_misses": whatif.misses,
+            "whatif_hits": session.call_cache.statistics.hits,
             "optimizer_calls": session.optimizer.call_count,
             # Selector telemetry of the most recent recommend: the shared
             # SelectionStatistics shape, gap "n/a" for the greedy heuristics.

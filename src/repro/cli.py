@@ -258,7 +258,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     session = _build_session(args, AdvisorOptions())
     table = ExperimentTable(
         f"Plan-cache construction ({args.builder})",
-        ["query", "IOCs enumerated/kept", "optimizer calls", "cached plans",
+        ["query", "IOCs", "optimizer calls", "cached plans",
          "access costs", "build (ms)"],
     )
     for query in session.queries:

@@ -244,10 +244,6 @@ class WorkloadArena:
         """The candidate's global column (``None`` if never collected)."""
         return self._layout.column_of.get((index.table, index.key))
 
-    def memo_counters(self) -> Tuple[int, int]:
-        """Aggregate ``(hits, misses)`` of the arena's index-set memo."""
-        return self._mask_memo.hits, self._mask_memo.misses
-
     # -- maintenance ------------------------------------------------------
 
     def maintenance_vector(self, indexes: Sequence) -> List[float]:

@@ -110,13 +110,16 @@ class CacheEntry:
 
 @dataclass
 class CacheBuildStatistics:
-    """How expensive it was to build one query's cache.
+    """What building one query's cache cost: what the cache cannot tell itself.
 
-    ``optimizer_calls_*`` count *actual* optimizer invocations.  When the
+    ``optimizer_calls_*`` are the *actual* optimizer invocations of each
+    phase: the change in ``Optimizer.call_count`` across it.  When the
     builder routes its probes through a memoizing
     :class:`~repro.optimizer.whatif.WhatIfCallCache`, probes answered from
-    memory are counted in ``whatif_cache_hits`` instead (and
-    ``whatif_cache_misses`` mirrors the actual calls made through the cache).
+    memory are ``whatif_cache_hits`` (probes minus calls).
+    ``combinations_enumerated`` is the query's interesting-order combination
+    count, whichever builder ran.  Entry and unique-plan counts are the
+    cache's own (``entry_count``, ``unique_plan_count()``).
     """
 
     optimizer_calls_plans: int = 0
@@ -124,10 +127,7 @@ class CacheBuildStatistics:
     seconds_plans: float = 0.0
     seconds_access_costs: float = 0.0
     combinations_enumerated: int = 0
-    entries_cached: int = 0
-    unique_plans: int = 0
     whatif_cache_hits: int = 0
-    whatif_cache_misses: int = 0
 
     @property
     def optimizer_calls_total(self) -> int:
@@ -139,17 +139,6 @@ class CacheBuildStatistics:
         """All wall-clock seconds spent building this cache."""
         return self.seconds_plans + self.seconds_access_costs
 
-    @property
-    def whatif_requests(self) -> int:
-        """What-if probes issued (optimizer calls plus memoized hits)."""
-        return self.optimizer_calls_total + self.whatif_cache_hits
-
-    @property
-    def whatif_hit_rate(self) -> float:
-        """Fraction of what-if probes answered without an optimizer call."""
-        if not self.whatif_requests:
-            return 0.0
-        return self.whatif_cache_hits / self.whatif_requests
 
 class InumCache:
     """The per-statement plan cache.

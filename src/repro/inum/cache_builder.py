@@ -4,9 +4,10 @@ combination, one per candidate index for access costs.
 This is the baseline the paper improves on.  Filling the cache for the
 paper's TPC-H query 5 example takes 648 calls (one per IOC) even though only
 64 of the resulting plans are distinct; the access-cost phase adds one call
-per candidate index.  The builder records optimizer-call counts and
-wall-clock time in the cache's :class:`~repro.inum.cache.CacheBuildStatistics`
-so the Figure 4 comparison can be regenerated.
+per candidate index.  The builder records each phase's optimizer calls (the
+change in ``Optimizer.call_count``) and wall-clock time in the cache's
+:class:`~repro.inum.cache.CacheBuildStatistics` so the Figure 4 comparison
+can be regenerated.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class InumCacheBuilder:
     ``call_cache`` optionally routes every what-if probe through a shared
     :class:`~repro.optimizer.whatif.WhatIfCallCache`; probes the cache has
     seen before (identical configuration and flags) are answered from memory
-    and recorded as ``whatif_cache_hits`` in the build statistics.
+    and recorded as ``whatif_cache_hits`` (probes minus optimizer calls) in
+    the build statistics.
     """
 
     def __init__(
@@ -65,7 +67,6 @@ class InumCacheBuilder:
         options: Optional[InumBuilderOptions] = None,
         call_cache: Optional[WhatIfCallCache] = None,
     ) -> None:
-        self._optimizer = optimizer
         self._whatif = call_cache if call_cache is not None else WhatIfOptimizer(optimizer)
         self._options = options or InumBuilderOptions()
 
@@ -97,7 +98,7 @@ class InumCacheBuilder:
         orders_by_table = interesting_orders_by_table(query)
         combinations = enumerate_combinations(query, orders_by_table)
 
-        baseline = WhatIfCallCache.hit_baseline(self._whatif)
+        calls_before = self._whatif.optimizer.call_count
         probes = 0
         with timed(BUILD_SECONDS, builder="inum", phase="plans") as timer:
             for ioc in combinations:
@@ -121,15 +122,11 @@ class InumCacheBuilder:
                             CacheEntry.from_plan(nlj_result.plan, orders_by_table, source="inum")
                         )
 
-        hits = WhatIfCallCache.hits_since(self._whatif, baseline)
-        cache.build_stats.optimizer_calls_plans += probes - hits
-        cache.build_stats.whatif_cache_hits += hits
-        if isinstance(self._whatif, WhatIfCallCache):
-            cache.build_stats.whatif_cache_misses += probes - hits
+        calls = self._whatif.optimizer.call_count - calls_before
+        cache.build_stats.optimizer_calls_plans += calls
+        cache.build_stats.whatif_cache_hits += probes - calls
         cache.build_stats.seconds_plans += timer.seconds
         cache.build_stats.combinations_enumerated = len(combinations)
-        cache.build_stats.entries_cached = cache.entry_count
-        cache.build_stats.unique_plans = cache.unique_plan_count()
         return cache
 
     # -- access costs ---------------------------------------------------------------
@@ -151,7 +148,7 @@ class InumCacheBuilder:
         candidates = list(candidate_indexes) if candidate_indexes is not None else (
             candidate_probe_indexes(query)
         )
-        baseline = WhatIfCallCache.hit_baseline(self._whatif)
+        calls_before = self._whatif.optimizer.call_count
         probes = 0
 
         with timed(BUILD_SECONDS, builder="inum", phase="access_costs") as timer:
@@ -183,9 +180,7 @@ class InumCacheBuilder:
                         f"optimizer call for index {index.name!r} produced no access path"
                     )
 
-        hits = WhatIfCallCache.hits_since(self._whatif, baseline)
-        cache.build_stats.optimizer_calls_access_costs += probes - hits
-        cache.build_stats.whatif_cache_hits += hits
-        if isinstance(self._whatif, WhatIfCallCache):
-            cache.build_stats.whatif_cache_misses += probes - hits
+        calls = self._whatif.optimizer.call_count - calls_before
+        cache.build_stats.optimizer_calls_access_costs += calls
+        cache.build_stats.whatif_cache_hits += probes - calls
         cache.build_stats.seconds_access_costs += timer.seconds

@@ -58,19 +58,13 @@ class IndexSetMemo:
     different order (or containing distinct-but-equal ``Index`` objects) hit
     the same entry.  When the memo reaches ``max_entries`` the least recently
     used entry is evicted, so long runs keep their hot winner-set entries
-    instead of periodically losing everything.  ``hits``/``misses`` count the
-    lookups answered from and past the memo (surfaced per selection run in
-    :class:`~repro.advisor.greedy.SelectionStatistics`).
+    instead of periodically losing everything.
     """
 
     def __init__(self, build: Callable[[Sequence], _T], max_entries: int = 8192) -> None:
         self._build = build
         self._max_entries = max_entries
         self._memo: "OrderedDict[tuple, _T]" = OrderedDict()
-        #: Lookups answered from the memo.
-        self.hits = 0
-        #: Lookups that had to build (including rebuilds after eviction).
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._memo)
@@ -83,10 +77,8 @@ class IndexSetMemo:
         except KeyError:
             pass
         else:
-            self.hits += 1
             self._memo.move_to_end(key)
             return value
-        self.misses += 1
         value = self._build(indexes)
         while len(self._memo) >= self._max_entries:
             self._memo.popitem(last=False)

@@ -63,10 +63,7 @@ def cache_to_dict(cache: InumCache) -> Dict[str, Any]:
             "seconds_plans": cache.build_stats.seconds_plans,
             "seconds_access_costs": cache.build_stats.seconds_access_costs,
             "combinations_enumerated": cache.build_stats.combinations_enumerated,
-            "entries_cached": cache.build_stats.entries_cached,
-            "unique_plans": cache.build_stats.unique_plans,
             "whatif_cache_hits": cache.build_stats.whatif_cache_hits,
-            "whatif_cache_misses": cache.build_stats.whatif_cache_misses,
         },
     }
 
@@ -94,6 +91,8 @@ def cache_from_dict(payload: Dict[str, Any], query: Query) -> InumCache:
         cache.add_entry(_entry_from_dict(entry_payload))
     for info_payload in payload.get("access_costs", []):
         cache.access_costs.add(_access_cost_from_dict(info_payload))
+    # Only known keys are read: files written when the statistics also
+    # carried copies of other counts load unchanged (FORMAT_VERSION 1).
     stats = payload.get("build_stats", {})
     cache.build_stats = CacheBuildStatistics(
         optimizer_calls_plans=int(stats.get("optimizer_calls_plans", 0)),
@@ -101,10 +100,7 @@ def cache_from_dict(payload: Dict[str, Any], query: Query) -> InumCache:
         seconds_plans=float(stats.get("seconds_plans", 0.0)),
         seconds_access_costs=float(stats.get("seconds_access_costs", 0.0)),
         combinations_enumerated=int(stats.get("combinations_enumerated", 0)),
-        entries_cached=int(stats.get("entries_cached", 0)),
-        unique_plans=int(stats.get("unique_plans", 0)),
         whatif_cache_hits=int(stats.get("whatif_cache_hits", 0)),
-        whatif_cache_misses=int(stats.get("whatif_cache_misses", 0)),
     )
     return cache
 

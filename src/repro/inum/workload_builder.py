@@ -117,11 +117,9 @@ class WorkloadBuildReport:
 
     @property
     def whatif_hit_rate(self) -> float:
-        """Hit fraction of the memoizing what-if layer across fresh builds."""
-        requests = sum(outcome.stats.whatif_requests for outcome in self._built())
-        if not requests:
-            return 0.0
-        return self.whatif_cache_hits / requests
+        """Fraction of the fresh builds' what-if probes answered from memory."""
+        probes = self.whatif_cache_hits + self.optimizer_calls
+        return self.whatif_cache_hits / probes if probes else 0.0
 
 
 @dataclass

@@ -5,9 +5,15 @@ consistent (the README "Observability" section documents this catalog),
 and means a bare ``repro metrics`` already exposes the full family list
 with HELP/TYPE headers -- values fill in as the process does work.
 
-Instrumented modules import their families from here and bump them at the
-same statements that feed the per-object ``*Statistics`` dataclasses
-(which responses and reports read), so the two surfaces can never disagree.
+Each fact is counted once, where it happens.  An optimizer call is counted
+by ``Optimizer.optimize`` alone: it bumps ``Optimizer.call_count`` and
+observes :data:`WHATIF_SECONDS` in the same block, so
+``repro_whatif_seconds_count`` is the process's optimizer-call count, and
+per-build, per-session and per-request call numbers are differences of
+``call_count``, not second counters.  Families that count what has no
+other counter (memo hits, cache-build latency, selection effort) are
+bumped at the statement that does the work, beside the per-object
+``*Statistics`` field a response reads when there is one.
 """
 
 from __future__ import annotations
@@ -16,23 +22,26 @@ from repro.obs.metrics import get_registry
 
 _REGISTRY = get_registry()
 
-# -- what-if optimizer (optimizer/whatif.py) ---------------------------------------
+# -- optimizer calls and the what-if memo (optimizer/) -----------------------------
 
-#: Memoized what-if probes by outcome: ``hit`` (session memo) and
-#: ``shared_hit`` (cross-session tier snapshot) answered from memory,
-#: ``miss`` paid a real optimizer call; ``maintenance_*`` likewise for the
-#: memoized index-maintenance model.
+#: What-if memo outcomes: ``hit`` (session memo) and ``shared_hit``
+#: (cross-session tier snapshot) are optimizer probes answered from memory;
+#: ``maintenance_hit``/``maintenance_miss`` are the memoized
+#: index-maintenance model's.  A probe that reaches the optimizer is an
+#: optimizer call, counted by :data:`WHATIF_SECONDS` alone.
 WHATIF_CALLS = _REGISTRY.counter(
     "repro_whatif_calls_total",
-    "What-if optimizer probes by memo outcome.",
+    "What-if memo outcomes (optimizer calls are repro_whatif_seconds_count).",
     ("result",),
 )
 
-#: Latency of probes that reached the real optimizer (misses only; memo
-#: hits are dictionary lookups and would drown the distribution).
+#: Latency of every optimizer call, memoised or not, observed by
+#: ``Optimizer.optimize`` itself; its ``_count`` is the optimizer-call
+#: count.  Memo hits never reach it (dictionary lookups would drown the
+#: distribution).
 WHATIF_SECONDS = _REGISTRY.histogram(
     "repro_whatif_seconds",
-    "Latency of what-if probes that reached the optimizer.",
+    "Latency of optimizer calls (the count is the optimizer-call count).",
 )
 
 # -- plan-cache construction (inum/, pinum/) ---------------------------------------

@@ -163,9 +163,14 @@ def enumerate_combinations(
     return combinations
 
 
-def combination_count(query: Query) -> int:
+def combination_count(
+    query: Query,
+    orders_by_table: Optional[Dict[str, Sequence[str]]] = None,
+) -> int:
     """Number of IOCs without materializing them (for reporting)."""
+    if orders_by_table is None:
+        orders_by_table = interesting_orders_by_table(query)
     count = 1
     for table in query.tables:
-        count *= len(interesting_orders_for(query, table)) + 1
+        count *= len(orders_by_table.get(table, ())) + 1
     return count

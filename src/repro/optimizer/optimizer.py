@@ -7,6 +7,11 @@ the single top-level query), exposes the knobs the paper's designers need
 (``enable_nestloop``, the visible index set, PINUM's hooks) and -- crucially
 for the experiments -- counts every call so the INUM-vs-PINUM comparison can
 be reported both in wall-clock time and in number of optimizer invocations.
+:meth:`Optimizer.optimize` is the one place a call is counted
+(:attr:`Optimizer.call_count`) and timed (the ``repro_whatif_seconds``
+histogram, whose ``_count`` is therefore the process's optimizer-call
+count); every other call number -- per build phase, per session, per
+request -- is a difference of ``call_count``.
 
 A call is a function of its arguments: the what-if configuration is the
 ``indexes`` argument, the hooks are a frozen value, and everything the call
@@ -22,6 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.index import Index
+from repro.obs.instruments import WHATIF_SECONDS
 from repro.optimizer.access_paths import AccessPathCollector
 from repro.optimizer.cost_model import CostModel, CostParameters
 from repro.optimizer.grouping_planner import GroupingPlanner
@@ -58,16 +64,6 @@ class OptimizerOptions:
 
 
 @dataclass
-class CallRecord:
-    """Bookkeeping for one optimizer invocation."""
-
-    query_name: str
-    elapsed_seconds: float
-    enable_nestloop: bool
-    used_hooks: bool
-
-
-@dataclass
 class OptimizationResult:
     """Everything one optimizer call returns.
 
@@ -82,7 +78,6 @@ class OptimizationResult:
     plan: Optional[PlanNode]
     ioc_plans: Dict[InterestingOrderCombination, PlanNode] = field(default_factory=dict)
     access_paths: List[AccessPath] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
 
     @property
     def cost(self) -> float:
@@ -96,21 +91,21 @@ class OptimizationResult:
 
 
 class Optimizer:
-    """PostgreSQL-style bottom-up query optimizer with PINUM hook points."""
+    """PostgreSQL-style bottom-up query optimizer with PINUM hook points.
 
-    #: Newest call records kept in :attr:`call_log`.  The log is for
-    #: inspection; the counters below are exact whatever its length, so a
-    #: long-lived serve process does not grow by one record per call.
-    MAX_CALL_LOG = 1024
+    One optimizer serves one thread at a time (a session owns one, and the
+    server runs a session's requests one after another), so the change in
+    :attr:`call_count` across a block of work is exactly the calls that
+    block made.
+    """
 
     def __init__(self, catalog: Catalog, options: Optional[OptimizerOptions] = None) -> None:
         self.catalog = catalog
         self.options = options or OptimizerOptions()
         self.cost_model = CostModel(self.options.cost_parameters)
         self._preprocessor = QueryPreprocessor(catalog)
+        #: Optimizer calls made so far; only :meth:`optimize` writes it.
         self.call_count = 0
-        self.call_log: List[CallRecord] = []
-        self._total_seconds = 0.0
 
     # -- the optimizer call ----------------------------------------------------------
 
@@ -130,11 +125,14 @@ class Optimizer:
         validated against the catalog.
 
         Every invocation counts as one "optimizer call" for the purposes of
-        the paper's experiments, regardless of which hooks are enabled.  With
+        the paper's experiments, regardless of which hooks are enabled (a
+        call that raises counts too, so :attr:`call_count` and the
+        ``repro_whatif_seconds`` count never drift apart).  With
         ``hooks.access_paths_only`` the call ends after the collector and
         the result has no plan.
         """
-        with timed() as timer:
+        with timed(WHATIF_SECONDS):
+            self.call_count += 1
             nestloop = (
                 self.options.enable_nestloop if enable_nestloop is None else enable_nestloop
             )
@@ -155,40 +153,13 @@ class Optimizer:
                     for ioc, plan in join_result.ioc_plans.items():
                         ioc_plans[ioc] = grouping.finalize(prepared, plan)
 
-        elapsed = timer.seconds
-        self.call_count += 1
-        self._total_seconds += elapsed
-        if len(self.call_log) >= self.MAX_CALL_LOG:
-            del self.call_log[0]
-        self.call_log.append(
-            CallRecord(
-                query_name=query.name,
-                elapsed_seconds=elapsed,
-                enable_nestloop=nestloop,
-                used_hooks=hooks.keep_all_ioc_plans or hooks.keep_all_access_paths,
-            )
-        )
         return OptimizationResult(
             query=prepared,
             plan=best_plan,
             ioc_plans=ioc_plans,
             access_paths=exported,
-            elapsed_seconds=elapsed,
         )
 
     def cost(self, query: Query, enable_nestloop: Optional[bool] = None) -> float:
         """Convenience wrapper returning only the optimal plan's cost."""
         return self.optimize(query, enable_nestloop=enable_nestloop).cost
-
-    # -- instrumentation ---------------------------------------------------------------
-
-    def reset_counters(self) -> None:
-        """Forget call counts and timings (used between experiment phases)."""
-        self.call_count = 0
-        self.call_log = []
-        self._total_seconds = 0.0
-
-    @property
-    def total_optimization_seconds(self) -> float:
-        """Wall-clock seconds spent inside :meth:`optimize` since the last reset."""
-        return self._total_seconds

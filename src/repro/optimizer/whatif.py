@@ -25,20 +25,18 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.catalog.index import Index
-from repro.obs.instruments import WHATIF_CALLS, WHATIF_SECONDS
+from repro.obs.instruments import WHATIF_CALLS
 from repro.obs.trace import get_tracer
 from repro.optimizer.hooks import OptimizerHooks
 from repro.optimizer.maintenance import MaintenanceCostModel
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
 from repro.query.ast import DmlStatement, Query, Statement
 from repro.util.fingerprint import configuration_signature, query_fingerprint
-from repro.util.timing import timed
 
 #: Hot-path children resolved once: a memo hit costs one counter bump, not
 #: a label lookup per call.
 _CALLS_HIT = WHATIF_CALLS.labels(result="hit")
 _CALLS_SHARED_HIT = WHATIF_CALLS.labels(result="shared_hit")
-_CALLS_MISS = WHATIF_CALLS.labels(result="miss")
 _CALLS_MAINTENANCE_HIT = WHATIF_CALLS.labels(result="maintenance_hit")
 _CALLS_MAINTENANCE_MISS = WHATIF_CALLS.labels(result="maintenance_miss")
 
@@ -47,19 +45,15 @@ class WhatIfOptimizer:
     """Thin wrapper around :class:`Optimizer` for configuration probing."""
 
     def __init__(self, optimizer: Optimizer) -> None:
-        self._optimizer = optimizer
+        #: The wrapped optimizer, whose ``call_count`` counts every call.
+        self.optimizer = optimizer
         self._maintenance: Optional[MaintenanceCostModel] = None
-
-    @property
-    def optimizer(self) -> Optimizer:
-        """The wrapped optimizer (for call-count inspection)."""
-        return self._optimizer
 
     @property
     def maintenance_model(self) -> MaintenanceCostModel:
         """The maintenance cost model over the optimizer's catalog (lazy)."""
         if self._maintenance is None:
-            self._maintenance = MaintenanceCostModel(self._optimizer.catalog)
+            self._maintenance = MaintenanceCostModel(self.optimizer.catalog)
         return self._maintenance
 
     def maintenance_cost(self, statement: DmlStatement, index: Index) -> float:
@@ -106,7 +100,7 @@ class WhatIfOptimizer:
         The given configuration is the *only* visible index set -- the
         semantics INUM needs when probing an atomic configuration.
         """
-        return self._optimizer.optimize(
+        return self.optimizer.optimize(
             query, hooks=hooks, enable_nestloop=enable_nestloop, indexes=indexes
         )
 
@@ -127,29 +121,26 @@ class WhatIfOptimizer:
 
 @dataclass
 class WhatIfCallStatistics:
-    """Hit/miss accounting of one :class:`WhatIfCallCache`.
+    """What one :class:`WhatIfCallCache` answered from memory.
 
-    ``hits``/``misses`` count optimizer probes only; the (far cheaper)
-    memoized maintenance-cost questions of update-aware tuning are counted
-    separately so builder hit-rate reports keep their original meaning.
+    ``hits`` counts optimizer probes answered without a call; the calls
+    themselves are counted once, by the optimizer (``optimizer.call_count``),
+    so a probe count is ``hits`` plus the change in that count.  The (far
+    cheaper) memoized maintenance-cost questions of update-aware tuning are
+    counted separately, hits and misses both, since no optimizer call stands
+    behind them.
     """
 
     hits: int = 0
-    misses: int = 0
     maintenance_hits: int = 0
     maintenance_misses: int = 0
 
     # The record_* methods are the only increment paths: they bump the
-    # dataclass field and the registry family in the same statement, so the
-    # per-object view and ``repro metrics`` can never disagree.
+    # dataclass field and the registry family in the same statement.
 
     def record_hit(self, shared: bool = False) -> None:
         self.hits += 1
         (_CALLS_SHARED_HIT if shared else _CALLS_HIT).inc()
-
-    def record_miss(self) -> None:
-        self.misses += 1
-        _CALLS_MISS.inc()
 
     def record_maintenance_hit(self) -> None:
         self.maintenance_hits += 1
@@ -158,18 +149,6 @@ class WhatIfCallStatistics:
     def record_maintenance_miss(self) -> None:
         self.maintenance_misses += 1
         _CALLS_MAINTENANCE_MISS.inc()
-
-    @property
-    def requests(self) -> int:
-        """Total what-if requests routed through the cache."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of requests answered without an optimizer call."""
-        if not self.requests:
-            return 0.0
-        return self.hits / self.requests
 
 
 #: Hook signature: ``None`` for a plain call, otherwise the four switches
@@ -240,6 +219,8 @@ class WhatIfCallCache:
         if isinstance(whatif, Optimizer):
             whatif = WhatIfOptimizer(whatif)
         self._whatif = whatif
+        #: The underlying optimizer, whose ``call_count`` counts the misses.
+        self.optimizer = whatif.optimizer
         self._entries: Dict[tuple, List[Tuple[HooksSignature, OptimizationResult]]] = {}
         self._maintenance_memo: Dict[tuple, float] = {}
         #: Optional cross-session map: a shareable local miss reads it, a
@@ -247,11 +228,6 @@ class WhatIfCallCache:
         self._shared = shared
         self._unpublished: Dict[tuple, object] = {}
         self.statistics = WhatIfCallStatistics()
-
-    @property
-    def optimizer(self) -> Optimizer:
-        """The underlying optimizer (for call-count inspection)."""
-        return self._whatif.optimizer
 
     def publish_shared(self) -> None:
         """Promote every fresh shareable answer in one batch.
@@ -312,11 +288,9 @@ class WhatIfCallCache:
                 tracer.add("whatif.memo_hits")
                 return shared_hit
         with tracer.span("whatif.optimize", query_fp=key[0][:12]):
-            with timed(WHATIF_SECONDS):
-                result = self._whatif.optimize_with_configuration(
-                    query, indexes, enable_nestloop=enable_nestloop, hooks=hooks
-                )
-        self.statistics.record_miss()
+            result = self._whatif.optimize_with_configuration(
+                query, indexes, enable_nestloop=enable_nestloop, hooks=hooks
+            )
         self._entries.setdefault(key, []).append((signature, result))
         if share:
             self._unpublished[key] = result
@@ -407,25 +381,6 @@ class WhatIfCallCache:
         for charge in self.maintenance_costs(statement, relevant):
             cost += charge
         return cost
-
-    @staticmethod
-    def hit_baseline(whatif: object) -> int:
-        """Current hit count of ``whatif`` (0 for a plain, uncached optimizer).
-
-        Builders snapshot this before a build phase and pass it to
-        :meth:`hits_since` afterwards, so the same code path records hit/miss
-        statistics whether or not a call cache is in use.
-        """
-        statistics = getattr(whatif, "statistics", None)
-        return statistics.hits if isinstance(statistics, WhatIfCallStatistics) else 0
-
-    @staticmethod
-    def hits_since(whatif: object, baseline: int) -> int:
-        """Hits accumulated on ``whatif`` since ``baseline`` was snapshotted."""
-        statistics = getattr(whatif, "statistics", None)
-        if not isinstance(statistics, WhatIfCallStatistics):
-            return 0
-        return statistics.hits - baseline
 
     def _lookup(self, key: tuple, signature: HooksSignature) -> Optional[OptimizationResult]:
         """The stored result under ``key`` compatible with ``signature``, if any."""

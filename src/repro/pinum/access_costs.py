@@ -9,8 +9,8 @@ optimizer call -- versus one call per index for the classic approach, the
 
 The paths exist before the first join level, so the call also sets the
 ``access_paths_only`` stop: it runs no join DP and returns no plan, and it
-is still counted as one optimizer call (in ``Optimizer.call_count``, the
-what-if statistics and ``optimizer_calls_access_costs``).
+is still counted as one optimizer call (in ``Optimizer.call_count``, and
+through it in ``optimizer_calls_access_costs``).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class PinumAccessCostCollector:
         cache: InumCache,
         candidate_indexes: Optional[Sequence[Index]] = None,
     ) -> int:
-        """Populate ``cache.access_costs``; returns the number of optimizer calls (1).
+        """Populate ``cache.access_costs``; returns the optimizer calls made (1, or 0 from memory).
 
         The single call is made with *all* candidate indexes visible at once
         and ``keep_all_access_paths`` enabled; the exported paths include the
@@ -57,7 +57,7 @@ class PinumAccessCostCollector:
         It stops before the join DP (``access_paths_only``).
         """
         candidates = self._candidates(query, candidate_indexes)
-        baseline = WhatIfCallCache.hit_baseline(self._whatif)
+        calls_before = self._whatif.optimizer.call_count
         with timed(BUILD_SECONDS, builder="pinum", phase="access_costs") as timer:
             hooks = OptimizerHooks(keep_all_access_paths=True, access_paths_only=True)
             result = self._whatif.optimize_with_configuration(
@@ -65,13 +65,11 @@ class PinumAccessCostCollector:
             )
             for path in result.access_paths:
                 cache.access_costs.add_path(path)
-        hits = WhatIfCallCache.hits_since(self._whatif, baseline)
-        cache.build_stats.optimizer_calls_access_costs += 1 - hits
-        cache.build_stats.whatif_cache_hits += hits
-        if isinstance(self._whatif, WhatIfCallCache):
-            cache.build_stats.whatif_cache_misses += 1 - hits
+        calls = self._whatif.optimizer.call_count - calls_before
+        cache.build_stats.optimizer_calls_access_costs += calls
+        cache.build_stats.whatif_cache_hits += 1 - calls
         cache.build_stats.seconds_access_costs += timer.seconds
-        return 1 - hits
+        return calls
 
     @staticmethod
     def _candidates(

@@ -29,7 +29,7 @@ from repro.inum.cache import CacheEntry, InumCache
 from repro.obs.instruments import BUILD_SECONDS
 from repro.obs.trace import get_tracer
 from repro.optimizer.hooks import OptimizerHooks
-from repro.optimizer.interesting_orders import interesting_orders_by_table
+from repro.optimizer.interesting_orders import combination_count, interesting_orders_by_table
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfCallCache, WhatIfOptimizer
 from repro.pinum.access_costs import PinumAccessCostCollector
@@ -73,7 +73,6 @@ class PinumCacheBuilder:
         options: Optional[PinumBuilderOptions] = None,
         call_cache: Optional[WhatIfCallCache] = None,
     ) -> None:
-        self._optimizer = optimizer
         self._whatif = call_cache if call_cache is not None else WhatIfOptimizer(optimizer)
         self._options = options or PinumBuilderOptions()
         self._access_collector = PinumAccessCostCollector(optimizer, whatif=self._whatif)
@@ -102,8 +101,8 @@ class PinumCacheBuilder:
         # index per interesting order of every table, all visible at once.
         probing_indexes = probing_index_set(query)
 
-        baseline = WhatIfCallCache.hit_baseline(self._whatif)
-        calls = 1 + self._options.nestloop_calls
+        calls_before = self._whatif.optimizer.call_count
+        probes = 1 + self._options.nestloop_calls
 
         with timed(BUILD_SECONDS, builder="pinum", phase="plans") as timer:
             # Call 1: nested loops off, harvest one plan per IOC.  Optional
@@ -112,25 +111,22 @@ class PinumCacheBuilder:
             hooks = OptimizerHooks(
                 keep_all_ioc_plans=True, subsumption_pruning=self._options.subsumption_pruning
             )
-            for nestloop in (False, True)[:calls]:
+            for nestloop in (False, True)[:probes]:
                 result = self._whatif.optimize_with_configuration(
                     query, probing_indexes, enable_nestloop=nestloop, hooks=hooks
                 )
-                if not nestloop:
-                    cache.build_stats.combinations_enumerated = len(result.ioc_plans)
                 for plan in result.ioc_plans.values():
                     if plan.uses_nested_loop or not nestloop:
                         entry = CacheEntry.from_plan(plan, orders_by_table, source="pinum")
                         cache.add_entry(entry)
 
-        hits = WhatIfCallCache.hits_since(self._whatif, baseline)
-        cache.build_stats.optimizer_calls_plans += calls - hits
-        cache.build_stats.whatif_cache_hits += hits
-        if isinstance(self._whatif, WhatIfCallCache):
-            cache.build_stats.whatif_cache_misses += calls - hits
+        calls = self._whatif.optimizer.call_count - calls_before
+        cache.build_stats.optimizer_calls_plans += calls
+        cache.build_stats.whatif_cache_hits += probes - calls
         cache.build_stats.seconds_plans += timer.seconds
-        cache.build_stats.entries_cached = cache.entry_count
-        cache.build_stats.unique_plans = cache.unique_plan_count()
+        # The IOCs the query has, as INUM counts them; the harvest keeps
+        # fewer (subsumption pruning), which ``cache.entry_count`` shows.
+        cache.build_stats.combinations_enumerated = combination_count(query, orders_by_table)
         return cache
 
 def probing_index_set(query: Query) -> List[Index]:

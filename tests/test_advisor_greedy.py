@@ -40,9 +40,9 @@ class TestWorkloadCostModels:
     def test_cache_model_answers_without_optimizer(self, small_catalog, workload, candidates):
         optimizer = Optimizer(small_catalog)
         model = CacheBackedWorkloadCostModel.build(optimizer, workload, candidates, mode="pinum")
-        optimizer.reset_counters()
+        calls_before = optimizer.call_count
         model.workload_cost(candidates[:3])
-        assert optimizer.call_count == 0
+        assert optimizer.call_count == calls_before
         assert model.preparation_optimizer_calls > 0
 
     def test_pinum_cache_model_tracks_optimizer_model(self, small_catalog, workload, candidates):

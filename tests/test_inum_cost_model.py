@@ -37,10 +37,10 @@ class TestEstimation:
         optimizer = Optimizer(small_catalog)
         cache = InumCacheBuilder(optimizer).build_cache(join_query, candidates)
         model = InumCostModel(cache)
-        optimizer.reset_counters()
+        calls_before = optimizer.call_count
         model.estimate(AtomicConfiguration([candidates[0], candidates[3]]))
         model.estimate_empty()
-        assert optimizer.call_count == 0
+        assert optimizer.call_count == calls_before
 
     def test_estimates_track_optimizer_for_atomic_configs(
         self, small_catalog, join_query, candidates, cost_model

@@ -10,14 +10,17 @@ so nothing outside ``optimizer/plan.py`` names a node subclass or asks
 ``build_one_cache``, reached only from the session's lookup chain and the
 standalone cost-model helper.  And the catalog is written only by its own
 package: a what-if configuration is an argument of the optimizer call, never
-catalog state.  This module pins all four by walking the source with
-:mod:`ast`.
+catalog state.  And an optimizer call is counted in one place,
+``Optimizer.optimize``: every other call number is a difference of its
+``call_count``.  This module pins all five by walking the source with
+:mod:`ast` (and, for removed counter names, its text).
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +46,14 @@ LOWER_LAYERS = ("advisor/", "inum/", "pinum/", "optimizer/", "api/requests.py")
 #: The catalog overlay and hook buffer that became optimizer-call arguments
 #: and result fields.
 REMOVED_WHATIF_NAMES = frozenset({"only_indexes", "with_indexes", "collected_access_paths"})
+
+#: Second counts of optimizer calls and memo traffic, and counters nothing
+#: read, that became differences of ``Optimizer.call_count`` or went away.
+REMOVED_COUNTER_NAMES = frozenset({
+    "hit_baseline", "hits_since", "whatif_cache_misses", "whatif_requests",
+    "entries_cached", "call_log", "CallRecord", "record_miss",
+    "total_optimization_seconds", "memo_counters",
+})
 
 #: The plan-node classes that became ``PlanNode`` + ``Operator``.
 REMOVED_PLAN_NAMES = frozenset({
@@ -235,5 +246,38 @@ def test_only_the_catalog_package_writes_indexes_into_the_catalog():
         for name, tree in _modules()
         for identifier in _defined_or_used_names(tree)
         if identifier in REMOVED_WHATIF_NAMES
+    }
+    assert named == set()
+
+
+def _assigns_attribute(tree: ast.AST, attribute: str) -> bool:
+    """Whether any assignment (plain, augmented, annotated) writes ``.attribute``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(
+            isinstance(child, ast.Attribute) and child.attr == attribute
+            for target in targets
+            for child in ast.walk(target)
+        ):
+            return True
+    return False
+
+
+def test_an_optimizer_call_is_counted_in_one_place():
+    """Only the optimizer writes ``call_count``, and none of the second
+    counts it replaced is named anywhere in the source, comments and
+    docstrings included."""
+    writers = {name for name, tree in _modules() if _assigns_attribute(tree, "call_count")}
+    assert writers == {"optimizer/optimizer.py"}
+    pattern = re.compile(r"\b(" + "|".join(sorted(REMOVED_COUNTER_NAMES)) + r")\b")
+    named = {
+        f"{path.relative_to(PACKAGE).as_posix()}: {match.group(1)}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for match in pattern.finditer(path.read_text(encoding="utf-8"))
     }
     assert named == set()

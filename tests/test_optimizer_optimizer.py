@@ -38,28 +38,6 @@ class TestCallAccounting:
         optimizer.optimize(simple_query)
         optimizer.optimize(join_query)
         assert optimizer.call_count == 3
-        assert len(optimizer.call_log) == 3
-        assert optimizer.total_optimization_seconds > 0
-
-    def test_reset_counters(self, optimizer, join_query):
-        optimizer.optimize(join_query)
-        optimizer.reset_counters()
-        assert optimizer.call_count == 0
-        assert optimizer.call_log == []
-
-    def test_call_log_records_nestloop_flag(self, optimizer, join_query):
-        optimizer.optimize(join_query, enable_nestloop=False)
-        assert optimizer.call_log[-1].enable_nestloop is False
-
-    def test_call_log_is_bounded_and_totals_stay_exact(self, optimizer, simple_query):
-        """A long-lived process keeps the newest records only; counters are exact."""
-        total = 0.0
-        for _ in range(5_000):
-            total += optimizer.optimize(simple_query).elapsed_seconds
-        assert optimizer.call_count == 5_000
-        assert len(optimizer.call_log) == Optimizer.MAX_CALL_LOG
-        assert optimizer.total_optimization_seconds == total
-        assert optimizer.call_log[-1].elapsed_seconds > 0
 
 
 class TestOptions:

@@ -10,6 +10,7 @@ from repro.optimizer.joinplanner import JoinPlanner
 from repro.pinum import PinumBuilderOptions, PinumCacheBuilder, PinumCostModel
 from repro.pinum.cache_builder import probing_index_set
 from repro.util.errors import PlanningError, ReproError
+from repro.workloads import builtin_workload
 
 
 @pytest.fixture
@@ -76,7 +77,7 @@ class TestCallCounts:
         )
         assert len(plans) == 2  # the two plan-harvesting calls only
         assert optimizer.call_count == 3
-        assert call_cache.statistics.misses == 3
+        assert call_cache.statistics.hits == 0
         assert cache.build_stats.optimizer_calls_access_costs == 1
         assert cache.build_stats.optimizer_calls_total == 3
         assert len(cache.access_costs) > 0
@@ -108,6 +109,23 @@ class TestCallCounts:
             < inum_cache.build_stats.optimizer_calls_total / 5
         )
         assert inum_cache.build_stats.optimizer_calls_plans >= combination_count(join_query)
+
+
+class TestCombinationsEnumerated:
+    """Both builders report the query's IOC count, not how many plans the
+    harvest kept (PINUM's subsumption pruning keeps far fewer)."""
+
+    @pytest.mark.parametrize("builder", [PinumCacheBuilder, InumCacheBuilder])
+    @pytest.mark.parametrize("catalog_name, query_name, combinations", [
+        ("tpch", "tpch_small_join", 12),
+        ("star", "Q2", 18),
+    ])
+    def test_the_query_ioc_count(self, builder, catalog_name, query_name, combinations):
+        catalog, queries = builtin_workload(catalog_name, seed=7)
+        query = next(query for query in queries if query.name == query_name)
+        cache = builder(Optimizer(catalog)).build_cache(query)
+        assert cache.build_stats.combinations_enumerated == combinations
+        assert combination_count(query) == combinations
 
 
 class TestCacheContents:

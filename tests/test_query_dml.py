@@ -278,8 +278,8 @@ class TestWhatIfMaintenanceMemoization:
         assert first == second > 0.0
         assert cache.statistics.maintenance_misses == 1
         assert cache.statistics.maintenance_hits == 1
-        # Optimizer-probe accounting is untouched by maintenance questions.
-        assert cache.statistics.hits == cache.statistics.misses == 0
+        # Maintenance questions are neither memo hits nor optimizer calls.
+        assert cache.statistics.hits == cache.optimizer.call_count == 0
 
     def test_statement_cost_decomposes(self, small_catalog):
         cache = WhatIfCallCache(Optimizer(small_catalog))

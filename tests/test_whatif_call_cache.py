@@ -16,7 +16,6 @@ class TestWhatIfCallCache:
         first = cache.optimize_with_configuration(join_query, [sample_index])
         second = cache.optimize_with_configuration(join_query, [sample_index])
         assert cache.statistics.hits == 1
-        assert cache.statistics.misses == 1
         assert second is first
         assert cache.optimizer.call_count == 1
 
@@ -34,7 +33,7 @@ class TestWhatIfCallCache:
         cache = WhatIfCallCache(Optimizer(small_catalog))
         cache.optimize_with_configuration(join_query, [sample_index], enable_nestloop=False)
         cache.optimize_with_configuration(join_query, [sample_index], enable_nestloop=True)
-        assert cache.statistics.misses == 2
+        assert cache.optimizer.call_count == 2
         assert cache.statistics.hits == 0
 
     def test_plain_request_served_from_access_path_result(
@@ -65,7 +64,7 @@ class TestWhatIfCallCache:
         cache.optimize_with_configuration(
             join_query, [sample_index], hooks=OptimizerHooks(keep_all_access_paths=True)
         )
-        assert cache.statistics.misses == 2
+        assert cache.optimizer.call_count == 2
 
     def test_plain_request_not_served_from_ioc_plan_result(
         self, small_catalog, join_query, sample_index
@@ -76,7 +75,7 @@ class TestWhatIfCallCache:
             hooks=OptimizerHooks(keep_all_access_paths=True, keep_all_ioc_plans=True),
         )
         cache.optimize_with_configuration(join_query, [sample_index])
-        assert cache.statistics.misses == 2
+        assert cache.optimizer.call_count == 2
 
     def test_plain_request_not_served_from_access_paths_only_result(
         self, small_catalog, join_query, sample_index
@@ -88,13 +87,13 @@ class TestWhatIfCallCache:
         )
         assert stopped.plan is None and stopped.access_paths
         plain = cache.optimize_with_configuration(join_query, [sample_index])
-        assert cache.statistics.misses == 2
+        assert cache.optimizer.call_count == 2
         assert plain.plan is not None
         # The full export call and the stopped one are different answers too.
         full = cache.optimize_with_configuration(
             join_query, [sample_index], hooks=OptimizerHooks(keep_all_access_paths=True)
         )
-        assert cache.statistics.misses == 3
+        assert cache.optimizer.call_count == 3
         assert full.plan is not None
 
     def test_only_plain_answers_reach_the_shared_store(
@@ -113,7 +112,7 @@ class TestWhatIfCallCache:
         second = WhatIfCallCache(Optimizer(small_catalog), shared=shared)
         second.optimize_with_configuration(join_query, [])
         second.optimize_with_configuration(join_query, [sample_index], hooks=hooks)
-        assert (second.statistics.hits, second.statistics.misses) == (1, 1)
+        assert (second.statistics.hits, second.optimizer.call_count) == (1, 1)
 
     def test_forget_drops_one_querys_answers(
         self, small_catalog, join_query, simple_query, sample_index
@@ -131,11 +130,12 @@ class TestWhatIfCallCache:
         cache = WhatIfCallCache(Optimizer(small_catalog))
         cache.optimize_with_configuration(join_query, [sample_index])
         assert len(cache) == 1
+        cache.optimize_with_configuration(join_query, [sample_index])
         cache.clear()
         assert len(cache) == 0
-        assert cache.statistics.misses == 1
+        assert cache.statistics.hits == 1
         cache.optimize_with_configuration(join_query, [sample_index])
-        assert cache.statistics.misses == 2
+        assert (cache.statistics.hits, cache.optimizer.call_count) == (1, 2)
 
 
 class TestInumBuilderAccounting:
@@ -166,18 +166,14 @@ class TestInumBuilderAccounting:
         stats = cache.build_stats
         # Access costs are collected first, so the plan phase's single-order
         # probes (and the empty-configuration probe) are memoized hits.
-        assert stats.whatif_cache_hits > 0
-        assert 0.0 < stats.whatif_hit_rate < 1.0
-        assert stats.whatif_cache_misses == stats.optimizer_calls_total
+        assert 0 < stats.whatif_cache_hits
+        assert 0 < stats.optimizer_calls_total
         # Reported optimizer calls must match the optimizer's own counter.
         assert stats.optimizer_calls_total == optimizer.call_count
-        assert stats.whatif_requests == stats.optimizer_calls_total + stats.whatif_cache_hits
 
     def test_plain_build_records_no_cache_traffic(self, small_catalog, join_query):
         cache = InumCacheBuilder(Optimizer(small_catalog)).build_cache(join_query)
         assert cache.build_stats.whatif_cache_hits == 0
-        assert cache.build_stats.whatif_cache_misses == 0
-        assert cache.build_stats.whatif_hit_rate == 0.0
 
 
 class TestPinumBuilderAccounting:
@@ -194,6 +190,6 @@ class TestPinumBuilderAccounting:
         )
         assert optimizer.call_count == calls_after_first
         assert second.build_stats.optimizer_calls_total == 0
-        assert second.build_stats.whatif_cache_hits == first.build_stats.whatif_requests
+        assert second.build_stats.whatif_cache_hits == first.build_stats.optimizer_calls_total
         assert second.entry_count == first.entry_count
         assert len(second.access_costs) == len(first.access_costs)

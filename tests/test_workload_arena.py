@@ -330,16 +330,25 @@ class TestArenaLayout:
         assert arena.column_for(index) is not None
         assert arena.column_for(Index("alpha", ["uncollected"])) is None
 
-    def test_mask_memo_counts_hits(self):
+    def test_a_repeated_index_set_builds_its_mask_once(self):
         queries, caches = _tiny_workload()
         arena = compile_arena(queries, caches, backend="python")
+        memo = arena._mask_memo
+        built = []
+        build = memo._build
+
+        def counting_build(indexes):
+            built.append(list(indexes))
+            return build(indexes)
+
+        memo._build = counting_build
         index = Index("alpha", ["a1"])
-        hits_before, misses_before = arena.memo_counters()
-        arena.evaluate([index])
-        arena.evaluate([index])
-        hits, misses = arena.memo_counters()
-        assert misses == misses_before + 1
-        assert hits == hits_before + 1
+        first = arena.evaluate([index])
+        # The same set again, as a distinct object: answered from the memo.
+        assert arena.evaluate([Index("alpha", ["a1"])]) == first
+        assert built == [[index]]
+        arena.evaluate([])
+        assert len(built) == 2
 
     def test_fingerprint_identity(self):
         cache_ids = {"q0": "cache-a", "q1": "cache-b"}
