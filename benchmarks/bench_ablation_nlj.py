@@ -13,10 +13,10 @@ Run with:  pytest benchmarks/bench_ablation_nlj.py --benchmark-only -s
 from __future__ import annotations
 
 from repro.bench.harness import ExperimentTable, relative_error
-from repro.inum import AtomicConfiguration
+from repro.inum import AtomicConfiguration, InumCostModel
 from repro.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.pinum import PinumBuilderOptions, PinumCacheBuilder, PinumCostModel
+from repro.pinum import PinumBuilderOptions, PinumCacheBuilder
 from repro.util.rng import DeterministicRNG
 
 CONFIGURATIONS_PER_QUERY = 25
@@ -46,7 +46,7 @@ def _run_nlj_ablation(star_catalog, star_queries, candidate_generator):
             cache = PinumCacheBuilder(
                 optimizer, PinumBuilderOptions(nestloop_calls=nlj_calls)
             ).build_cache(query, candidates)
-            model = PinumCostModel(cache)
+            model = InumCostModel(cache)
             errors = [
                 relative_error(model.estimate(probe), actual)
                 for probe, actual in zip(probes, actuals)

@@ -13,9 +13,9 @@ Run with:  pytest benchmarks/bench_ablation_pruning.py --benchmark-only -s
 from __future__ import annotations
 
 from repro.bench.harness import ExperimentTable, relative_error
-from repro.inum import AtomicConfiguration
+from repro.inum import AtomicConfiguration, InumCostModel
 from repro.optimizer import Optimizer
-from repro.pinum import PinumBuilderOptions, PinumCacheBuilder, PinumCostModel
+from repro.pinum import PinumBuilderOptions, PinumCacheBuilder
 from repro.util.rng import DeterministicRNG
 
 
@@ -43,7 +43,7 @@ def _run_pruning_ablation(star_catalog, star_queries, candidate_generator):
             cache = PinumCacheBuilder(
                 optimizer, PinumBuilderOptions(subsumption_pruning=pruning)
             ).build_cache(query, candidates)
-            results[pruning] = (cache, PinumCostModel(cache))
+            results[pruning] = (cache, InumCostModel(cache))
 
         pruned_cache, pruned_model = results[True]
         unpruned_cache, unpruned_model = results[False]

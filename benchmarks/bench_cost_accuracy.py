@@ -14,10 +14,10 @@ Run with:  pytest benchmarks/bench_cost_accuracy.py --benchmark-only -s
 from __future__ import annotations
 
 from repro.bench.harness import ExperimentTable, relative_error
-from repro.inum import AtomicConfiguration
+from repro.inum import AtomicConfiguration, InumCostModel
 from repro.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.pinum import PinumCacheBuilder, PinumCostModel
+from repro.pinum import PinumCacheBuilder
 from repro.util.rng import DeterministicRNG
 
 from benchmarks.conftest import bench_config_count
@@ -46,7 +46,7 @@ def _run_cost_accuracy(star_catalog, star_queries, candidate_generator) -> Exper
     for query in star_queries:
         candidates = candidate_generator.for_query(query)
         cache = PinumCacheBuilder(optimizer).build_cache(query, candidates)
-        model = PinumCostModel(cache)
+        model = InumCostModel(cache)
         by_table = {}
         for candidate in candidates:
             by_table.setdefault(candidate.table, []).append(candidate)

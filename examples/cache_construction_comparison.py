@@ -18,7 +18,7 @@ from repro.inum import AtomicConfiguration, InumCacheBuilder, InumCostModel
 from repro.optimizer import Optimizer
 from repro.optimizer.interesting_orders import combination_count
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.pinum import PinumCacheBuilder, PinumCostModel
+from repro.pinum import PinumCacheBuilder
 from repro.util.rng import DeterministicRNG
 from repro.util.timing import timed
 from repro.workloads import StarSchemaWorkload
@@ -60,7 +60,7 @@ def main() -> None:
 
     # Accuracy of both cost models against the optimizer.
     whatif = WhatIfOptimizer(optimizer)
-    pinum_model = PinumCostModel(pinum_cache)
+    pinum_model = InumCostModel(pinum_cache)
     inum_model = InumCostModel(inum_cache)
     rng = DeterministicRNG(23)
     per_table = {}

@@ -72,10 +72,12 @@ def main() -> None:
     print("\n=== untraced recommend ===")
     print("  response.trace is None -- spans cost nothing when off")
 
-    # 3. The registry saw both calls (and everything beneath them).
+    # 3. The registry saw both calls (and everything beneath them).  An
+    #    event with a latency histogram is counted by the histogram's
+    #    ``_count``: repro_recommend_seconds_count is the recommend count.
     print("\n=== repro metrics (excerpt) ===")
     interesting = (
-        "repro_session_recommends_total",
+        "repro_recommend_seconds_count",
         "repro_session_caches_total",
         "repro_whatif_calls_total",
         "repro_selection_evaluations_total",
@@ -88,6 +90,7 @@ def main() -> None:
     #    snapshot (fixed buckets, so memory stays bounded forever).
     families = {family["name"]: family for family in snapshot()["families"]}
     recommend_seconds = families["repro_recommend_seconds"]["series"]
+    assert sum(series["count"] for series in recommend_seconds) >= 2
     print("\n=== recommend latency quantiles ===")
     for series in recommend_seconds:
         labels = ",".join(f"{k}={v}" for k, v in series["labels"].items())

@@ -14,10 +14,10 @@ Run with:  python examples/quickstart.py
 """
 
 from repro.catalog import Index
-from repro.inum import AtomicConfiguration
+from repro.inum import AtomicConfiguration, InumCostModel
 from repro.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.pinum import PinumCacheBuilder, PinumCostModel
+from repro.pinum import PinumCacheBuilder
 from repro.query import parse_query
 from repro.workloads.tpch_like import build_tpch_like_catalog
 
@@ -66,7 +66,7 @@ def main() -> None:
     ]
     calls_before = optimizer.call_count
     cache = PinumCacheBuilder(optimizer).build_cache(query, candidates)
-    model = PinumCostModel(cache)
+    model = InumCostModel(cache)
     print("\n=== PINUM cache ===")
     print(f"optimizer calls to build the cache : {cache.build_stats.optimizer_calls_total}")
     print(f"cached plans                       : {cache.entry_count}")

@@ -34,7 +34,7 @@ from repro.inum import (
     InumCacheBuilder,
     InumCostModel,
 )
-from repro.pinum import PinumCacheBuilder, PinumCostModel
+from repro.pinum import PinumCacheBuilder
 from repro.advisor import IndexAdvisor, AdvisorOptions
 from repro.api import (
     EvaluateRequest,
@@ -70,7 +70,6 @@ __all__ = [
     "Optimizer",
     "OptimizerOptions",
     "PinumCacheBuilder",
-    "PinumCostModel",
     "Query",
     "QueryBuilder",
     "StarSchemaWorkload",

@@ -55,6 +55,8 @@ def validate_tuning_limits(
     drift_low_water: object = UNSET,
     drift_high_water: object = UNSET,
     horizon_statements: object = UNSET,
+    max_candidates: object = UNSET,
+    min_relative_benefit: object = UNSET,
 ) -> None:
     """Validate the numeric tuning limits shared by every request surface.
 
@@ -64,10 +66,12 @@ def validate_tuning_limits(
     selector/solver options and the online daemon's knobs
     (:class:`~repro.online.daemon.OnlineTunerConfig`, the serve ``watch_*``
     ops): the space budget must be strictly positive, the ILP gap and time
-    limit non-negative (``ilp_time_limit=None`` = no limit), the sliding
-    window and re-tune horizon strictly positive statement counts, and the
-    drift thresholds a hysteresis band ``0 <= low < high <= 1``.  A field
-    left at the :data:`UNSET` sentinel is not checked.
+    limit non-negative (``ilp_time_limit=None`` = no limit), the candidate
+    cap an integer >= 1 (``max_candidates=None`` = no cap), the selectors'
+    stopping threshold ``min_relative_benefit`` a finite number >= 0, the
+    sliding window and re-tune horizon strictly positive statement counts,
+    and the drift thresholds a hysteresis band ``0 <= low < high <= 1``.  A
+    field left at the :data:`UNSET` sentinel is not checked.
     Raises one :class:`~repro.util.errors.AdvisorError` listing *every*
     offending field.
     """
@@ -87,6 +91,25 @@ def validate_tuning_limits(
         if not _number(ilp_time_limit) or math.isnan(ilp_time_limit) or ilp_time_limit < 0:
             problems.append(
                 f"ilp_time_limit must be >= 0 seconds or None, got {ilp_time_limit!r}"
+            )
+    if max_candidates is not UNSET and max_candidates is not None:
+        if (
+            not isinstance(max_candidates, int)
+            or isinstance(max_candidates, bool)
+            or max_candidates < 1
+        ):
+            problems.append(
+                f"max_candidates must be an integer >= 1 or None, got {max_candidates!r}"
+            )
+    if min_relative_benefit is not UNSET:
+        if (
+            not _number(min_relative_benefit)
+            or not math.isfinite(min_relative_benefit)
+            or min_relative_benefit < 0
+        ):
+            problems.append(
+                "min_relative_benefit must be a finite number >= 0, got "
+                f"{min_relative_benefit!r}"
             )
     if window_statements is not UNSET:
         if (
@@ -256,6 +279,8 @@ class AdvisorOptions:
             space_budget_bytes=self.space_budget_bytes,
             ilp_gap=self.ilp_gap,
             ilp_time_limit=self.ilp_time_limit,
+            max_candidates=self.max_candidates,
+            min_relative_benefit=self.min_relative_benefit,
         )
         validate_name("cost model", self.cost_model, COST_MODELS)
         validate_name("selector", self.selector, SELECTORS)

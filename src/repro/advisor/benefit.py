@@ -39,7 +39,6 @@ from repro.inum.cost_estimation import InumCostModel
 from repro.inum.workload_builder import build_one_cache
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfCallCache, WhatIfOptimizer
-from repro.pinum.cost_model import PinumCostModel
 from repro.query.ast import Query
 from repro.util.errors import AdvisorError, validate_name
 from repro.util.fingerprint import configuration_signature, query_fingerprint
@@ -438,7 +437,7 @@ class CacheBackedWorkloadCostModel(WorkloadCostModel):
             cache = self._caches.get(query.name)
             if cache is None:
                 raise AdvisorError(f"no cache was built for query {query.name!r}")
-            model = PinumCostModel(cache) if self.mode == "pinum" else InumCostModel(cache)
+            model = InumCostModel(cache)
             self._models[query.name] = model
         return model
 

@@ -93,14 +93,19 @@ class RecommendRequest:
 
     def __post_init__(self) -> None:
         # Same validation AdvisorOptions applies, before any session work.
-        # None means "inherit" for budget/gap, so only real values are
-        # checked; ilp_time_limit speaks UNSET natively (None = no limit).
+        # None means "inherit" for budget/gap/benefit threshold, so only real
+        # values are checked; ilp_time_limit and max_candidates speak UNSET
+        # natively (None = no limit).
         validate_tuning_limits(
             space_budget_bytes=(
                 UNSET if self.space_budget_bytes is None else self.space_budget_bytes
             ),
             ilp_gap=UNSET if self.ilp_gap is None else self.ilp_gap,
             ilp_time_limit=self.ilp_time_limit,
+            max_candidates=self.max_candidates,
+            min_relative_benefit=(
+                UNSET if self.min_relative_benefit is None else self.min_relative_benefit
+            ),
         )
 
     @classmethod

@@ -289,17 +289,28 @@ class ServeFrontend:
         return {"space_budget_bytes": budget}
 
     def _op_stats(self, payload: Dict[str, Any], params: Dict[str, Any]) -> Dict[str, Any]:
-        session = self._session(payload)
+        key = self._watch_key(payload)
+        return self._session_stats(self.session_for(*key), self._watchers.get(key))
+
+    @staticmethod
+    def _session_stats(
+        session: TuningSession, watcher: Optional[OnlineTuner]
+    ) -> Dict[str, Any]:
+        """One session's numbers: the ``stats`` op and each overview entry.
+
+        Every value is read from where it is counted: cache traffic from
+        the session, optimizer calls from its optimizer, re-tunes from the
+        attached watcher (0, 0 and ``None`` without one).
+        """
         statistics = session.statistics
         last = session.last_result
-        watcher = self._watchers.get(self._watch_key(payload))
         return {
-            "retunes_accepted": statistics.retunes_accepted,
-            "retunes_rejected": statistics.retunes_rejected,
+            "retunes_accepted": 0 if watcher is None else watcher.retunes_accepted,
+            "retunes_rejected": 0 if watcher is None else watcher.retunes_rejected,
             # Monotonic-clock readings (compare against each other / the
             # server's uptime origin); None until the first such call.
             "last_recommend_at": session.last_recommend_at,
-            "last_retune_at": session.last_retune_at,
+            "last_retune_at": None if watcher is None else watcher.last_retune_at,
             "watch": None if watcher is None else watcher.statistics.to_dict(),
             "recommend_calls": statistics.recommend_calls,
             "caches_built": statistics.caches_built,
@@ -445,34 +456,22 @@ class ServeFrontend:
     # -- observability -----------------------------------------------------
 
     def session_overview(self) -> list:
-        """Per-session liveness for ``server_stats`` (one dict per session)."""
+        """Per-session liveness for ``server_stats`` (one dict per session).
+
+        Each entry is the session's catalog, seed, age and watch flag plus
+        exactly what the ``stats`` op returns for it.
+        """
         now = time.monotonic()
         overview = []
-        for (catalog, seed), session in self._sessions.items():
-            statistics = session.statistics
-            entry = {
-                "catalog": catalog,
-                "seed": seed,
-                "recommend_calls": statistics.recommend_calls,
-                "retunes_accepted": statistics.retunes_accepted,
-                "retunes_rejected": statistics.retunes_rejected,
+        for key, session in self._sessions.items():
+            watcher = self._watchers.get(key)
+            overview.append({
+                "catalog": key[0],
+                "seed": key[1],
                 "age_seconds": now - session.created_at,
-                "last_recommend_at": session.last_recommend_at,
-                "last_retune_at": session.last_retune_at,
-                "watching": (catalog, seed) in self._watchers,
-            }
-            watcher = self._watchers.get((catalog, seed))
-            if watcher is not None:
-                # Feed health of the attached online tuner: silently skipped
-                # lines and poll-cycle latency, same numbers as watch_stats.
-                entry["watch"] = {
-                    "malformed_lines": watcher.source.statistics.malformed_lines,
-                    "statements_ingested": watcher.source.statistics.statements_parsed,
-                    "poll_count": watcher.poll_count,
-                    "poll_seconds_total": watcher.poll_seconds_total,
-                    "last_poll_seconds": watcher.last_poll_seconds,
-                }
-            overview.append(entry)
+                "watching": watcher is not None,
+                **self._session_stats(session, watcher),
+            })
         return overview
 
     # -- internals ---------------------------------------------------------

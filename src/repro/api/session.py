@@ -95,12 +95,7 @@ from repro.catalog.index import Index
 from repro.inum.cache import InumCache
 from repro.inum.serialization import CacheStore
 from repro.inum.workload_builder import WorkloadBuildReport, WorkloadBuildResult
-from repro.obs.instruments import (
-    RECOMMEND_SECONDS,
-    SESSION_CACHES,
-    SESSION_RECOMMENDS,
-    SESSION_RETUNES,
-)
+from repro.obs.instruments import RECOMMEND_SECONDS, SESSION_CACHES
 from repro.obs.trace import get_tracer
 from repro.optimizer.maintenance import MaintenanceProfile, build_profiles
 from repro.optimizer.optimizer import Optimizer
@@ -137,10 +132,6 @@ class SessionStatistics:
     caches_deduplicated: int = 0
     caches_reused: int = 0
     caches_shared: int = 0
-    #: Online re-tunes the transition gate accepted / rejected against this
-    #: session (:meth:`TuningSession.note_retune`); 0/0 unless watched.
-    retunes_accepted: int = 0
-    retunes_rejected: int = 0
 
     def record_caches(self, source: str, count: int = 1) -> None:
         """Count cache acquisitions: the field and the registry in one step.
@@ -236,11 +227,11 @@ class TuningSession:
         #: selector telemetry -- selector, optimality gap, solver nodes).
         self.last_result: Optional[AdvisorResult] = None
         #: Monotonic observability timestamps (``server_stats`` surfaces
-        #: them): when the session was created, when it last recommended,
-        #: and when the online daemon last re-tuned it.
+        #: them): when the session was created and when it last recommended.
+        #: An online re-tune's time is the watcher's
+        #: (:attr:`repro.online.OnlineTuner.last_retune_at`).
         self.created_at: float = time.monotonic()
         self.last_recommend_at: Optional[float] = None
-        self.last_retune_at: Optional[float] = None
         #: Stats of the most recent workload compression (an
         #: ``add_queries(compress=True)`` fold or a compressed recommend);
         #: ``None`` until one happens.  Serve's ``add_queries`` op surfaces
@@ -454,15 +445,6 @@ class TuningSession:
         self._options = dataclasses.replace(self._options, **overrides)
         return self._options
 
-    def note_retune(self, accepted: bool) -> None:
-        """Record one online re-tune against this session (daemon callback)."""
-        if accepted:
-            self.statistics.retunes_accepted += 1
-        else:
-            self.statistics.retunes_rejected += 1
-        SESSION_RETUNES.labels(outcome="accepted" if accepted else "rejected").inc()
-        self.last_retune_at = time.monotonic()
-
     def set_weights(self, weights: Dict[str, float], replace: bool = False) -> Dict[str, float]:
         """Merge per-statement execution-frequency weights into the session.
 
@@ -515,7 +497,6 @@ class TuningSession:
             )
         self.statistics.recommend_calls += 1
         self.last_recommend_at = time.monotonic()
-        SESSION_RECOMMENDS.inc()
         RECOMMEND_SECONDS.labels(selector=response.result.selector).observe(timer.seconds)
         if request.trace:
             response.trace = span.to_dict() or None
@@ -732,14 +713,6 @@ class TuningSession:
             builder,
             use_call_cache=use_call_cache,
         ).caches[query.name]
-
-    def clear_caches(self) -> int:
-        """Drop every warm cache and compiled arena; returns the cache count."""
-        dropped = len(self._pool)
-        self._pool.clear()
-        self._arena_pool.clear()
-        self._invalidate_model()
-        return dropped
 
     # -- internals ---------------------------------------------------------
 

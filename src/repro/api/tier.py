@@ -251,9 +251,6 @@ class LocalPool:
     def __len__(self) -> int:
         return len(self._local)
 
-    def clear(self) -> None:
-        self._local.clear()
-
 
 class PlanCachePool:
     """One session's plan caches, and the only place they come from.
@@ -284,10 +281,6 @@ class PlanCachePool:
 
     def __len__(self) -> int:
         return len(self._caches)
-
-    def clear(self) -> None:
-        """Drop the session's references (tier and store keep theirs)."""
-        self._caches.clear()
 
     def acquire(
         self,

@@ -318,9 +318,9 @@ def _cmd_cache_workload(args: argparse.Namespace) -> int:
     store = session.store
     if store is not None:
         line = (f"cache store     : {store.directory} "
-                f"({store.stored_count()} caches, {store.statistics.saves} saved this run")
-        if store.statistics.stale_rejections:
-            line += f", {store.statistics.stale_rejections} stale rejected"
+                f"({store.stored_count()} caches, {report.queries_built} saved this run")
+        if store.stale_rejections:
+            line += f", {store.stale_rejections} stale rejected"
         print(line + ")")
     return 0
 

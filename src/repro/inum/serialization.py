@@ -121,22 +121,6 @@ def load_cache(path: str, query: Query) -> InumCache:
 # -- the persistent cache store ----------------------------------------------------
 
 
-class CacheStoreStatistics:
-    """Bookkeeping of one :class:`CacheStore` instance's activity."""
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.saves = 0
-        self.stale_rejections = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CacheStoreStatistics(hits={self.hits}, misses={self.misses}, "
-            f"saves={self.saves}, stale={self.stale_rejections})"
-        )
-
-
 class CacheStore:
     """A persistent, versioned directory of per-query plan caches.
 
@@ -174,7 +158,10 @@ class CacheStore:
         self.root = Path(root)
         self.catalog_fingerprint = catalog_fingerprint(catalog)
         self.optimizer_fingerprint = optimizer_fingerprint(optimizer or OptimizerOptions())
-        self.statistics = CacheStoreStatistics()
+        #: Files found but refused as stale (another catalog, optimizer,
+        #: builder or candidate set).  Loads and saves are counted by the
+        #: session (``SessionStatistics.caches_from_store`` / ``caches_built``).
+        self.stale_rejections = 0
         #: This (catalog, optimizer) pair's directory.
         self.directory = self.root / f"{self.catalog_fingerprint}.{self.optimizer_fingerprint}"
 
@@ -202,16 +189,12 @@ class CacheStore:
             with open(path, "r", encoding="utf-8") as handle:
                 envelope = json.load(handle)
         except (OSError, ValueError):
-            self.statistics.misses += 1
             return None
         try:
-            cache = self._unwrap(envelope, query, builder, candidate_indexes)
+            return self._unwrap(envelope, query, builder, candidate_indexes)
         except PlanningError:
-            self.statistics.stale_rejections += 1
-            self.statistics.misses += 1
+            self.stale_rejections += 1
             return None
-        self.statistics.hits += 1
-        return cache
 
     def save(
         self,
@@ -248,7 +231,6 @@ class CacheStore:
             os.replace(scratch, path)
         except OSError as error:
             raise PlanningError(f"cannot write cache store file {path}: {error}") from None
-        self.statistics.saves += 1
         return path
 
     def clear(self) -> int:

@@ -10,10 +10,13 @@ by ``Optimizer.optimize`` alone: it bumps ``Optimizer.call_count`` and
 observes :data:`WHATIF_SECONDS` in the same block, so
 ``repro_whatif_seconds_count`` is the process's optimizer-call count, and
 per-build, per-session and per-request call numbers are differences of
-``call_count``, not second counters.  Families that count what has no
-other counter (memo hits, cache-build latency, selection effort) are
-bumped at the statement that does the work, beside the per-object
-``*Statistics`` field a response reads when there is one.
+``call_count``, not second counters.  Likewise an event that has a latency
+histogram is counted by that histogram's ``_count`` and by nothing else:
+``repro_recommend_seconds_count`` is the recommend count and
+``repro_online_poll_seconds_count`` the online poll count.  Families that
+count what has no other counter (memo hits, cache-build latency, selection
+effort, stream lines) are bumped at the statement that does the work,
+beside the per-object field a response reads when there is one.
 """
 
 from __future__ import annotations
@@ -79,16 +82,11 @@ ILP_NODES = _REGISTRY.counter(
 
 # -- sessions (api/session.py) -----------------------------------------------------
 
-#: ``recommend()`` calls completed.
-SESSION_RECOMMENDS = _REGISTRY.counter(
-    "repro_session_recommends_total",
-    "Session recommend calls completed.",
-)
-
-#: End-to-end recommend latency per selector.
+#: End-to-end latency of every completed ``recommend()`` per selector; its
+#: ``_count`` summed over selectors is the recommend count.
 RECOMMEND_SECONDS = _REGISTRY.histogram(
     "repro_recommend_seconds",
-    "End-to-end recommend latency per selector.",
+    "End-to-end recommend latency per selector (the count is the recommend count).",
     ("selector",),
 )
 
@@ -102,13 +100,6 @@ SESSION_CACHES = _REGISTRY.counter(
     "repro_session_caches_total",
     "Plan-cache requests by fulfillment source.",
     ("source",),
-)
-
-#: Online re-tunes applied to sessions, by gate outcome.
-SESSION_RETUNES = _REGISTRY.counter(
-    "repro_session_retunes_total",
-    "Online re-tunes recorded against sessions.",
-    ("outcome",),
 )
 
 # -- shared tier (api/tier.py) -----------------------------------------------------
@@ -159,28 +150,26 @@ SERVE_CONNECTIONS = _REGISTRY.gauge(
 
 # -- online daemon (online/daemon.py) ----------------------------------------------
 
-#: Poll cycles completed.
-ONLINE_POLLS = _REGISTRY.counter(
-    "repro_online_polls_total",
-    "Online-daemon poll cycles completed.",
-)
-
-#: Poll cycle latency (ingest + drift evaluation + any re-tune).
+#: Poll cycle latency (ingest + drift evaluation + any re-tune), observed
+#: for every cycle, one that raises included; its ``_count`` is the poll
+#: count.
 ONLINE_POLL_SECONDS = _REGISTRY.histogram(
     "repro_online_poll_seconds",
-    "Online-daemon poll cycle latency.",
+    "Online-daemon poll cycle latency (the count is the poll count).",
 )
 
-#: Statements ingested from the stream.
+#: Statements a statement source accepted, counted where the source counts
+#: ``StreamStatistics.statements_parsed``.
 ONLINE_STATEMENTS = _REGISTRY.counter(
     "repro_online_statements_total",
-    "Statements the online daemon ingested.",
+    "Statements the online statement sources accepted.",
 )
 
-#: Stream lines that failed to parse (silent corruption made visible).
+#: Stream lines that failed to parse (silent corruption made visible),
+#: counted where the source counts ``StreamStatistics.malformed_lines``.
 ONLINE_MALFORMED = _REGISTRY.counter(
     "repro_online_malformed_total",
-    "Malformed stream lines the online daemon skipped.",
+    "Malformed stream lines the online statement sources skipped.",
 )
 
 #: Latest drift score per metric (total variation, Jensen-Shannon, ...).
@@ -190,7 +179,8 @@ ONLINE_DRIFT = _REGISTRY.gauge(
     ("metric",),
 )
 
-#: Re-tune decisions by outcome (``applied`` / ``rejected_cost`` / ...).
+#: Re-tune decisions by verdict (``bootstrap`` / ``applied`` /
+#: ``unchanged`` / ``rejected``), bumped beside ``OnlineTuner.retunes_*``.
 ONLINE_RETUNES = _REGISTRY.counter(
     "repro_online_retunes_total",
     "Online re-tune decisions by outcome.",

@@ -38,12 +38,9 @@ from repro.api.requests import EvaluateRequest, RecommendRequest
 from repro.api.session import TuningSession
 from repro.obs.instruments import (
     ONLINE_DRIFT,
-    ONLINE_MALFORMED,
     ONLINE_POLL_SECONDS,
-    ONLINE_POLLS,
     ONLINE_RETUNE_SECONDS,
     ONLINE_RETUNES,
-    ONLINE_STATEMENTS,
 )
 from repro.obs.trace import get_tracer
 from repro.online.drift import DRIFT_METRICS, DriftDetector, resolve_metric
@@ -280,17 +277,18 @@ class OnlineTuner:
         self._seen_templates: set = set()
         self._applied: List = []
         self.decisions: List[RetuneDecision] = []
-        self.retunes_triggered = 0
+        #: Drift re-tunes (the bootstrap is not one) by gate outcome: the
+        #: only record of a re-tune; the serve ``stats`` op reads them.
         self.retunes_accepted = 0
         self.retunes_rejected = 0
+        #: ``time.monotonic()`` of the latest drift re-tune (``None`` before
+        #: the first), comparable with the session's ``last_recommend_at``.
+        self.last_retune_at: Optional[float] = None
         #: Poll-cycle accounting surfaced by :attr:`statistics` (and from
         #: there by the serve ``watch_stats`` / ``server_stats`` ops).
         self.poll_count = 0
         self.poll_seconds_total = 0.0
         self.last_poll_seconds: Optional[float] = None
-        #: Malformed-line high-water mark already fed into the registry
-        #: (the source's counter is cumulative; the metric wants deltas).
-        self._malformed_reported = 0
         self._stopped = False
 
     # -- the loop ----------------------------------------------------------
@@ -300,10 +298,12 @@ class OnlineTuner:
         return self._poll_cycle()[1]
 
     def _poll_cycle(self) -> tuple:
-        """One full cycle (drain + ingest), timed and counted.
+        """One full cycle (drain + ingest), timed into the poll histogram.
 
-        Returns ``(statements, decisions)`` so :meth:`run` can keep its
-        idle-exit accounting without a second drain.
+        The histogram's ``_count`` is the process's poll count; the source
+        counts its own statements and malformed lines.  Returns
+        ``(statements, decisions)`` so :meth:`run` can keep its idle-exit
+        accounting without a second drain.
         """
         with get_tracer().span("online.poll", root=self.config.trace) as span, timed(
             ONLINE_POLL_SECONDS
@@ -314,13 +314,6 @@ class OnlineTuner:
         self.poll_count += 1
         self.poll_seconds_total += timer.seconds
         self.last_poll_seconds = timer.seconds
-        ONLINE_POLLS.inc()
-        if statements:
-            ONLINE_STATEMENTS.inc(len(statements))
-        malformed = self.source.statistics.malformed_lines
-        if malformed > self._malformed_reported:
-            ONLINE_MALFORMED.inc(malformed - self._malformed_reported)
-            self._malformed_reported = malformed
         return statements, decisions
 
     def ingest(self, statements) -> List[RetuneDecision]:
@@ -481,14 +474,12 @@ class OnlineTuner:
             self._applied = selected
         if kind != "bootstrap":
             # The bootstrap is the *initial* tune, not a re-tune: "exactly
-            # one re-tune at the phase boundary" counts drift triggers only,
-            # and the session's retune counters agree.
-            self.retunes_triggered += 1
-            self.session.note_retune(accepted)
+            # one re-tune at the phase boundary" counts drift triggers only.
             if accepted:
                 self.retunes_accepted += 1
             else:
                 self.retunes_rejected += 1
+            self.last_retune_at = time.monotonic()
 
         ONLINE_RETUNES.labels(outcome=verdict).inc()
         decision = RetuneDecision(
@@ -515,6 +506,11 @@ class OnlineTuner:
         return decision
 
     # -- reporting ---------------------------------------------------------
+
+    @property
+    def retunes_triggered(self) -> int:
+        """Drift re-tunes run so far: each one was accepted or rejected."""
+        return self.retunes_accepted + self.retunes_rejected
 
     @property
     def statistics(self) -> DriftStatistics:

@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
+from repro.obs.instruments import ONLINE_MALFORMED, ONLINE_STATEMENTS
 from repro.query.ast import Statement
 from repro.query.parser import parse_statement
 from repro.util.errors import QueryError
@@ -31,7 +32,12 @@ from repro.util.errors import QueryError
 
 @dataclass
 class StreamStatistics:
-    """Line accounting of one source (cumulative)."""
+    """Line accounting of one source (cumulative).
+
+    ``statements_parsed`` and ``malformed_lines`` are bumped together with
+    the process-wide ``repro_online_statements_total`` and
+    ``repro_online_malformed_total`` families, by the source alone.
+    """
 
     lines_seen: int = 0
     statements_parsed: int = 0
@@ -65,20 +71,28 @@ class StatementSource:
             try:
                 payload = json.loads(text)
             except ValueError:
-                self.statistics.malformed_lines += 1
+                self._malformed()
                 return None
             if not isinstance(payload, dict) or not isinstance(payload.get("sql"), str):
-                self.statistics.malformed_lines += 1
+                self._malformed()
                 return None
             sql = payload["sql"]
             name = str(payload.get("template") or payload.get("name") or name)
         try:
             statement = parse_statement(sql, name=name)
         except QueryError:
-            self.statistics.malformed_lines += 1
+            self._malformed()
             return None
-        self.statistics.statements_parsed += 1
+        self._accepted()
         return statement
+
+    def _accepted(self) -> None:
+        self.statistics.statements_parsed += 1
+        ONLINE_STATEMENTS.inc()
+
+    def _malformed(self) -> None:
+        self.statistics.malformed_lines += 1
+        ONLINE_MALFORMED.inc()
 
 
 class MemoryStatementSource(StatementSource):
@@ -103,7 +117,7 @@ class MemoryStatementSource(StatementSource):
             else:
                 statement = item
                 self.statistics.lines_seen += 1
-                self.statistics.statements_parsed += 1
+                self._accepted()
             self._pending.append(statement)
             queued += 1
         return queued

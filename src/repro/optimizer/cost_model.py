@@ -130,10 +130,6 @@ class CostModel:
             io = 2.0 * data_pages * p.seq_page_cost
         return input_cost + cpu + io
 
-    def incremental_sort_free(self) -> float:
-        """Cost of 'sorting' an input that already provides the order (zero)."""
-        return 0.0
-
     def aggregate_hashed(
         self,
         input_cost: float,

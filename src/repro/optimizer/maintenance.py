@@ -196,14 +196,6 @@ class MaintenanceCostModel:
             io = min(rows, float(max(1, stats.heap_pages))) * p.seq_page_cost
         return io + rows * p.cpu_tuple_cost
 
-    def statement_maintenance(
-        self, statement: DmlStatement, indexes: Sequence[Index]
-    ) -> float:
-        """Total write cost of one execution under ``indexes`` (incl. heap)."""
-        return self.base_cost(statement) + sum(
-            self.index_maintenance_cost(statement, index) for index in indexes
-        )
-
     def profile(
         self, statement: DmlStatement, candidates: Sequence[Index]
     ) -> MaintenanceProfile:

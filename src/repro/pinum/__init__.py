@@ -17,13 +17,11 @@ structure* to INUM's, so the same cost model answers configuration questions.
 
 from repro.pinum.access_costs import PinumAccessCostCollector
 from repro.pinum.cache_builder import PinumBuilderOptions, PinumCacheBuilder
-from repro.pinum.cost_model import PinumCostModel
 from repro.pinum.pruning import prune_subsumed_plans
 
 __all__ = [
     "PinumAccessCostCollector",
     "PinumBuilderOptions",
     "PinumCacheBuilder",
-    "PinumCostModel",
     "prune_subsumed_plans",
 ]

@@ -237,10 +237,6 @@ class Query:
         """Columns of ``table`` used in the GROUP BY clause."""
         return [ref.column for ref in self.group_by if ref.table == table]
 
-    def output_columns(self) -> List[ColumnRef]:
-        """Plain (non-aggregate) columns the query outputs."""
-        return list(self.select_columns)
-
     @property
     def has_aggregation(self) -> bool:
         """Whether the query has aggregates or a GROUP BY clause."""

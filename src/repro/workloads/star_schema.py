@@ -103,11 +103,6 @@ class MixedWorkload:
         )
 
     @property
-    def read_queries(self) -> List[Query]:
-        """The SELECT statements of the workload."""
-        return [stmt for stmt in self.statements if not stmt.is_dml]
-
-    @property
     def write_statements(self) -> List[DmlStatement]:
         """The DML statements of the workload."""
         return [stmt for stmt in self.statements if stmt.is_dml]

@@ -93,6 +93,15 @@ class TestExplain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_candidate_cap_is_a_one_line_error(self, capsys):
+        code = main(["recommend", "--catalog", "tpch", "--max-candidates", "-3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: invalid tuning limits: max_candidates must be an integer >= 1 "
+            "or None, got -3"
+        ]
+
 
 class TestRecommend:
     def test_recommend_on_star_subset(self, capsys):
@@ -222,7 +231,7 @@ class TestObservabilityCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["format"] == "json"
         names = {family["name"] for family in payload["families"]}
-        assert "repro_session_recommends_total" in names
+        assert "repro_recommend_seconds" in names
 
     def test_recommend_trace_out_writes_ndjson(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.ndjson"

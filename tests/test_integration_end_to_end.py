@@ -7,7 +7,7 @@ from repro.executor import PlanExecutor
 from repro.inum import AtomicConfiguration, InumCacheBuilder, InumCostModel
 from repro.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.pinum import PinumCacheBuilder, PinumCostModel
+from repro.pinum import PinumCacheBuilder
 from repro.util.rng import DeterministicRNG
 from repro.util.units import gigabytes, megabytes
 from repro.workloads.tpch_like import build_tpch_like_catalog, tpch_small_join_query
@@ -32,7 +32,7 @@ class TestStarSchemaPipeline:
 
         # Accuracy against the optimizer on random atomic configurations.
         whatif = WhatIfOptimizer(optimizer)
-        pinum_model = PinumCostModel(pinum_cache)
+        pinum_model = InumCostModel(pinum_cache)
         inum_model = InumCostModel(inum_cache)
         rng = DeterministicRNG(17)
         per_table = {}

@@ -22,7 +22,6 @@ from repro.optimizer import Optimizer
 from repro.optimizer.interesting_orders import InterestingOrderCombination
 from repro.optimizer.maintenance import MaintenanceProfile
 from repro.pinum import PinumCacheBuilder
-from repro.pinum.cost_model import PinumCostModel
 from repro.util.errors import PlanningError
 
 _settings = settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None)
@@ -100,7 +99,7 @@ class TestAgainstScalarModel:
     @pytest.mark.parametrize("backend", _backends())
     def test_matches_pinum_cache_too(self, small_catalog, join_query, candidates, backend):
         cache = PinumCacheBuilder(Optimizer(small_catalog)).build_cache(join_query, candidates)
-        scalar = PinumCostModel(cache)
+        scalar = InumCostModel(cache)
         arena = compile_cache(cache, backend=backend)
         for subset in ([], candidates[:2], candidates):
             assert arena.evaluate(subset) == pytest.approx(
@@ -256,7 +255,7 @@ class TestOneQueryArenaProperty:
         """PINUM's model is the same arithmetic over the same cache."""
         cache, subset = data
         try:
-            expected = PinumCostModel(cache).estimate_with_indexes(subset)
+            expected = InumCostModel(cache).estimate_with_indexes(subset)
         except PlanningError:
             return
         for backend in _backends():

@@ -48,11 +48,19 @@ LOWER_LAYERS = ("advisor/", "inum/", "pinum/", "optimizer/", "api/requests.py")
 REMOVED_WHATIF_NAMES = frozenset({"only_indexes", "with_indexes", "collected_access_paths"})
 
 #: Second counts of optimizer calls and memo traffic, and counters nothing
-#: read, that became differences of ``Optimizer.call_count`` or went away.
+#: read, that became differences of ``Optimizer.call_count`` or went away;
+#: and the copies of recommends, polls, re-tunes, stream lines and store
+#: loads kept beside the one count (a latency histogram's ``_count``, the
+#: tuner's ``retunes_*``, the source's ``StreamStatistics``, the session's
+#: ``caches_*``).
 REMOVED_COUNTER_NAMES = frozenset({
     "hit_baseline", "hits_since", "whatif_cache_misses", "whatif_requests",
     "entries_cached", "call_log", "CallRecord", "record_miss",
     "total_optimization_seconds", "memo_counters",
+    "note_retune", "SESSION_RECOMMENDS", "SESSION_RETUNES", "ONLINE_POLLS",
+    "CacheStoreStatistics", "_malformed_reported",
+    "repro_session_recommends_total", "repro_session_retunes_total",
+    "repro_online_polls_total",
 })
 
 #: The plan-node classes that became ``PlanNode`` + ``Operator``.
@@ -270,8 +278,8 @@ def _assigns_attribute(tree: ast.AST, attribute: str) -> bool:
 
 def test_an_optimizer_call_is_counted_in_one_place():
     """Only the optimizer writes ``call_count``, and none of the second
-    counts it replaced is named anywhere in the source, comments and
-    docstrings included."""
+    counts removed beside it or beside the other one-place counts is named
+    anywhere in the source, comments and docstrings included."""
     writers = {name for name, tree in _modules() if _assigns_attribute(tree, "call_count")}
     assert writers == {"optimizer/optimizer.py"}
     pattern = re.compile(r"\b(" + "|".join(sorted(REMOVED_COUNTER_NAMES)) + r")\b")

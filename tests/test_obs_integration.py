@@ -102,7 +102,7 @@ class TestServeMetricsOp:
             "repro_whatif_calls_total",
             "repro_build_seconds",
             "repro_serve_requests_total",
-            "repro_online_polls_total",
+            "repro_online_poll_seconds",
         ):
             assert f"# TYPE {family}" in exposition
 
@@ -112,7 +112,7 @@ class TestServeMetricsOp:
         )
         assert response["ok"] is True
         names = {f["name"] for f in response["result"]["families"]}
-        assert "repro_session_recommends_total" in names
+        assert "repro_recommend_seconds" in names
 
     def test_unknown_format_rejected(self, frontend):
         response = frontend.handle(
@@ -123,15 +123,16 @@ class TestServeMetricsOp:
 
     def test_recommend_moves_the_counters(self, frontend):
         def value(exposition: str, needle: str) -> float:
-            for line in exposition.splitlines():
-                if line.startswith(needle):
-                    return float(line.rsplit(" ", 1)[1])
-            return 0.0
+            # Summed over label children (one per selector).
+            return sum(
+                float(line.rsplit(" ", 1)[1])
+                for line in exposition.splitlines() if line.startswith(needle)
+            )
 
         before = frontend.handle({"op": "metrics"})["result"]["exposition"]
         assert frontend.handle({"op": "recommend"})["ok"] is True
         after = frontend.handle({"op": "metrics"})["result"]["exposition"]
-        needle = "repro_session_recommends_total"
+        needle = "repro_recommend_seconds_count"
         assert value(after, needle) == value(before, needle) + 1
 
 

@@ -320,9 +320,9 @@ class TestExport:
             "repro_whatif_calls_total",
             "repro_build_seconds",
             "repro_selection_seconds",
-            "repro_session_recommends_total",
+            "repro_recommend_seconds",
             "repro_tier_lookups_total",
             "repro_serve_requests_total",
-            "repro_online_polls_total",
+            "repro_online_poll_seconds",
         ):
             assert f"# TYPE {family}" in text
