@@ -142,7 +142,7 @@ def _run_online_drift(star_workload, engine: str):
         "warm_over_cold": warm_seconds / max(cold_seconds, 1e-9),
         "stationary_retunes": stationary.retunes_triggered,
         "thrash_retunes": thrash.retunes_triggered,
-        "thrash_peak_drift": max(thrash.detector.history),
+        "thrash_peak_drift": thrash.detector.peak_drift,
     }
     return rows, decisions, tuner, stationary, thrash, cold_response
 

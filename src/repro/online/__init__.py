@@ -5,7 +5,8 @@ package answers the production question on top: *when* is re-answering it
 worth the work?  Four layers, each usable alone:
 
 * :mod:`repro.online.stream` -- NDJSON statement feeds: a file-tail
-  follower for live logs and an in-memory source for tests,
+  follower for live logs and an in-memory source for tests; a repeated
+  statement shape is recognised by a lexical key and parsed once,
 * :mod:`repro.online.window` -- a count/time-bounded sliding window that
   folds raw statements into per-template weights via SQL fingerprints,
 * :mod:`repro.online.drift` -- bounded [0, 1] distances between template
@@ -32,6 +33,7 @@ from repro.online.drift import (
     total_variation,
 )
 from repro.online.stream import (
+    Arrival,
     FileTailSource,
     MemoryStatementSource,
     StreamStatistics,
@@ -39,6 +41,7 @@ from repro.online.stream import (
 from repro.online.window import SlidingWindow
 
 __all__ = [
+    "Arrival",
     "DRIFT_METRICS",
     "DriftDetector",
     "DriftStatistics",

@@ -44,7 +44,7 @@ from repro.obs.instruments import (
 )
 from repro.obs.trace import get_tracer
 from repro.online.drift import DRIFT_METRICS, DriftDetector, resolve_metric
-from repro.online.stream import StatementSource
+from repro.online.stream import Arrival, StatementSource
 from repro.online.window import SlidingWindow
 from repro.optimizer.maintenance import index_build_cost
 from repro.util.errors import AdvisorError
@@ -302,27 +302,27 @@ class OnlineTuner:
 
         The histogram's ``_count`` is the process's poll count; the source
         counts its own statements and malformed lines.  Returns
-        ``(statements, decisions)`` so :meth:`run` can keep its idle-exit
+        ``(arrivals, decisions)`` so :meth:`run` can keep its idle-exit
         accounting without a second drain.
         """
         with get_tracer().span("online.poll", root=self.config.trace) as span, timed(
             ONLINE_POLL_SECONDS
         ) as timer:
-            statements = self.source.poll()
-            decisions = self.ingest(statements)
-            span.set(statements=len(statements), decisions=len(decisions))
+            arrivals = self.source.poll()
+            decisions = self.ingest(arrivals)
+            span.set(statements=len(arrivals), decisions=len(decisions))
         self.poll_count += 1
         self.poll_seconds_total += timer.seconds
         self.last_poll_seconds = timer.seconds
-        return statements, decisions
+        return arrivals, decisions
 
-    def ingest(self, statements) -> List[RetuneDecision]:
-        """Fold statements in, checking drift every ``evaluation_stride``."""
+    def ingest(self, arrivals: List[Arrival]) -> List[RetuneDecision]:
+        """Fold arrivals in, checking drift every ``evaluation_stride``."""
         decisions: List[RetuneDecision] = []
         stride = self.config.evaluation_stride
         appended = False
-        for statement in statements:
-            self.window.append(statement)
+        for arrival in arrivals:
+            self.window.append(arrival)
             appended = True
             self._since_evaluation += 1
             if self._since_evaluation >= stride:
@@ -385,9 +385,9 @@ class OnlineTuner:
             if max_polls is not None and polls >= max_polls:
                 self._emit(on_event, {"event": "max_polls", "polls": polls})
                 break
-            statements, decisions = self._poll_cycle()
+            arrivals, decisions = self._poll_cycle()
             polls += 1
-            if statements:
+            if arrivals:
                 last_activity = self._clock()
                 for decision in decisions:
                     self._emit(on_event, {"event": "decision", **decision.to_dict()})

@@ -24,8 +24,8 @@ together give "exactly one re-tune per genuine phase change".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from dataclasses import dataclass
+from typing import Callable, Dict
 
 from repro.util.errors import AdvisorError
 
@@ -110,12 +110,14 @@ class DriftDetector:
     fires: int = 0
     rearms: int = 0
     last_drift: float = 0.0
-    history: List[float] = field(default_factory=list)
+    #: The largest observation so far: a daemon observes for weeks, so
+    #: the detector keeps this, not every observation.
+    peak_drift: float = 0.0
 
     def observe(self, drift: float) -> bool:
         """Feed one measurement; ``True`` exactly when this one fires."""
         self.last_drift = drift
-        self.history.append(drift)
+        self.peak_drift = max(self.peak_drift, drift)
         if self.armed:
             if drift > self.high_water:
                 self.armed = False

@@ -2,18 +2,22 @@
 
 A tuning session wants a *workload* -- a list of distinct statements plus
 execution-frequency weights -- but a stream delivers one execution at a
-time.  The window bridges the two: statements are folded into templates by
-*template* fingerprint (:func:`~repro.util.fingerprint.template_fingerprint`,
-so executions of the same SQL shape are one template regardless of their
-literals or names), each template keeps its occurrence count, and the
-window evicts by count bound (and optionally by age) so the fold always
-reflects *recent* traffic.
+time.  The window bridges the two: executions arrive as
+:class:`~repro.online.stream.Arrival` values and fold into templates by
+their *template* fingerprint
+(:func:`~repro.util.fingerprint.template_fingerprint`, so executions of the
+same SQL shape are one template regardless of their literals or names),
+each template keeps its occurrence count, and the window evicts by count
+bound (and optionally by age) so the fold always reflects *recent* traffic.
 
 Keying by template rather than raw SQL is what keeps the distinct-key
 count bounded by the application's template count: parameter churn (the
 same query re-executed with different constants, the dominant variation in
 production logs) neither inflates the window's template set nor dilutes
-its drift distribution.  The first-seen instance stands for its template.
+its drift distribution.  The first instance seen since a template
+(re)entered the window stands for it; that is the only arrival whose
+statement the window reads, so a repeat costs a dictionary lookup and
+no parse.
 
 Template names are fingerprint-stable (``t_<fingerprint>``): the same SQL
 shape always folds to the same name, which is what lets the session's
@@ -29,9 +33,9 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
 
+from repro.online.stream import Arrival
 from repro.query.ast import Statement
 from repro.util.errors import AdvisorError
-from repro.util.fingerprint import template_fingerprint
 
 
 @dataclass
@@ -75,12 +79,12 @@ class SlidingWindow:
 
     # -- mutation ----------------------------------------------------------
 
-    def append(self, statement: Statement) -> str:
+    def append(self, arrival: Arrival) -> str:
         """Fold one execution in; returns the template's stable name."""
-        fingerprint = template_fingerprint(statement)
+        fingerprint = arrival.fingerprint
         template = self._templates.get(fingerprint)
         if template is None:
-            template = _Template(statement.renamed(f"t_{fingerprint}"))
+            template = _Template(arrival.statement.renamed(f"t_{fingerprint}"))
             self._templates[fingerprint] = template
         template.count += 1
         self._entries.append((fingerprint, self._clock()))
@@ -88,9 +92,9 @@ class SlidingWindow:
         self._evict()
         return template.statement.name
 
-    def extend(self, statements: List[Statement]) -> List[str]:
-        """:meth:`append` each statement; returns the template names."""
-        return [self.append(statement) for statement in statements]
+    def extend(self, arrivals: List[Arrival]) -> List[str]:
+        """:meth:`append` each arrival; returns the template names."""
+        return [self.append(arrival) for arrival in arrivals]
 
     def _evict(self) -> None:
         while len(self._entries) > self.max_statements:

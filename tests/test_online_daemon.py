@@ -111,8 +111,8 @@ class TestDriftRetune:
             tuner.poll()
             source.feed(_statements(*([A] * 20)))
             tuner.poll()
-        assert max(tuner.detector.history) > 0.15  # the band was actually entered
-        assert max(tuner.detector.history) <= 0.35
+        assert tuner.detector.peak_drift > 0.15  # the band was actually entered
+        assert tuner.detector.peak_drift <= 0.35
         assert tuner.detector.fires == 0
         assert tuner.retunes_triggered == 0
         assert tuner.session.statistics.recommend_calls == 1

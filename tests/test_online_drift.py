@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -136,12 +138,22 @@ class TestDriftDetector:
         assert detector.observe(0.15) is False  # == low does not re-arm
         assert not detector.armed
 
-    def test_history_and_last_drift(self):
+    def test_peak_and_last_drift(self):
         detector = DriftDetector(high_water=0.5, low_water=0.2)
         for drift in (0.1, 0.6, 0.3):
             detector.observe(drift)
-        assert detector.history == [0.1, 0.6, 0.3]
+        assert detector.peak_drift == 0.6
         assert detector.last_drift == 0.3
+
+    def test_size_is_constant_over_many_observations(self):
+        """A daemon observes for weeks: no per-observation state may pile up."""
+        detector = DriftDetector(high_water=0.5, low_water=0.2)
+        detector.observe(0.0)
+        before = pickle.dumps(detector)
+        for step in range(100_000):
+            detector.observe((step % 50) / 100.0)  # in and below the band
+        assert len(pickle.dumps(detector)) == len(before)
+        assert detector.peak_drift == 0.49
 
     @_settings
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=60))

@@ -7,6 +7,7 @@ import json
 from repro.online import FileTailSource, MemoryStatementSource
 from repro.query.ast import DmlStatement, Query
 from repro.query.parser import parse_statement
+from repro.util.fingerprint import template_fingerprint
 
 SELECT = "SELECT customers.c_age FROM customers WHERE customers.c_age > 30"
 INSERT = "INSERT INTO customers (c_age, c_region) VALUES (30, 1)"
@@ -21,7 +22,7 @@ class TestMemorySource:
             json.dumps({"template": "ins", "sql": INSERT, "phase": "write"}),
         ])
         assert queued == 2
-        statements = source.poll()
+        statements = [arrival.statement for arrival in source.poll()]
         assert isinstance(statements[0], Query)
         assert isinstance(statements[1], DmlStatement)
         assert statements[1].name == "ins"
@@ -50,9 +51,11 @@ class TestMemorySource:
         source = MemoryStatementSource()
         probe = MemoryStatementSource()
         probe.feed([SELECT])
-        statement = probe.poll()[0]
+        statement = probe.poll()[0].statement
         assert source.feed([statement]) == 1
-        assert source.poll() == [statement]
+        [arrival] = source.poll()
+        assert arrival.statement is statement
+        assert arrival.fingerprint == template_fingerprint(statement)
 
 
 class TestFileTailSource:
@@ -64,13 +67,13 @@ class TestFileTailSource:
         path = tmp_path / "feed.ndjson"
         path.write_text(SELECT + "\n")
         source = FileTailSource(str(path))
-        assert [s.to_sql() for s in source.poll()] == [SELECT_SQL]
+        assert [a.statement.to_sql() for a in source.poll()] == [SELECT_SQL]
         assert source.poll() == []
         with path.open("a") as handle:
             handle.write(INSERT + "\n")
         appended = source.poll()
         assert len(appended) == 1
-        assert isinstance(appended[0], DmlStatement)
+        assert isinstance(appended[0].statement, DmlStatement)
 
     def test_start_at_end_skips_existing_content(self, tmp_path):
         path = tmp_path / "feed.ndjson"
@@ -88,7 +91,7 @@ class TestFileTailSource:
         assert source.poll() == []
         with path.open("a") as handle:
             handle.write(SELECT[20:] + "\n")
-        assert [s.to_sql() for s in source.poll()] == [SELECT_SQL]
+        assert [a.statement.to_sql() for a in source.poll()] == [SELECT_SQL]
 
     def test_truncation_resets_the_offset(self, tmp_path):
         path = tmp_path / "feed.ndjson"
@@ -96,6 +99,6 @@ class TestFileTailSource:
         source = FileTailSource(str(path))
         assert len(source.poll()) == 2
         path.write_text(INSERT + "\n")  # rotation: file shrank
-        statements = source.poll()
-        assert len(statements) == 1
-        assert isinstance(statements[0], DmlStatement)
+        arrivals = source.poll()
+        assert len(arrivals) == 1
+        assert isinstance(arrivals[0].statement, DmlStatement)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.online import SlidingWindow
+from repro.online import Arrival, SlidingWindow
 from repro.query.parser import parse_statement
 from repro.util.errors import AdvisorError
 from repro.util.fingerprint import template_fingerprint
@@ -12,6 +12,10 @@ from repro.util.fingerprint import template_fingerprint
 
 def _stmt(sql, name="statement"):
     return parse_statement(sql, name=name)
+
+
+def _arrive(sql, name="statement"):
+    return Arrival.of(_stmt(sql, name=name))
 
 
 SEL_A = "SELECT customers.c_age FROM customers WHERE customers.c_age > 30"
@@ -22,7 +26,7 @@ INS = "INSERT INTO customers (c_age, c_region) VALUES (30, 1)"
 class TestFolding:
     def test_same_sql_folds_to_one_template(self):
         window = SlidingWindow(10)
-        names = [window.append(_stmt(SEL_A, name=f"q{i}")) for i in range(3)]
+        names = [window.append(_arrive(SEL_A, name=f"q{i}")) for i in range(3)]
         assert len(set(names)) == 1
         assert names[0] == f"t_{template_fingerprint(_stmt(SEL_A))}"
         assert window.statement_count == 3
@@ -31,7 +35,7 @@ class TestFolding:
 
     def test_distribution_is_normalized(self):
         window = SlidingWindow(10)
-        window.extend([_stmt(SEL_A), _stmt(SEL_A), _stmt(SEL_B), _stmt(INS)])
+        window.extend([_arrive(SEL_A), _arrive(SEL_A), _arrive(SEL_B), _arrive(INS)])
         distribution = window.distribution()
         assert sum(distribution.values()) == pytest.approx(1.0)
         assert distribution[template_fingerprint(_stmt(SEL_A))] == pytest.approx(0.5)
@@ -41,7 +45,7 @@ class TestFolding:
 
     def test_workload_weights_are_occurrence_counts(self):
         window = SlidingWindow(10)
-        window.extend([_stmt(SEL_A), _stmt(SEL_A), _stmt(SEL_B)])
+        window.extend([_arrive(SEL_A), _arrive(SEL_A), _arrive(SEL_B)])
         statements, weights = window.workload()
         assert [s.to_sql() for s in statements] == [_stmt(SEL_A).to_sql(), _stmt(SEL_B).to_sql()]
         assert weights == {statements[0].name: 2.0, statements[1].name: 1.0}
@@ -51,7 +55,7 @@ class TestFolding:
 class TestEviction:
     def test_count_bound_evicts_oldest(self):
         window = SlidingWindow(2)
-        window.extend([_stmt(SEL_A), _stmt(SEL_B), _stmt(INS)])
+        window.extend([_arrive(SEL_A), _arrive(SEL_B), _arrive(INS)])
         assert window.statement_count == 2
         assert window.total_appended == 3
         fingerprints = set(window.template_counts())
@@ -61,18 +65,18 @@ class TestEviction:
     def test_age_bound_evicts_stale_entries(self):
         now = [0.0]
         window = SlidingWindow(10, max_age_seconds=5.0, clock=lambda: now[0])
-        window.append(_stmt(SEL_A))
+        window.append(_arrive(SEL_A))
         now[0] = 3.0
-        window.append(_stmt(SEL_B))
+        window.append(_arrive(SEL_B))
         now[0] = 6.0
-        window.append(_stmt(INS))  # SEL_A is now 6s old -> evicted
+        window.append(_arrive(INS))  # SEL_A is now 6s old -> evicted
         assert window.statement_count == 2
         assert template_fingerprint(_stmt(SEL_A)) not in window.template_counts()
 
     def test_template_disappears_when_its_last_entry_leaves(self):
         window = SlidingWindow(1)
-        window.append(_stmt(SEL_A))
-        window.append(_stmt(SEL_B))
+        window.append(_arrive(SEL_A))
+        window.append(_arrive(SEL_B))
         assert window.template_count == 1
         statements, weights = window.workload()
         assert [s.to_sql() for s in statements] == [_stmt(SEL_B).to_sql()]
@@ -93,7 +97,7 @@ class TestParameterChurn:
 
     def test_parameter_churn_folds_to_one_template(self):
         window = SlidingWindow(100)
-        names = window.extend(self._variants(50))
+        names = window.extend([Arrival.of(s) for s in self._variants(50)])
         assert window.template_count == 1
         assert len(set(names)) == 1
         fingerprint = template_fingerprint(self._variants(1)[0])
@@ -109,8 +113,8 @@ class TestParameterChurn:
         against a stationary reference would see phantom drift.
         """
         window = SlidingWindow(100)
-        window.extend(self._variants(20))
-        window.extend([_stmt(SEL_B, name=f"b{i}") for i in range(20)])
+        window.extend([Arrival.of(s) for s in self._variants(20)])
+        window.extend([_arrive(SEL_B, name=f"b{i}") for i in range(20)])
         distribution = window.distribution()
         assert distribution == {
             template_fingerprint(self._variants(1)[0]): pytest.approx(0.5),
@@ -120,7 +124,7 @@ class TestParameterChurn:
     def test_first_seen_instance_represents_the_template(self):
         window = SlidingWindow(100)
         variants = self._variants(3)
-        window.extend(variants)
+        window.extend([Arrival.of(s) for s in variants])
         statements, weights = window.workload()
         assert len(statements) == 1
         assert statements[0].to_sql() == variants[0].renamed(statements[0].name).to_sql()
