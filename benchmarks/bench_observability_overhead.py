@@ -20,7 +20,7 @@ drift, and gates the median traced-over-untraced ratio:
 
 The ``observability_overhead`` row (ratio and its applicable limit) lands
 in ``BENCH_ci.json`` and is re-checked as an *absolute* gate by
-``check_trend.py`` -- unlike the baseline-relative selection gates, an
+``check_trend.py`` -- unlike the baseline-relative compression floor, an
 overhead ratio above its limit fails regardless of history.
 
 Run with:  pytest benchmarks/bench_observability_overhead.py --benchmark-only -s

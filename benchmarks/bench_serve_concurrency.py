@@ -20,20 +20,12 @@ Asserted: zero protocol errors, every response well-formed (echoed id,
 cores, where the thread pool can actually overlap sessions -- concurrent
 throughput >= 5x the serial baseline (>= 2x in ``--quick`` mode).
 
-Two entry points:
-
-* pytest (the CI bench-smoke path)::
-
-      pytest benchmarks/bench_serve_concurrency.py --benchmark-only -s
-
-* standalone (the CI serve-load job; writes a mergeable JSON)::
+Run it standalone (the CI serve-load job; writes a mergeable JSON)::
 
       python benchmarks/bench_serve_concurrency.py --quick --output BENCH_serve.json
 
-Environment knobs: ``REPRO_BENCH_CLIENTS`` overrides the client count
-(default 100, or 32 in quick mode); ``REPRO_BENCH_SERVE_QUICK=1`` puts the
-pytest path into quick mode; ``REPRO_BENCH_SKIP_SERVE=1`` skips the pytest
-test entirely (the CI serve-load job already ran the standalone form).
+``--clients`` overrides the client count (default 100, or 32 with
+``--quick``).
 """
 
 from __future__ import annotations
@@ -65,17 +57,6 @@ LIGHT_OPS: Tuple[Tuple[str, Optional[Dict[str, Any]]], ...] = (
 #: arena engine needs no numpy (pure-Python fallback), so the no-numpy CI
 #: leg runs the same mix.
 RECOMMEND_PARAMS: Dict[str, Any] = {"engine": "arena"}
-
-
-def _quick_default() -> bool:
-    return os.environ.get("REPRO_BENCH_SERVE_QUICK", "") == "1"
-
-
-def _client_count(quick: bool) -> int:
-    override = os.environ.get("REPRO_BENCH_CLIENTS")
-    if override is not None:
-        return max(2, int(override))
-    return 32 if quick else 100
 
 
 def _requests_per_client(quick: bool) -> int:
@@ -228,7 +209,7 @@ async def _run_load(host: str, port: int, clients: int, quick: bool) -> Dict[str
 
 def run_benchmark(quick: bool, clients: Optional[int] = None) -> Dict[str, Any]:
     """Boot a server, run the load, stop the server; returns the report."""
-    effective_clients = clients if clients is not None else _client_count(quick)
+    effective_clients = clients if clients is not None else (32 if quick else 100)
     process, host, port = start_server()
     try:
         return asyncio.run(_run_load(host, port, effective_clients, quick))
@@ -271,22 +252,6 @@ def check_report(report: Dict[str, Any]) -> None:
         )
 
 
-# -- pytest entry point ------------------------------------------------------
-
-
-def test_concurrent_serve_shares_tier_and_scales(benchmark):
-    """N concurrent clients: 0 duplicate builds, throughput over serial."""
-    import pytest
-
-    if os.environ.get("REPRO_BENCH_SKIP_SERVE") == "1":
-        pytest.skip("serve-load CI job runs the standalone harness instead")
-    quick = _quick_default() or os.environ.get("REPRO_BENCH_QUERIES") is not None
-    report = benchmark.pedantic(run_benchmark, args=(quick,), rounds=1, iterations=1)
-    benchmark.extra_info["serve_concurrency"] = report
-    _print_report(report)
-    check_report(report)
-
-
 def _print_report(report: Dict[str, Any]) -> None:
     from repro.bench.harness import ExperimentTable
 
@@ -302,7 +267,7 @@ def _print_report(report: Dict[str, Any]) -> None:
     table.print()
 
 
-# -- standalone entry point (the CI serve-load job) --------------------------
+# -- entry point (the CI serve-load job) -------------------------------------
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,40 +1,30 @@
-"""CI trend gate: fail when the selection phase regresses vs the baselines.
+"""CI trend gate over the benchmark scripts' same-run ratios.
 
-Reads the ``selection_phase`` rows that ``bench_greedy_selection.py`` writes
-into ``BENCH_ci.json`` (pytest-benchmark ``extra_info``) and compares them
-against the committed ``benchmarks/baselines.json``.  Wall-clock seconds are
-meaningless across runner generations, so each selector on the evaluation
-kernel (``lazy``, ``exhaustive``) is normalized by the *seed* scalar path
-measured in the same run: the seed loop is frozen code, so ``lazy_seconds /
-seed_seconds`` moves only when the kernel path itself regresses, and the
-runner's speed cancels out.  A ratio more than
-``tolerance`` (default 1.25, i.e. a >25 % selection wall-time regression)
-above its committed baseline fails the job.
+Reads the rows the benchmark scripts write into ``BENCH_ci.json``
+(pytest-benchmark ``extra_info``) and gates two of them:
 
-Rows below ``min_candidates`` (default 60) are reported but not gated: their
-millisecond-scale timings are too noisy for a 25 % bound on shared runners.
+* The workload-compression ``compression_speedup``
+  (``bench_workload_compression.py``: uncompressed tune seconds over the
+  compressed tune of the same trace, same run, so runner speed cancels) is a
+  bigger-is-better ratio and is gated as a *floor* against the committed
+  ``benchmarks/baselines.json``: a speedup below ``baseline / tolerance``
+  (default tolerance 1.25) fails, and ``--update`` keeps the smallest
+  speedup ever seen, so one lucky run can never tighten the gate for
+  everyone else.
+* The observability ``traced_over_untraced`` ratio
+  (``bench_observability_overhead.py``) is gated against the absolute limit
+  the benchmark reports with it, regardless of history.
 
-The online daemon's ``warm_over_cold`` ratio (``bench_online_drift.py``:
-boundary re-tune seconds over a cold tune of the same window, both measured
-in the same process) is gated the same way when present in the report; runs
-without online rows just note the absence, so partial benchmark invocations
-keep passing.
-
-The workload-compression ``compression_speedup``
-(``bench_workload_compression.py``: uncompressed tune seconds over the
-compressed tune of the same trace, same run, so runner speed cancels) is a
-bigger-is-better ratio and therefore gated as a *floor*: a speedup below
-``baseline / tolerance`` fails, and ``--update`` keeps the smallest speedup
-ever seen.
+A report without one of these rows just notes the absence, so partial
+benchmark invocations keep passing.  Whole-request speed is gated by the
+end-to-end benchmark (``benchmarks/e2e/``), not here.
 
 Usage::
 
     python benchmarks/check_trend.py BENCH_ci.json            # gate (CI)
     python benchmarks/check_trend.py BENCH_ci.json --update   # refresh floor
 
-``--update`` merges the current run into the baselines file, keeping the
-*worst* (largest) ratio seen per row so one lucky run can never tighten the
-gate for everyone else.  Commit the result.
+Commit ``baselines.json`` after ``--update``.
 """
 
 from __future__ import annotations
@@ -45,39 +35,6 @@ import sys
 from pathlib import Path
 
 DEFAULT_BASELINES = Path(__file__).resolve().parent / "baselines.json"
-
-#: The normalized metrics gated per candidate-count row.
-RATIOS = {
-    "lazy_over_seed": "lazy_seconds",
-    "exhaustive_over_seed": "exhaustive_seconds",
-}
-
-
-def selection_rows(report_path: Path) -> list:
-    """The ``selection_phase`` rows from a pytest-benchmark JSON report."""
-    report = json.loads(report_path.read_text())
-    for bench in report.get("benchmarks", []):
-        rows = bench.get("extra_info", {}).get("selection_phase")
-        if rows:
-            return rows
-    raise SystemExit(
-        f"{report_path}: no selection_phase rows found -- did "
-        "bench_greedy_selection.py run with --benchmark-json?"
-    )
-
-
-def online_ratios(report_path: Path) -> dict:
-    """``engine -> warm_over_cold`` from ``bench_online_drift.py`` rows.
-
-    Empty when the report has no online rows (partial runs are fine).
-    """
-    report = json.loads(report_path.read_text())
-    ratios = {}
-    for bench in report.get("benchmarks", []):
-        info = bench.get("extra_info", {}).get("online_drift")
-        if info and "warm_over_cold" in info:
-            ratios[str(info.get("engine", "auto"))] = float(info["warm_over_cold"])
-    return ratios
 
 
 def compression_speedup(report_path: Path) -> float:
@@ -106,51 +63,21 @@ def observability_overhead(report_path: Path) -> dict:
     return {}
 
 
-def current_ratios(rows: list) -> dict:
-    ratios = {}
-    for row in rows:
-        seed = float(row["seed_seconds"])
-        if seed <= 0.0:
-            continue
-        ratios[str(row["candidates"])] = {
-            name: float(row[field]) / seed for name, field in RATIOS.items()
-        }
-    return ratios
-
-
-def update(baselines_path: Path, ratios: dict, online: dict, compression: float) -> None:
+def update(baselines_path: Path, compression: float) -> None:
     baselines = (
         json.loads(baselines_path.read_text()) if baselines_path.exists() else {}
     )
-    merged = baselines.setdefault("selection_phase", {})
-    for count, values in ratios.items():
-        row = merged.setdefault(count, {})
-        for name, value in values.items():
-            row[name] = round(max(float(row.get(name, 0.0)), value), 4)
-    if online:
-        row = baselines.setdefault("online_drift", {})
-        worst = max(online.values())
-        row["warm_over_cold"] = round(
-            max(float(row.get("warm_over_cold", 0.0)), worst), 4
-        )
     if compression > 0.0:
         # Bigger is better here, so "worst seen" is the *smallest* speedup.
         row = baselines.setdefault("workload_compression", {})
         previous = float(row.get("compression_speedup", compression))
         row["compression_speedup"] = round(min(previous, compression), 4)
     baselines.setdefault("tolerance", 1.25)
-    baselines.setdefault("min_candidates", 60)
     baselines_path.write_text(json.dumps(baselines, indent=2, sort_keys=True) + "\n")
     print(f"updated {baselines_path}")
 
 
-def check(
-    baselines_path: Path,
-    ratios: dict,
-    online: dict,
-    compression: float,
-    overhead: dict,
-) -> int:
+def check(baselines_path: Path, compression: float, overhead: dict) -> int:
     if not baselines_path.exists():
         raise SystemExit(
             f"{baselines_path} is missing -- regenerate it with --update "
@@ -158,59 +85,9 @@ def check(
         )
     baselines = json.loads(baselines_path.read_text())
     tolerance = float(baselines.get("tolerance", 1.25))
-    min_candidates = int(baselines.get("min_candidates", 60))
-    committed = baselines.get("selection_phase", {})
 
     failures = []
-    print(f"selection-phase trend vs {baselines_path.name} "
-          f"(tolerance {tolerance:.2f}x, gated from {min_candidates} candidates):")
-    for count in sorted(ratios, key=int):
-        gated = int(count) >= min_candidates
-        baseline_row = committed.get(count)
-        for name, value in sorted(ratios[count].items()):
-            if baseline_row is None or name not in baseline_row:
-                if gated:
-                    failures.append(
-                        f"  {count} candidates / {name}: no committed baseline "
-                        "-- run with --update and commit baselines.json"
-                    )
-                continue
-            limit = float(baseline_row[name]) * tolerance
-            verdict = "ok" if value <= limit or not gated else "REGRESSED"
-            print(
-                f"  {count:>4} candidates  {name:<20} {value:.4f} "
-                f"(baseline {baseline_row[name]:.4f}, limit {limit:.4f}) "
-                f"{verdict}{'' if gated else ' [not gated]'}"
-            )
-            if gated and value > limit:
-                failures.append(
-                    f"  {count} candidates / {name}: {value:.4f} exceeds "
-                    f"{limit:.4f} (baseline {baseline_row[name]:.4f} x {tolerance})"
-                )
-    if not online:
-        print("  (no online_drift rows in this report -- online gate skipped)")
-    else:
-        committed_online = baselines.get("online_drift", {})
-        for engine, value in sorted(online.items()):
-            baseline = committed_online.get("warm_over_cold")
-            if baseline is None:
-                failures.append(
-                    f"  online_drift/{engine}: no committed baseline -- run "
-                    "with --update and commit baselines.json"
-                )
-                continue
-            limit = float(baseline) * tolerance
-            verdict = "ok" if value <= limit else "REGRESSED"
-            print(
-                f"  online engine={engine:<7} warm_over_cold   {value:.4f} "
-                f"(baseline {baseline:.4f}, limit {limit:.4f}) {verdict}"
-            )
-            if value > limit:
-                failures.append(
-                    f"  online_drift/{engine}: warm_over_cold {value:.4f} "
-                    f"exceeds {limit:.4f} (baseline {baseline} x {tolerance})"
-                )
-
+    print(f"benchmark trend vs {baselines_path.name} (tolerance {tolerance:.2f}x):")
     if compression <= 0.0:
         print("  (no workload_compression row in this report -- "
               "compression gate skipped)")
@@ -258,8 +135,7 @@ def check(
             )
 
     if failures:
-        print("benchmark trend regressed >25% vs committed baselines:",
-              file=sys.stderr)
+        print("benchmark trend regressed:", file=sys.stderr)
         for failure in failures:
             print(failure, file=sys.stderr)
         return 1
@@ -276,17 +152,14 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--update", action="store_true",
-        help="merge this run into the baselines (keeps the worst ratio seen)",
+        help="merge this run into the baselines (keeps the smallest speedup seen)",
     )
     options = parser.parse_args(argv)
-    ratios = current_ratios(selection_rows(options.report))
-    online = online_ratios(options.report)
     compression = compression_speedup(options.report)
-    overhead = observability_overhead(options.report)
     if options.update:
-        update(options.baselines, ratios, online, compression)
+        update(options.baselines, compression)
         return 0
-    return check(options.baselines, ratios, online, compression, overhead)
+    return check(options.baselines, compression, observability_overhead(options.report))
 
 
 if __name__ == "__main__":

@@ -84,13 +84,6 @@ class CandidateGenerator:
                 candidates.setdefault(index.key, index)
         return list(candidates.values())
 
-    def candidates_per_table(self, queries: Sequence[Query]) -> Dict[str, List[Index]]:
-        """Workload candidates grouped by table (for reporting)."""
-        grouped: Dict[str, List[Index]] = {}
-        for index in self.for_workload(queries):
-            grouped.setdefault(index.table, []).append(index)
-        return grouped
-
     # -- internals --------------------------------------------------------------
 
     def _register(self, candidates: Dict[tuple, Index], table: str,

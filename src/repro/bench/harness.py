@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 
 class ExperimentTable:
@@ -97,11 +97,3 @@ def geometric_mean(values: Iterable[float], strict: bool = False) -> float:
         return 0.0
     return math.exp(sum(math.log(v) for v in positive) / len(positive))
 
-
-def speedup_table(before: Dict[str, float], after: Dict[str, float]) -> Dict[str, float]:
-    """Per-key ``before / after`` ratios (``inf`` when after is zero)."""
-    result: Dict[str, float] = {}
-    for key, base in before.items():
-        improved = after.get(key, 0.0)
-        result[key] = float("inf") if improved == 0 else base / improved
-    return result

@@ -96,12 +96,6 @@ class Catalog:
         self._indexes[index.name] = index
         return index
 
-    def drop_index(self, name: str) -> None:
-        """Remove a permanent index by name."""
-        if name not in self._indexes:
-            raise CatalogError(f"unknown index {name!r}")
-        del self._indexes[name]
-
     def index(self, name: str) -> Index:
         """Look up a permanent index by name."""
         try:
@@ -114,10 +108,6 @@ class Catalog:
         return list(self._indexes.values())
 
     # -- sizes ------------------------------------------------------------
-
-    def table_size_bytes(self, table_name: str) -> int:
-        """Heap size of one table in bytes."""
-        return self.statistics(table_name).heap_bytes
 
     def index_size_bytes(self, index: Index) -> int:
         """Size of ``index`` in bytes given the current statistics."""

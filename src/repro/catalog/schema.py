@@ -137,13 +137,6 @@ class Table:
         selected = self.columns if names is None else [self.column(n) for n in names]
         return [(column.storage_width, column.alignment) for column in selected]
 
-    def foreign_key_for(self, column: str) -> Optional[ForeignKey]:
-        """The foreign key declared on ``column``, if any."""
-        for fk in self.foreign_keys:
-            if fk.column == column:
-                return fk
-        return None
-
 
 @dataclass
 class SchemaDiagnostics:

@@ -133,14 +133,6 @@ class InumCostModel:
                 best_cost += maintenance
         return best_cost, best_entry
 
-    def best_configuration(
-        self, configurations: List[AtomicConfiguration]
-    ) -> AtomicConfiguration:
-        """The cheapest configuration among ``configurations`` (ties keep the first)."""
-        if not configurations:
-            raise PlanningError("cannot rank an empty list of configurations")
-        return min(configurations, key=self.estimate)
-
     # -- internals -----------------------------------------------------------------
 
     @staticmethod

@@ -13,6 +13,11 @@ sets.  Two metrics are provided:
   so it lands in [0, 1]).  Smoother near 0, more sensitive to mass moving
   onto previously-unseen templates.
 
+Both sum their per-template terms with :func:`math.fsum`, which is exactly
+rounded: the terms are visited in ``set`` order, which follows string
+hashing, and a plain ``sum`` would make the drift -- and a comparison
+against a water mark -- differ from one process to the next.
+
 Raw threshold comparison would re-fire on every poll while drift sits above
 the line; :class:`DriftDetector` adds hysteresis: one fire per excursion
 above ``high_water``, re-armed only after the signal falls below
@@ -33,7 +38,7 @@ Distribution = Dict[str, float]
 
 
 def _normalize(weights: Distribution) -> Distribution:
-    total = sum(weights.values())
+    total = math.fsum(weights.values())
     if total <= 0.0:
         return {}
     return {key: value / total for key, value in weights.items() if value > 0.0}
@@ -46,7 +51,7 @@ def total_variation(p: Distribution, q: Distribution) -> float:
         return 0.0
     if not p or not q:
         return 1.0
-    distance = 0.5 * sum(
+    distance = 0.5 * math.fsum(
         abs(p.get(key, 0.0) - q.get(key, 0.0)) for key in set(p) | set(q)
     )
     return min(1.0, max(0.0, distance))
@@ -59,7 +64,7 @@ def jensen_shannon(p: Distribution, q: Distribution) -> float:
         return 0.0
     if not p or not q:
         return 1.0
-    divergence = 0.0
+    terms = []
     for key in set(p) | set(q):
         pk, qk = p.get(key, 0.0), q.get(key, 0.0)
         mk = 0.5 * (pk + qk)
@@ -68,9 +73,10 @@ def jensen_shannon(p: Distribution, q: Distribution) -> float:
             # contribution of such a term is below representable precision.
             continue
         if pk > 0.0:
-            divergence += 0.5 * pk * math.log2(pk / mk)
+            terms.append(0.5 * pk * math.log2(pk / mk))
         if qk > 0.0:
-            divergence += 0.5 * qk * math.log2(qk / mk)
+            terms.append(0.5 * qk * math.log2(qk / mk))
+    divergence = math.fsum(terms)
     return min(1.0, max(0.0, divergence))
 
 

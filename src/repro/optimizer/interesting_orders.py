@@ -112,17 +112,6 @@ class InterestingOrderCombination:
             raise PlanningError("cannot restrict a combination to zero tables")
         return InterestingOrderCombination(subset)
 
-    def merged_with(self, other: "InterestingOrderCombination") -> "InterestingOrderCombination":
-        """Union of two combinations over disjoint table sets."""
-        combined = self.as_dict()
-        for table, order in other.as_dict().items():
-            if table in combined and combined[table] != order:
-                raise PlanningError(
-                    f"conflicting orders for table {table!r}: {combined[table]!r} vs {order!r}"
-                )
-            combined[table] = order
-        return InterestingOrderCombination(combined)
-
     # -- dunder ------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

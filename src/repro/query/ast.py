@@ -247,14 +247,6 @@ class Query:
         """Number of tables in the FROM clause."""
         return len(self.tables)
 
-    def join_graph_edges(self) -> List[FrozenSet[str]]:
-        """The set of table pairs connected by at least one join predicate."""
-        edges: List[FrozenSet[str]] = []
-        for join in self.joins:
-            if join.tables not in edges:
-                edges.append(join.tables)
-        return edges
-
     def to_sql(self) -> str:
         """Render the query as SQL text (round-trips through the parser)."""
         select_items = [str(ref) for ref in self.select_columns]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Set
 
 from repro.catalog.catalog import Catalog
-from repro.query.ast import DmlStatement, JoinPredicate, Predicate, Query, Statement
+from repro.query.ast import JoinPredicate, Predicate, Query
 from repro.util.errors import QueryError
 
 
@@ -21,29 +21,6 @@ class QueryPreprocessor:
 
     def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
-
-    def preprocess_statement(self, statement: Statement) -> Statement:
-        """Validate and normalise either a query or a DML statement."""
-        if isinstance(statement, DmlStatement):
-            return self._preprocess_dml(statement)
-        return self.preprocess(statement)
-
-    def _preprocess_dml(self, statement: DmlStatement) -> DmlStatement:
-        """A validated, filter-deduplicated copy of a DML statement.
-
-        The AST already guarantees single-table shape; the catalog checks
-        (known table, known columns) are the same as for queries.
-        """
-        self._check_tables_and_columns(statement)
-        return DmlStatement(
-            name=statement.name,
-            kind=statement.kind,
-            table=statement.table,
-            columns=statement.columns,
-            values=statement.values,
-            set_values=statement.set_values,
-            filters=tuple(self._dedupe_filters(statement.filters)),
-        )
 
     def preprocess(self, query: Query) -> Query:
         """Return a validated, normalised copy of ``query``.

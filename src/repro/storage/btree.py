@@ -10,11 +10,11 @@ the experiments (indexes are built once and read many times).
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.catalog.index import Index
 from repro.storage import pages
-from repro.storage.relation import RelationData, Row
+from repro.storage.relation import RelationData
 from repro.util.errors import ExecutionError
 
 _Key = Tuple[object, ...]
@@ -83,14 +83,6 @@ class SortedIndexData:
         else:
             stop = bisect.bisect_left(leading, high)
         return [self._entries[i][1] for i in range(start, stop)]
-
-    def rows_ordered(self, columns: Optional[Sequence[str]] = None) -> Iterator[Row]:
-        """Yield full heap rows in index-key order (optionally projected)."""
-        for _, position in self._entries:
-            row = self.relation.fetch([position])[0]
-            if columns is not None:
-                row = {column: row[column] for column in columns}
-            yield row
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SortedIndexData({self.index.name!r}, entries={self.entry_count})"

@@ -42,12 +42,6 @@ class TestWorkloadCandidates:
         only_join = generator.for_query(join_query)
         assert len(combined) >= len(only_join)
 
-    def test_candidates_per_table_grouping(self, small_catalog, join_query):
-        grouped = CandidateGenerator(small_catalog).candidates_per_table([join_query])
-        assert set(grouped) <= set(join_query.tables)
-        for table, indexes in grouped.items():
-            assert all(index.table == table for index in indexes)
-
     def test_star_workload_candidate_scale(self, star_workload):
         """The paper reports ~1093 candidates for the ten-query workload."""
         generator = CandidateGenerator(star_workload.catalog())

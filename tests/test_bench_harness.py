@@ -9,7 +9,6 @@ from repro.bench.harness import (
     format_value,
     geometric_mean,
     relative_error,
-    speedup_table,
 )
 from repro.util.timing import timed
 
@@ -73,8 +72,3 @@ class TestMetrics:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-
-    def test_speedup_table(self):
-        speedups = speedup_table({"q1": 10.0, "q2": 4.0}, {"q1": 2.0, "q2": 0.0})
-        assert speedups["q1"] == pytest.approx(5.0)
-        assert speedups["q2"] == float("inf")

@@ -57,21 +57,15 @@ class TestStatistics:
 
 
 class TestIndexes:
-    def test_add_drop_index(self, small_catalog, sample_index):
+    def test_add_index(self, small_catalog, sample_index):
         small_catalog.add_index(sample_index)
         assert small_catalog.index(sample_index.name) == sample_index
-        assert sample_index in small_catalog.all_indexes()
-        small_catalog.drop_index(sample_index.name)
-        assert small_catalog.all_indexes() == []
+        assert small_catalog.all_indexes() == [sample_index]
 
     def test_duplicate_index_name_rejected(self, small_catalog, sample_index):
         small_catalog.add_index(sample_index)
         with pytest.raises(CatalogError):
             small_catalog.add_index(Index("sales", ["s_customer"], name=sample_index.name))
-
-    def test_drop_unknown_index_rejected(self, small_catalog):
-        with pytest.raises(CatalogError):
-            small_catalog.drop_index("ghost")
 
     def test_invalid_index_rejected(self, small_catalog):
         with pytest.raises(CatalogError):
@@ -126,6 +120,3 @@ class TestSizes:
 
     def test_index_size_bytes(self, small_catalog, sample_index):
         assert small_catalog.index_size_bytes(sample_index) > 0
-
-    def test_table_size_bytes(self, small_catalog):
-        assert small_catalog.table_size_bytes("sales") > small_catalog.table_size_bytes("products")

@@ -70,12 +70,6 @@ class TestTable:
         assert table.column_widths() == [(4, 4), (8, 8)]
         assert table.column_widths(["b"]) == [(8, 8)]
 
-    def test_foreign_key_lookup(self):
-        fk = ForeignKey("a", "parent", "id")
-        table = Table("t", [Column("a")], foreign_keys=[fk])
-        assert table.foreign_key_for("a") == fk
-        assert table.foreign_key_for("nope") is None
-
 
 class TestValidateForeignKeys:
     def test_valid_schema(self):

@@ -6,7 +6,6 @@ from repro.catalog.index import Index
 from repro.inum import AtomicConfiguration, InumCacheBuilder, InumCostModel
 from repro.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.util.errors import PlanningError
 
 
 @pytest.fixture
@@ -73,17 +72,6 @@ class TestEstimation:
         stranger = Index("sales", ["s_quantity", "s_amount"])
         estimate = cost_model.estimate(AtomicConfiguration([stranger]))
         assert estimate >= cost_model.estimate_empty() * 0.5
-
-    def test_best_configuration_picks_cheapest(self, candidates, cost_model):
-        configs = [
-            AtomicConfiguration([]),
-            AtomicConfiguration([candidates[2], candidates[4], candidates[6]]),
-        ]
-        assert cost_model.best_configuration(configs) == configs[1]
-
-    def test_best_configuration_empty_list_rejected(self, cost_model):
-        with pytest.raises(PlanningError):
-            cost_model.best_configuration([])
 
 
 class TestIndexSetEstimation:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from repro.online import DRIFT_METRICS, DriftDetector, jensen_shannon, total_variation
 from repro.online.drift import resolve_metric
 from repro.util.errors import AdvisorError
+from repro.workloads import StarSchemaWorkload
 
 _settings = settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow],
                      deadline=None)
@@ -21,6 +27,8 @@ _distributions = st.dictionaries(st.sampled_from("abcde"), _weights,
                                  min_size=1, max_size=5)
 _alien_distributions = st.dictionaries(st.sampled_from("vwxyz"), _weights,
                                        min_size=1, max_size=5)
+_wide_distributions = st.dictionaries(st.sampled_from("abcdefghijkl"), _weights,
+                                      min_size=1, max_size=12)
 
 METRICS = sorted(DRIFT_METRICS)
 
@@ -104,6 +112,51 @@ class TestMetricProperties:
         assert resolve_metric("jensen_shannon") is jensen_shannon
         with pytest.raises(AdvisorError, match="unknown drift metric"):
             resolve_metric("euclidean")
+
+
+class TestOrderFreeDrift:
+    """Drift is a function of the two distributions, not of the order their
+    keys are visited in: that order follows insertion and string hashing,
+    so an order-dependent sum prints another drift in another process, and
+    the detector's strict comparison can fire in one and not the other."""
+
+    @pytest.mark.parametrize("name", METRICS)
+    @_settings
+    @given(p=_wide_distributions, q=_wide_distributions, data=st.data())
+    def test_bit_identical_under_any_key_order(self, name, p, q, data):
+        metric = DRIFT_METRICS[name]
+        shuffled_p = dict(data.draw(st.permutations(list(p.items()))))
+        shuffled_q = dict(data.draw(st.permutations(list(q.items()))))
+        assert metric(shuffled_p, shuffled_q) == metric(p, q)
+
+    def test_watch_decisions_do_not_depend_on_the_hash_seed(self, tmp_path):
+        feed = tmp_path / "feed.ndjson"
+        lines = StarSchemaWorkload(7).trace(480, seed=11, phases=("read", "mixed"))
+        feed.write_text("\n".join(lines) + "\n")
+        source = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        # Hash seeds 0 and 2 printed drift 0.3500000000000001 and
+        # 0.35000000000000003 for this feed while the sum followed set order.
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(source), os.environ.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "watch", "--catalog", "star",
+                 "--follow", str(feed), "--from-start", "--window", "120",
+                 "--high-water", "0.3", "--max-polls", "1"],
+                env=env, capture_output=True, check=True, timeout=300, text=True,
+            )
+            decisions = []
+            for line in completed.stdout.splitlines():
+                event = json.loads(line)
+                if event["event"] == "decision":
+                    event.pop("seconds")
+                    decisions.append(json.dumps(event))
+            outputs.append(decisions)
+        assert [json.loads(line)["kind"] for line in outputs[0]] == ["bootstrap", "drift"]
+        assert outputs[0] == outputs[1]
 
 
 class TestDriftDetector:

@@ -72,18 +72,6 @@ class TestCombination:
         with pytest.raises(PlanningError):
             ioc.restricted_to([])
 
-    def test_merged_with_disjoint(self):
-        left = InterestingOrderCombination({"a": "x"})
-        right = InterestingOrderCombination({"b": None})
-        merged = left.merged_with(right)
-        assert merged.as_dict() == {"a": "x", "b": None}
-
-    def test_merged_with_conflict_rejected(self):
-        left = InterestingOrderCombination({"a": "x"})
-        right = InterestingOrderCombination({"a": "y"})
-        with pytest.raises(PlanningError):
-            left.merged_with(right)
-
     def test_empty_rejected(self):
         with pytest.raises(PlanningError):
             InterestingOrderCombination({})

@@ -126,11 +126,6 @@ class TestQuery:
         assert query.order_by_columns_of("b") == ["a_id"]
         assert query.has_aggregation
 
-    def test_join_graph_edges_deduplicated(self):
-        join = JoinPredicate(ColumnRef("a", "id"), ColumnRef("b", "a_id"))
-        query = self._query(joins=(join, join))
-        assert len(query.join_graph_edges()) == 1
-
     def test_to_sql_mentions_all_clauses(self):
         query = self._query(
             filters=(Predicate(ColumnRef("a", "y"), Comparison.BETWEEN, 1, 5),),

@@ -11,7 +11,6 @@ from repro.optimizer.whatif import WhatIfCallCache
 from repro.query import (
     DmlKind,
     DmlStatement,
-    QueryPreprocessor,
     parse_query,
     parse_statement,
 )
@@ -173,35 +172,6 @@ class TestDmlStatementSemantics:
         assert stmt.columns_of("customers") == []
         assert stmt.filters_on("sales") == list(stmt.filters)
         assert stmt.is_dml and not Query.is_dml
-
-
-# ---------------------------------------------------------------------------
-# Preprocessor
-# ---------------------------------------------------------------------------
-
-
-class TestDmlPreprocessing:
-    def test_valid_statement_passes_and_dedupes_filters(self, small_catalog):
-        stmt = parse_statement(
-            "DELETE FROM sales WHERE s_id = 1 AND s_id = 1", name="d"
-        )
-        processed = QueryPreprocessor(small_catalog).preprocess_statement(stmt)
-        assert len(processed.filters) == 1
-        assert processed.kind is DmlKind.DELETE
-
-    def test_unknown_table_rejected(self, small_catalog):
-        stmt = parse_statement("DELETE FROM nowhere WHERE x = 1", name="d")
-        with pytest.raises(QueryError, match="unknown table"):
-            QueryPreprocessor(small_catalog).preprocess_statement(stmt)
-
-    def test_unknown_column_rejected(self, small_catalog):
-        stmt = parse_statement("UPDATE sales SET nope = 1", name="u")
-        with pytest.raises(QueryError, match="no column"):
-            QueryPreprocessor(small_catalog).preprocess_statement(stmt)
-
-    def test_select_statements_still_normalised(self, small_catalog, join_query):
-        processed = QueryPreprocessor(small_catalog).preprocess_statement(join_query)
-        assert processed.tables == tuple(sorted(join_query.tables))
 
 
 # ---------------------------------------------------------------------------

@@ -93,12 +93,6 @@ class TestSortedIndexData:
         ids = sorted(relation.fetch([p])[0]["id"] for p in positions)
         assert ids == list(range(11, 20))
 
-    def test_rows_ordered_projection(self, table, relation):
-        index = SortedIndexData(Index("t", ["v"]), relation)
-        rows = list(index.rows_ordered(columns=["v"]))
-        assert all(set(row) == {"v"} for row in rows)
-        assert [row["v"] for row in rows] == sorted(row["v"] for row in rows)
-
     def test_mismatched_table_rejected(self, relation):
         with pytest.raises(ExecutionError):
             SortedIndexData(Index("other", ["v"]), relation)
