@@ -120,3 +120,8 @@ class TestSizes:
 
     def test_index_size_bytes(self, small_catalog, sample_index):
         assert small_catalog.index_size_bytes(sample_index) > 0
+
+    def test_table_size_bytes(self, small_catalog):
+        heap_bytes = {name: small_catalog.statistics(name).heap_bytes
+                      for name in ("sales", "products")}
+        assert heap_bytes["sales"] > heap_bytes["products"] > 0
